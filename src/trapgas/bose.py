@@ -1,10 +1,12 @@
 """Bose-Einstein functions g_nu(z) on the physical fugacity interval [0, 1].
 
-The gas models need exactly four orders, nu in {1/2, 3/2, 2, 3}, evaluated
-from z = 0 up to (and at, where finite) the saturation point z = 1.  The
+The gas models need six orders, nu in {1/2, 1, 3/2, 2, 5/2, 3}, evaluated
+from z = 0 up to (and at, where finite) the saturation point z = 1; the
+orders 1 and 5/2 enter only through the semi-classical column densities.
+g_1(z) = -ln(1 - z) is evaluated in closed form.  For the other orders the
 defining power series g_nu(z) = sum_{l>=1} z^l / l^nu converges too slowly
 near z = 1, so for x = -ln z below ``X_SWITCH`` the functions switch to
-truncated expansions around the singular point:
+truncated expansions around the singular point (Robinson 1951):
 
     g_nu(e^-x) = Gamma(1-nu) x^(nu-1) + sum_k zeta(nu-k) (-x)^k / k!
 
@@ -22,7 +24,7 @@ import math
 from .errors import DomainError, TruncationError
 
 #: The only constructible Bose-function orders.
-BOSE_ORDERS = (0.5, 1.5, 2.0, 3.0)
+BOSE_ORDERS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 
 #: Crossover between the direct series (above) and the x-expansion (below).
 X_SWITCH = 0.1
@@ -35,6 +37,7 @@ _SERIES_TAIL = 1e-14
 _SERIES_MAX_TERMS = 20_000_000
 
 _SQRT_PI = 1.7724538509055160273  # Gamma(1/2)
+_LN2 = math.log(2.0)
 
 # Riemann zeta at the orders the models and the expansions touch.
 # Hard-coded (16+ significant digits) rather than computed: deterministic
@@ -67,8 +70,9 @@ _ZETA = {
 def zeta_const(order: float) -> float:
     """Tabulated Riemann zeta value for a supported order.
 
-    Supported orders are the four Bose orders plus the half-integer and
-    integer shifts that appear in the near-saturation expansions.
+    Supported orders are the Bose orders other than 1 (where zeta has its
+    pole) plus the half-integer and integer shifts that appear in the
+    near-saturation expansions.
     """
     value = _ZETA.get(float(order))
     if value is None:
@@ -123,18 +127,19 @@ def bose_g_small_x(nu: float, x: float) -> float:
     nu = _check_order(nu)
     if x <= 0.0:
         raise DomainError(f"expansion needs x > 0, got {x!r}")
-    if nu == 0.5:
-        total = _SQRT_PI / math.sqrt(x)
+    if nu == 1.0:
+        return _g_one(x)
+    if nu in (0.5, 1.5, 2.5):
+        # Gamma(1 - nu) x^(nu - 1)
+        if nu == 0.5:
+            total = _SQRT_PI / math.sqrt(x)
+        elif nu == 1.5:
+            total = -2.0 * _SQRT_PI * math.sqrt(x)
+        else:
+            total = 4.0 / 3.0 * _SQRT_PI * x * math.sqrt(x)
         sign_pow = 1.0  # (-x)^k / k!
         for k in range(9):
-            total += _ZETA[0.5 - k] * sign_pow
-            sign_pow *= -x / (k + 1)
-        return total
-    if nu == 1.5:
-        total = -2.0 * _SQRT_PI * math.sqrt(x)
-        sign_pow = 1.0
-        for k in range(9):
-            total += _ZETA[1.5 - k] * sign_pow
+            total += _ZETA[nu - k] * sign_pow
             sign_pow *= -x / (k + 1)
         return total
     if nu == 2.0:
@@ -158,6 +163,17 @@ def bose_g_small_x(nu: float, x: float) -> float:
     )
 
 
+def _g_one(x: float) -> float:
+    """g_1(e^-x) = -ln(1 - e^-x) for x > 0, to a few ulp.
+
+    Below ln 2, expm1 keeps 1 - e^-x exact; above it, log1p keeps the
+    small logarithm exact (-log(-expm1(-x)) is off by 1.7e-4 at x = 30).
+    """
+    if x <= _LN2:
+        return -math.log(-math.expm1(-x))
+    return -math.log1p(-math.exp(-x))
+
+
 def bose_g_x(nu: float, x: float) -> float:
     """g_nu evaluated at z = e^-x for x >= 0.
 
@@ -169,9 +185,11 @@ def bose_g_x(nu: float, x: float) -> float:
     if x < 0.0:
         raise DomainError(f"need x >= 0, got {x!r}")
     if x == 0.0:
-        if nu == 0.5:
-            raise DomainError("g_{1/2} diverges at z = 1")
+        if nu <= 1.0:
+            raise DomainError(f"g_{nu:g} diverges at z = 1")
         return _ZETA[nu]
+    if nu == 1.0:
+        return _g_one(x)
     if x < X_SWITCH:
         return bose_g_small_x(nu, x)
     return direct_series(nu, math.exp(-x))
@@ -181,8 +199,8 @@ def bose_g(nu: float, z: float) -> float:
     """Bose function g_nu(z) for z in [0, 1].
 
     z = 1 is admitted only for nu > 1, where the series converges to
-    zeta(nu); g_{1/2} diverges there.  Monotone nondecreasing in z and
-    accurate to about 1e-12 absolute.
+    zeta(nu); g_{1/2} and g_1 diverge there.  Monotone nondecreasing in z
+    and accurate to about 1e-12 absolute.
     """
     nu = _check_order(nu)
     if not 0.0 <= z <= 1.0:
@@ -190,7 +208,5 @@ def bose_g(nu: float, z: float) -> float:
     if z == 0.0:
         return 0.0
     if z == 1.0:
-        if nu == 0.5:
-            raise DomainError("g_{1/2} diverges at z = 1")
-        return _ZETA[nu]
+        return bose_g_x(nu, 0.0)
     return bose_g_x(nu, -math.log(z))

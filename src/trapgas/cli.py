@@ -22,6 +22,9 @@ from .exact import DEFAULT_CONTROL, LSumControl
 from .models import ModelKind
 from .tables import SweepTable
 
+#: Largest admissible profile grid.
+MAX_POINTS = 100_000
+
 
 @dataclass
 class RunConfig:
@@ -123,8 +126,8 @@ def cmd_degeneracy(args) -> int:
 def cmd_profile(args) -> int:
     trap = _parse_aniso(args.aniso)
     model = ModelKind(args.model)
-    if args.points < 2:
-        raise DomainError("--points must be at least 2")
+    if not 2 <= args.points <= MAX_POINTS:
+        raise DomainError(f"--points must lie in [2, {MAX_POINTS}]")
     if args.rmax <= 0.0:
         raise DomainError("--rmax must be positive")
     control = _control(args)

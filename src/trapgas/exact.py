@@ -28,6 +28,8 @@ from .errors import DomainError, TruncationError
 
 _PI_32 = math.pi ** 1.5
 _BLOCK = 4096
+#: Element budget of one l-block x grid-chunk buffer (2 MB of float64).
+_CHUNK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -133,43 +135,7 @@ def excited_density_x(
     This is the full density with the ground-state Gaussian removed
     term by term, so it stays finite and accurate through saturation.
     """
-    tau = _check_tau(tau)
-    if x < 0.0:
-        raise DomainError(f"need x >= 0, got {x!r}")
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(r_arr < 0.0):
-        raise DomainError("radius must be nonnegative")
-    r2 = r_arr**2
-    gauss = np.exp(-r2)
-    total = np.zeros_like(r2)
-    start = 1
-    while start <= control.max_terms:
-        l = np.arange(start, min(start + _BLOCK, control.max_terms + 1), dtype=float)
-        a = np.tanh(0.5 * tau * l)
-        k32 = 1.0 / (-np.expm1(-2.0 * tau * l)) ** 1.5
-        bracket = k32[:, None] * np.exp(-np.outer(a, r2)) - gauss[None, :]
-        terms = np.exp(-x * l)[:, None] * bracket
-        total += terms.sum(axis=0)
-        l_next = l[-1] + 1.0
-        q_next = math.exp(-tau * l_next)
-        if q_next < 0.5:
-            a_next = math.tanh(0.5 * tau * l_next)
-            # bracket_j <= q_j [ (3/2) q_next (1-q_next^2)^{-5/2} + 2 r^2 ] e^{-a_next r^2}
-            coeff = 1.5 * q_next / (1.0 - q_next * q_next) ** 2.5 + 2.0 * r2
-            tail = (
-                coeff
-                * np.exp(-a_next * r2)
-                * q_next
-                * math.exp(-x * l_next)
-                / (-math.expm1(-(x + tau)))
-            )
-            floor = control.rel_tol * np.maximum(total, 1e-300)
-            if np.all(tail <= floor) and np.all(terms[-1] <= floor):
-                return total / _PI_32 if np.ndim(r) else float(total[0]) / _PI_32
-        start += _BLOCK
-    raise TruncationError(
-        f"excited density sum exceeded {control.max_terms} terms (x={x}, tau={tau})"
-    )
+    return _excited_gauss_sum(x, tau, 0, r, control)
 
 
 def density_ex(z: float, tau: float, r, control: LSumControl = DEFAULT_CONTROL):
@@ -201,15 +167,23 @@ def excited_column_x(
     are sigma^(d-3); d = 3 integrates everything and returns the excited
     atom number.
     """
+    if dims_integrated not in (1, 2, 3):
+        raise DomainError(f"dims_integrated must be 1, 2 or 3, got {dims_integrated!r}")
+    return _excited_gauss_sum(x, tau, dims_integrated, s, control)
+
+
+def _excited_gauss_sum(x: float, tau: float, d: int, s, control: LSumControl):
+    """sum_l e^{-lx} [k_l (pi/a_l)^{d/2} e^{-a_l s^2} - pi^{d/2} e^{-s^2}] / pi^{3/2}.
+
+    The excited column over d axes (d = 0 is the density), with
+    k_l = (1 - e^{-2 tau l})^{-3/2} and a_l = tanh(tau l / 2).
+    """
     tau = _check_tau(tau)
     if x < 0.0:
         raise DomainError(f"need x >= 0, got {x!r}")
-    if dims_integrated not in (1, 2, 3):
-        raise DomainError(f"dims_integrated must be 1, 2 or 3, got {dims_integrated!r}")
-    d = dims_integrated
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     if np.any(s_arr < 0.0):
-        raise DomainError("column coordinate must be nonnegative")
+        raise DomainError("radius or column coordinate must be nonnegative")
     s2 = s_arr**2
     gauss = math.pi ** (0.5 * d) * np.exp(-s2)
     total = np.zeros_like(s2)
@@ -219,13 +193,14 @@ def excited_column_x(
         a = np.tanh(0.5 * tau * l)
         k32 = 1.0 / (-np.expm1(-2.0 * tau * l)) ** 1.5
         col = (math.pi / a) ** (0.5 * d)
-        bracket = (k32 * col)[:, None] * np.exp(-np.outer(a, s2)) - gauss[None, :]
-        terms = np.exp(-x * l)[:, None] * bracket
-        total += terms.sum(axis=0)
+        block, last = _gauss_block(np.exp(-x * l), k32 * col, a, s2, gauss)
+        total += block
         l_next = l[-1] + 1.0
         q_next = math.exp(-tau * l_next)
         if q_next < 0.5:
             a_next = math.tanh(0.5 * tau * l_next)
+            # bracket_j <= q_j [ (3/2) q_next (1-q_next^2)^{-5/2} + 2 s^2 + d/a_next ]
+            #              (pi/a_next)^{d/2} e^{-a_next s^2}
             coeff = (
                 1.5 * q_next / (1.0 - q_next * q_next) ** 2.5
                 + 2.0 * s2
@@ -239,12 +214,40 @@ def excited_column_x(
                 / (-math.expm1(-(x + tau)))
             )
             floor = control.rel_tol * np.maximum(total, 1e-300)
-            if np.all(tail <= floor) and np.all(terms[-1] <= floor):
+            if np.all(tail <= floor) and np.all(last <= floor):
                 return total / _PI_32 if np.ndim(s) else float(total[0]) / _PI_32
         start += _BLOCK
     raise TruncationError(
-        f"column sum exceeded {control.max_terms} terms (x={x}, tau={tau}, d={d})"
+        f"excited l-sum exceeded {control.max_terms} terms (x={x}, tau={tau}, d={d})"
     )
+
+
+def _gauss_block(weight, coef, a, s2, gauss):
+    """One l-block: column sums and last row of weight_l (coef_l e^{-a_l s^2} - gauss).
+
+    The grid is cut into chunks of at most ``_CHUNK_ELEMENTS // _BLOCK``
+    points that reuse one buffer, so memory stays flat in the grid size.
+    Chunks are as even as possible and never a lone point while the grid is
+    wider: a single column would switch numpy to pairwise summation and move
+    the last bits of the row-by-row sum.
+    """
+    n = s2.size
+    chunks = -(-n // (_CHUNK_ELEMENTS // _BLOCK))
+    bounds = [i * n // chunks for i in range(chunks + 1)]
+    buf = np.empty(a.size * -(-n // chunks))
+    sums = np.empty(n)
+    last = np.empty(n)
+    neg_a = -a[:, None]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        b = buf[: a.size * (hi - lo)].reshape(a.size, hi - lo)
+        np.multiply(neg_a, s2[lo:hi], out=b)
+        np.exp(b, out=b)
+        np.multiply(coef[:, None], b, out=b)
+        np.subtract(b, gauss[lo:hi], out=b)
+        np.multiply(weight[:, None], b, out=b)
+        b.sum(axis=0, out=sums[lo:hi])
+        last[lo:hi] = b[-1]
+    return sums, last
 
 
 def column_density_ex(

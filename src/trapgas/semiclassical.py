@@ -12,6 +12,11 @@ Three nested levels of approximation share one interface:
 In an anisotropic trap the finite-size terms scale by the frequency ratio
 (arithmetic mean over geometric mean), which is what ``aniso_ratio``
 carries; tau is always defined through the geometric mean.
+
+Column densities are closed forms: integrating g_nu(z e^{-tau r^2/2})
+along one axis gives sqrt(2 pi / tau) g_{nu+1/2}, so each integrated axis
+raises both Bose orders by 1/2, and the ground-state Gaussian integrates
+to a factor sqrt(pi) per axis.
 """
 
 from __future__ import annotations
@@ -93,8 +98,7 @@ def saturated_population_sc(variant, tau: float) -> float:
     return n
 
 
-def density_sc_x(variant, x: float, tau: float, r):
-    v = _as_variant(variant)
+def _column_sc(v: ScVariant, x: float, tau: float, d: int, s):
     tau = _check_tau(tau)
     if x < 0.0:
         raise DomainError(f"need x >= 0, got {x!r}")
@@ -103,18 +107,41 @@ def density_sc_x(variant, x: float, tau: float, r):
             f"{v.kind.value} density is not defined at z = 1 "
             "(g_{1/2} diverges; the ground-state term is the cure)"
         )
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(r_arr < 0.0):
+    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    if np.any(s_arr < 0.0):
         raise DomainError("radius must be nonnegative")
     lam3 = (2.0 * math.pi * tau) ** 1.5
-    x_local = x + 0.5 * tau * r_arr**2
-    rho = np.array([bose.bose_g_x(1.5, xv) for xv in x_local]) / lam3
+    x_local = x + 0.5 * tau * s_arr**2
+    rho = np.array([bose.bose_g_x(1.5 + 0.5 * d, xv) for xv in x_local]) / lam3
     if v.kind in (ModelKind.SC0, ModelKind.SC):
-        g_half = np.array([bose.bose_g_x(0.5, xv) for xv in x_local])
-        rho = rho + 1.5 * tau * v.aniso_ratio * g_half / lam3
+        g_low = np.array([bose.bose_g_x(0.5 + 0.5 * d, xv) for xv in x_local])
+        rho = rho + 1.5 * tau * v.aniso_ratio * g_low / lam3
+    rho = rho * (2.0 * math.pi / tau) ** (0.5 * d)
     if v.kind == ModelKind.SC:
-        rho = rho + (1.0 / math.expm1(x)) * np.exp(-(r_arr**2)) / _PI_32
-    return rho if np.ndim(r) else float(rho[0])
+        rho = rho + (
+            (1.0 / math.expm1(x)) * math.pi ** (0.5 * d) * np.exp(-(s_arr**2)) / _PI_32
+        )
+    return rho if np.ndim(s) else float(rho[0])
+
+
+def density_sc_x(variant, x: float, tau: float, r):
+    """Density (sigma^-3) at radius r (scalar or array) and z = e^-x."""
+    return _column_sc(_as_variant(variant), x, tau, 0, r)
+
+
+def column_density_sc_x(variant, x: float, tau: float, dims_integrated: int, s):
+    """Density integrated over 0, 1 or 2 axes at z = e^-x, in closed form.
+
+    (2 pi / tau)^{d/2} [g_{3/2+d/2} + (3 tau / 2) ratio g_{1/2+d/2}](x + tau s^2 / 2)
+    / lambda^3, with the finite-size term dropped for SCINF and the
+    ground-state column n0 pi^{d/2} e^{-s^2} / pi^{3/2} added for SC.  The
+    coordinate s is the radius (d = 0), the transverse radius (d = 1) or
+    the remaining axis coordinate (d = 2); units are sigma^(d-3).  d = 0
+    is :func:`density_sc_x`.
+    """
+    if dims_integrated not in (0, 1, 2):
+        raise DomainError(f"dims_integrated must be 0, 1 or 2, got {dims_integrated!r}")
+    return _column_sc(_as_variant(variant), x, tau, dims_integrated, s)
 
 
 def density_sc(variant, z: float, tau: float, r):

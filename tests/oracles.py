@@ -10,7 +10,10 @@ regenerates them.
 
 from __future__ import annotations
 
+import math
+
 import mpmath as mp
+from scipy import integrate
 
 
 def mp_bose_series(nu, z, dps: int = 40) -> float:
@@ -68,6 +71,28 @@ def mp_density_ex(z, tau, r, dps: int = 40) -> float:
             if l > 20 and term * z / (1 - z) < tail_floor * total:
                 return float(total / mp.pi ** mp.mpf("1.5"))
             l += 1
+
+
+def quad_column_sc(variant, x, tau, dims_integrated, s) -> float:
+    """Semi-classical column by adaptive quadrature of the 3D density.
+
+    Integrates ``density_sc_x`` along one axis (d = 1) or over a plane in
+    polar coordinates (d = 2) out to twelve thermal radii, independent of
+    the closed form built from shifted Bose orders.
+    """
+    from trapgas.semiclassical import density_sc_x
+
+    def rho(radius: float) -> float:
+        return density_sc_x(variant, x, tau, radius)
+
+    cut = 12.0 / math.sqrt(tau)
+    if dims_integrated == 1:
+        val, _ = integrate.quad(lambda u: rho(math.hypot(s, u)), 0.0, cut, limit=200)
+        return 2.0 * val
+    val, _ = integrate.quad(
+        lambda u: 2.0 * math.pi * u * rho(math.hypot(s, u)), 0.0, cut, limit=200
+    )
+    return val
 
 
 # ---------------------------------------------------------------------------

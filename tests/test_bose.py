@@ -45,7 +45,9 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         bose.bose_g(1.5, -0.1)
     with pytest.raises(DomainError):
-        bose.bose_g(2.5, 0.5)
+        bose.bose_g(4.0, 0.5)
+    with pytest.raises(DomainError):
+        bose.bose_g(1.0, 1.0)
     with pytest.raises(DomainError):
         bose.bose_g_small_x(1.5, 0.0)
     with pytest.raises(DomainError):
@@ -120,3 +122,19 @@ def test_derivative_identity(nu, lower, z):
 def test_monotone_in_fugacity(nu, z1, z2):
     lo, hi = sorted((z1, z2))
     assert bose.bose_g(nu, lo) <= bose.bose_g(nu, hi) + 1e-13
+
+
+@pytest.mark.parametrize("nu", [1.0, 2.5])
+@pytest.mark.parametrize(
+    "x", [1e-9, 1e-4, 0.01, 0.0999, bose.X_SWITCH, 0.1001, 0.5, math.log(2.0), 0.7,
+          2.0, 10.0, 30.0]
+)
+def test_new_orders_match_polylog(nu, x):
+    # g_1 and g_{5/2} feed the closed-form semi-classical columns; check
+    # both sides of X_SWITCH and deep into the Boltzmann tail, where a
+    # naive -log(-expm1(-x)) for g_1 loses four digits.
+    import mpmath as mp
+
+    with mp.workdps(60):
+        ref = float(mp.polylog(mp.mpf(nu), mp.exp(-mp.mpf(x))))
+    assert bose.bose_g_x(nu, x) == pytest.approx(ref, rel=1e-13)

@@ -109,6 +109,18 @@ class TestProfileCommand:
         )
         assert code == 2
 
+    def test_points_above_admissible_maximum_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        code = main(
+            [
+                "profile", "--model", "ex", "--atoms", "1e3", "--temp", "8.0",
+                "--points", "100001", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "100000" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_columns_and_rows(self, tmp_path, capsys):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from trapgas.errors import DomainError, TruncationError
 import oracles
 
 PI32 = math.pi**1.5
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestLSumControl:
@@ -153,6 +158,43 @@ class TestColumns:
             exact.column_density_ex(0.5, 1.0, 0, 0.0)
         with pytest.raises(DomainError):
             exact.column_density_ex(0.5, 1.0, 4, 0.0)
+
+
+class TestMemory:
+    # An unchunked l-block on this grid would need 4096 x 1e5 float64
+    # (3.3 GB) per temporary; the child's address space is capped well
+    # below that and its peak resident set must stay near the import cost.
+    ADDRESS_LIMIT = 1 << 30
+    MAXRSS_CEILING_KB = 160 * 1024
+    CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))
+import numpy as np
+from trapgas import core, exact
+from trapgas.models import ModelKind
+units = core.transition_temperature(ModelKind.EX, 1e3)
+state = core.solve_fugacity(ModelKind.EX, 1e3, units)
+grid = np.linspace(0.0, 15.0, 100_000)
+rho = exact.excited_density_x(state.x, state.tau, grid)
+col = exact.excited_column_x(state.x, state.tau, 1, grid)
+assert np.all(np.isfinite(rho)) and np.all(np.isfinite(col))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+    def test_large_grid_density_and_column_stay_bounded(self):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD.format(limit=self.ADDRESS_LIMIT)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert int(proc.stdout.split()[-1]) < self.MAXRSS_CEILING_KB
 
 
 class TestLevels:

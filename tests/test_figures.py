@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ import trapgas as tg
 from trapgas import figures
 from trapgas.errors import DomainError
 from trapgas.models import ModelKind as M
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def columns(table):
@@ -80,3 +84,10 @@ def test_bad_figure_id():
         figures.make_figure(0)
     with pytest.raises(DomainError):
         figures.make_figure(8)
+
+
+@pytest.mark.parametrize("figure_id", [1, 4, 5])
+def test_golden_byte_identical(figure_id):
+    # 2, 3, 6 and 7 are pinned through the CLI in test_cli.py
+    produced = figures.make_figure(figure_id).to_csv().encode("ascii")
+    assert produced == (GOLDEN_DIR / f"fig{figure_id}.csv").read_bytes()

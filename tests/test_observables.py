@@ -179,7 +179,7 @@ class TestIntegratedFraction:
         assert r1 == pytest.approx(math.sqrt(tau_ratio), rel=0.2)
         assert r2 == pytest.approx(tau_ratio, rel=0.2)
 
-    def test_sc_supported_via_quadrature(self):
+    def test_sc_supported_in_closed_form(self):
         state = threshold_state(1e3, M.SC)
         f1 = tg.integrated_peak_fraction(state, 1)
         assert 0.0 < f1 < 1.0

@@ -8,6 +8,8 @@ from trapgas import semiclassical as sc
 from trapgas.errors import DomainError
 from trapgas.models import ModelKind as M
 
+import oracles
+
 
 class TestVariant:
     def test_rejects_exact_tag(self):
@@ -175,3 +177,30 @@ class TestGroundShareTrend:
         state = tg.solve_fugacity(M.SC, 1e8, units)
         share = tg.peak_report(state).peak_fraction
         assert share == pytest.approx(limit, rel=0.05)
+
+
+class TestColumns:
+    S = [0.0, 1.0, 3.0, 6.0, 10.0]
+
+    @pytest.mark.parametrize("kind", [M.SC, M.SC0, M.SCINF])
+    @pytest.mark.parametrize("dims", [1, 2])
+    @pytest.mark.parametrize("ratio", [1.0, 1.4])
+    def test_closed_form_matches_quadrature(self, kind, dims, ratio):
+        # x + tau s^2 / 2 spans both sides of X_SWITCH on this grid
+        variant = sc.ScVariant(kind, ratio)
+        x, tau = 0.02, 0.05
+        closed = sc.column_density_sc_x(variant, x, tau, dims, np.array(self.S))
+        for s, value in zip(self.S, closed):
+            ref = oracles.quad_column_sc(variant, x, tau, dims, s)
+            assert value == pytest.approx(ref, rel=1e-8)
+
+    def test_scinf_saturated_column_is_finite(self):
+        value = sc.column_density_sc_x(M.SCINF, 0.0, 0.1, 1, 0.0)
+        expected = (2.0 * math.pi / 0.1) ** 0.5 * tg.zeta_const(2.0) / (
+            2.0 * math.pi * 0.1
+        ) ** 1.5
+        assert value == pytest.approx(expected, rel=1e-14)
+
+    def test_bad_dims(self):
+        with pytest.raises(DomainError):
+            sc.column_density_sc_x(M.SC, 0.1, 0.1, 3, 0.0)
