@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,36 +18,11 @@ from . import __version__, figures, observables
 from .core import ReducedUnits, TrapSpec, solve_fugacity, transition_temperature
 from .errors import ConvergenceError, DomainError, QuadratureError, TruncationError
 from .exact import DEFAULT_CONTROL, LSumControl
-from .models import ModelKind
-from .tables import SweepTable
+from .models import ModelKind, check_positive
+from .tables import SweepTable, meta
 
 #: Largest admissible profile grid.
 MAX_POINTS = 100_000
-
-
-@dataclass
-class RunConfig:
-    """Validated sweep configuration."""
-
-    models: tuple[ModelKind, ...]
-    atoms: float
-    t_min: float
-    t_max: float
-    steps: int
-    out: Path | None
-    control: LSumControl
-
-    def __post_init__(self) -> None:
-        if not self.models:
-            raise DomainError("at least one model is required")
-        if self.atoms <= 0.0:
-            raise DomainError("atom number must be positive")
-        if self.steps < 2:
-            raise DomainError("a sweep needs at least 2 steps")
-        if not self.t_min < self.t_max:
-            raise DomainError("empty sweep range: need t-min < t-max")
-        if self.t_min <= 0.0:
-            raise DomainError("temperatures must be positive")
 
 
 def _parse_models(text: str) -> tuple[ModelKind, ...]:
@@ -77,12 +51,6 @@ def _control(args) -> LSumControl:
     return LSumControl(rel_tol=args.tol)
 
 
-def _meta(**extra: object) -> dict[str, str]:
-    meta = {"tool": f"trapgas {__version__}"}
-    meta.update({k: str(v) for k, v in extra.items()})
-    return meta
-
-
 def cmd_transition(args) -> int:
     trap = _parse_aniso(args.aniso)
     model = ModelKind(args.model)
@@ -91,7 +59,7 @@ def cmd_transition(args) -> int:
     if args.out is not None:
         table = SweepTable(
             ["atoms", "tau_star", "T_star"],
-            _meta(command="transition", model=model.value),
+            meta(command="transition", model=model.value),
         )
         table.add_row(args.atoms, units.tau, units.temperature)
         table.write_csv(args.out)
@@ -128,8 +96,7 @@ def cmd_profile(args) -> int:
     model = ModelKind(args.model)
     if not 2 <= args.points <= MAX_POINTS:
         raise DomainError(f"--points must lie in [2, {MAX_POINTS}]")
-    if args.rmax <= 0.0:
-        raise DomainError("--rmax must be positive")
+    check_positive("--rmax", args.rmax)
     control = _control(args)
     units = ReducedUnits.from_temperature(args.temp)
     state = solve_fugacity(model, args.atoms, units, trap=trap, control=control)
@@ -137,7 +104,7 @@ def cmd_profile(args) -> int:
     prof = observables.profile(state, grid, args.dims, control)
     table = SweepTable(
         ["r_over_sigma", "total", "ground", "first_excited", "other_excited"],
-        _meta(
+        meta(
             command="profile",
             model=model.value,
             atoms=args.atoms,
@@ -158,36 +125,35 @@ def cmd_profile(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = RunConfig(
-        models=_parse_models(args.model),
-        atoms=args.atoms,
-        t_min=args.tmin,
-        t_max=args.tmax,
-        steps=args.steps,
-        out=Path(args.out),
-        control=_control(args),
-    )
+    models = _parse_models(args.model)
+    check_positive("atom number", args.atoms)
+    if args.steps < 2:
+        raise DomainError("a sweep needs at least 2 steps")
+    t_min = check_positive("--tmin", args.tmin)
+    t_max = check_positive("--tmax", args.tmax)
+    if not t_min < t_max:
+        raise DomainError("empty sweep range: need t-min < t-max")
+    control = _control(args)
     columns = ["T"]
-    for model in config.models:
+    for model in models:
         columns += [f"N0_frac_{model.value}", f"peak_frac_{model.value}"]
     table = SweepTable(
         columns,
-        _meta(
+        meta(
             command="sweep",
-            models=",".join(m.value for m in config.models),
-            atoms=config.atoms,
-            rel_tol=config.control.rel_tol,
+            models=",".join(m.value for m in models),
+            atoms=args.atoms,
+            rel_tol=control.rel_tol,
         ),
     )
-    for t in np.linspace(config.t_min, config.t_max, config.steps):
+    for t in np.linspace(t_min, t_max, args.steps):
         cells: list = [t]
-        for model in config.models:
+        for model in models:
             try:
                 state = solve_fugacity(
-                    model, config.atoms, ReducedUnits.from_temperature(t),
-                    control=config.control,
+                    model, args.atoms, ReducedUnits.from_temperature(t), control=control
                 )
-                report = observables.peak_report(state, config.control)
+                report = observables.peak_report(state, control)
                 cells += [report.n0_fraction, report.peak_fraction]
             except (DomainError, ConvergenceError, TruncationError) as exc:
                 print(
@@ -196,7 +162,7 @@ def cmd_sweep(args) -> int:
                 )
                 cells += [None, None]
         table.add_row(*cells)
-    table.write_csv(config.out)
+    table.write_csv(args.out)
     return 0
 
 

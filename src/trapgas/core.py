@@ -1,10 +1,6 @@
 """Trap and state records plus the nonlinear solvers shared by all models.
 
-Units convention: the isotropic trap frequency omega fixes everything.
-Lengths are in sigma = sqrt(hbar / m omega), temperatures in hbar omega/k_B
-(so tau = hbar omega / k_B T is the inverse reduced temperature), densities
-in sigma^-3.  The thermal wavelength obeys lambda^3 = (2 pi tau)^{3/2}
-sigma^3 exactly.
+Units follow the trap-unit convention in :mod:`trapgas.models`.
 
 One fugacity convention is used for every model: z = e^{beta (mu - eps0)},
 so z is always in (0, 1) and the ground-state population is exactly
@@ -21,7 +17,7 @@ from . import exact, semiclassical
 from .bose import zeta_const
 from .errors import ConvergenceError, DomainError
 from .exact import DEFAULT_CONTROL, LSumControl
-from .models import ModelKind
+from .models import ModelKind, check_positive, lambda3
 from .roots import solve_monotone_root
 
 __all__ = [
@@ -43,20 +39,19 @@ _FUGACITY_RESIDUAL = 1e-10
 class TrapSpec:
     """Trap geometry.  ``frequencies`` switches on anisotropy.
 
-    All results are expressed in units of the (geometric-mean) frequency,
-    so ``omega`` only documents the physical scale; the anisotropy enters
-    through the ratio of arithmetic to geometric mean frequency.
+    All results are expressed in units of the (geometric-mean) frequency;
+    the anisotropy enters through the ratio of arithmetic to geometric mean
+    frequency.
     """
 
-    omega: float = 1.0
     frequencies: tuple[float, float, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.omega <= 0.0:
-            raise DomainError("trap frequency must be positive")
         if self.frequencies is not None:
-            if len(self.frequencies) != 3 or any(f <= 0.0 for f in self.frequencies):
+            if len(self.frequencies) != 3:
                 raise DomainError("anisotropy needs three positive frequencies")
+            for f in self.frequencies:
+                check_positive("trap frequency", f)
 
     @property
     def is_isotropic(self) -> bool:
@@ -69,7 +64,7 @@ class TrapSpec:
     def omega_bar(self) -> float:
         """Geometric mean frequency (sets tau and sigma)."""
         if self.frequencies is None:
-            return self.omega
+            return 1.0
         wx, wy, wz = self.frequencies
         if wx == wy == wz:
             return wx
@@ -79,7 +74,7 @@ class TrapSpec:
     def omega_tilde(self) -> float:
         """Arithmetic mean frequency (scales the finite-size term)."""
         if self.frequencies is None:
-            return self.omega
+            return 1.0
         return sum(self.frequencies) / 3.0
 
     @property
@@ -97,14 +92,11 @@ class ReducedUnits:
     tau: float
 
     def __post_init__(self) -> None:
-        if not (self.tau > 0.0 and math.isfinite(self.tau)):
-            raise DomainError(f"tau must be positive and finite, got {self.tau!r}")
+        check_positive("tau", self.tau)
 
     @classmethod
     def from_temperature(cls, temperature: float) -> "ReducedUnits":
-        if temperature <= 0.0:
-            raise DomainError("temperature must be positive")
-        return cls(1.0 / temperature)
+        return cls(1.0 / check_positive("temperature", temperature))
 
     @property
     def temperature(self) -> float:
@@ -114,7 +106,7 @@ class ReducedUnits:
     @property
     def lambda3(self) -> float:
         """Thermal de Broglie volume lambda^3 in sigma^3 units."""
-        return (2.0 * math.pi * self.tau) ** 1.5
+        return lambda3(self.tau)
 
 
 @dataclass(frozen=True)
@@ -142,22 +134,11 @@ class GasState:
     def temperature(self) -> float:
         return 1.0 / self.tau
 
-    @property
-    def units(self) -> ReducedUnits:
-        return ReducedUnits(self.tau)
-
-    @property
-    def lambda3(self) -> float:
-        return (2.0 * math.pi * self.tau) ** 1.5
-
 
 def _as_tau(tau) -> float:
     if isinstance(tau, ReducedUnits):
         return tau.tau
-    tau = float(tau)
-    if not (tau > 0.0 and math.isfinite(tau)):
-        raise DomainError(f"tau must be positive and finite, got {tau!r}")
-    return tau
+    return check_positive("tau", tau)
 
 
 def _resolve_ratio(model: ModelKind, trap: TrapSpec | None, aniso_ratio: float | None):
@@ -223,8 +204,7 @@ def solve_fugacity(
     atoms the excited cloud cannot absorb.
     """
     model = ModelKind(model)
-    if atoms <= 0.0:
-        raise DomainError("atom number must be positive")
+    atoms = check_positive("atom number", atoms)
     tau = _as_tau(tau)
     ratio = _resolve_ratio(model, trap, aniso_ratio)
 
@@ -276,7 +256,7 @@ def transition_temperature(
     values; SCINF has the closed form tau* = (zeta(3)/N)^{1/3}.
     """
     model = ModelKind(model)
-    if atoms < 2.0:
+    if check_positive("atom number", atoms) < 2.0:
         raise DomainError("transition temperature needs at least two atoms")
     ratio = _resolve_ratio(model, trap, aniso_ratio)
     tau_c = (zeta_const(3.0) / atoms) ** (1.0 / 3.0)

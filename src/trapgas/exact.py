@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, TruncationError
+from .models import PI_32, check_positive, ground_column
 
-_PI_32 = math.pi ** 1.5
 _BLOCK = 4096
 #: Element budget of one l-block x grid-chunk buffer (2 MB of float64).
 _CHUNK_ELEMENTS = 1 << 18
@@ -47,13 +47,6 @@ class LSumControl:
 
 
 DEFAULT_CONTROL = LSumControl()
-
-
-def _check_tau(tau: float) -> float:
-    tau = float(tau)
-    if not (tau > 0.0 and math.isfinite(tau)):
-        raise DomainError(f"tau must be positive and finite, got {tau!r}")
-    return tau
 
 
 def _x_from_z(z: float) -> float:
@@ -78,7 +71,7 @@ def excited_population_x(
     At x = 0 this is the saturated excited-state population that defines
     the exact transition temperature.
     """
-    tau = _check_tau(tau)
+    tau = check_positive("tau", tau)
     if x < 0.0:
         raise DomainError(f"need x >= 0, got {x!r}")
     total = 0.0
@@ -147,8 +140,7 @@ def density_ex(z: float, tau: float, r, control: LSumControl = DEFAULT_CONTROL):
 def density_ex_x(x: float, tau: float, r, control: LSumControl = DEFAULT_CONTROL):
     if x <= 0.0:
         raise DomainError(f"total density needs x > 0, got {x!r}")
-    r_arr = np.asarray(r, dtype=float)
-    ground = ground_population(x) * np.exp(-(r_arr**2)) / _PI_32
+    ground = ground_column(ground_population(x), 0, np.asarray(r, dtype=float))
     return ground + excited_density_x(x, tau, r, control)
 
 
@@ -178,7 +170,7 @@ def _excited_gauss_sum(x: float, tau: float, d: int, s, control: LSumControl):
     The excited column over d axes (d = 0 is the density), with
     k_l = (1 - e^{-2 tau l})^{-3/2} and a_l = tanh(tau l / 2).
     """
-    tau = _check_tau(tau)
+    tau = check_positive("tau", tau)
     if x < 0.0:
         raise DomainError(f"need x >= 0, got {x!r}")
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
@@ -215,7 +207,7 @@ def _excited_gauss_sum(x: float, tau: float, d: int, s, control: LSumControl):
             )
             floor = control.rel_tol * np.maximum(total, 1e-300)
             if np.all(tail <= floor) and np.all(last <= floor):
-                return total / _PI_32 if np.ndim(s) else float(total[0]) / _PI_32
+                return total / PI_32 if np.ndim(s) else float(total[0]) / PI_32
         start += _BLOCK
     raise TruncationError(
         f"excited l-sum exceeded {control.max_terms} terms (x={x}, tau={tau}, d={d})"
@@ -274,13 +266,7 @@ def column_density_ex_x(
     if dims_integrated not in (1, 2, 3):
         raise DomainError(f"dims_integrated must be 1, 2 or 3, got {dims_integrated!r}")
     d = dims_integrated
-    s_arr = np.asarray(s, dtype=float)
-    ground = (
-        ground_population(x)
-        * math.pi ** (0.5 * d)
-        * np.exp(-(s_arr**2))
-        / _PI_32
-    )
+    ground = ground_column(ground_population(x), d, np.asarray(s, dtype=float))
     return ground + excited_column_x(x, tau, d, s, control)
 
 
@@ -293,7 +279,7 @@ def level_populations_ex(
     summed over all n this reproduces the l-sum atom number.
     """
     x = _x_from_z(z)
-    tau = _check_tau(tau)
+    tau = check_positive("tau", tau)
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
     out = []
@@ -330,7 +316,7 @@ def eigenfunction_oracle(z: float, tau: float, r: float, n_max: int = 200) -> fl
     z <= 0.95 for the default n_max.
     """
     x = _x_from_z(z)
-    tau = _check_tau(tau)
+    tau = check_positive("tau", tau)
     if r < 0.0:
         raise DomainError("radius must be nonnegative")
     if tau < 0.2 or z > 0.95 or n_max > 200:

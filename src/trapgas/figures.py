@@ -26,20 +26,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import __version__, observables
+from . import observables
 from .core import ReducedUnits, solve_fugacity, transition_temperature
 from .errors import DomainError
 from .models import ModelKind
-from .tables import SweepTable
+from .tables import SweepTable, meta
 
 PROFILE_TEMPERATURE = 93.37
 PROFILE_ATOM_RANGE = (990_000.0, 1_004_000.0, 2_000.0)
-
-
-def _meta(figure: int, **extra: object) -> dict[str, str]:
-    meta = {"tool": f"trapgas {__version__}", "figure": str(figure)}
-    meta.update({k: str(v) for k, v in extra.items()})
-    return meta
 
 
 def _temperature_grid(model: ModelKind, atoms: float, points: int = 200):
@@ -52,7 +46,7 @@ def figure1(atoms: float = 1e3, points: int = 200) -> SweepTable:
 
     table = SweepTable(
         ["T", "N0_frac_ex", "N0_frac_sc", "N0_frac_sc0", "N0_frac_scinf"],
-        _meta(1, atoms=atoms),
+        meta(figure=1, atoms=atoms),
     )
     for t in _temperature_grid(ModelKind.EX, atoms, points):
         ex = solve_fugacity(ModelKind.EX, atoms, ReducedUnits.from_temperature(t))
@@ -69,7 +63,7 @@ def figure1(atoms: float = 1e3, points: int = 200) -> SweepTable:
 def figure2(n_grid=None) -> SweepTable:
     if n_grid is None:
         n_grid = np.logspace(2, 7, 26)
-    table = SweepTable(["N", "rel_shift_Tc", "rel_shift_Tsc"], _meta(2))
+    table = SweepTable(["N", "rel_shift_Tc", "rel_shift_Tsc"], meta(figure=2))
     for atoms in n_grid:
         t_ex = transition_temperature(ModelKind.EX, atoms).temperature
         t_sc = transition_temperature(ModelKind.SC, atoms).temperature
@@ -81,7 +75,7 @@ def figure2(n_grid=None) -> SweepTable:
 def figure3(n_grid=None) -> SweepTable:
     if n_grid is None:
         n_grid = np.logspace(2, 8, 25)
-    table = SweepTable(["N", "deg_param_sc", "deg_param_ex"], _meta(3))
+    table = SweepTable(["N", "deg_param_sc", "deg_param_ex"], meta(figure=3))
     for atoms in n_grid:
         rows = []
         for model in (ModelKind.SC, ModelKind.EX):
@@ -92,10 +86,10 @@ def figure3(n_grid=None) -> SweepTable:
     return table
 
 
-def _fraction_sweep(atoms: float, points: int) -> SweepTable:
+def _fraction_sweep(figure: int, atoms: float, points: int) -> SweepTable:
     table = SweepTable(
         ["T", "N0_frac_ex", "peak_frac_ex", "N0_frac_sc", "peak_frac_sc"],
-        _meta(4 if atoms >= 1e4 else 5, atoms=atoms),
+        meta(figure=figure, atoms=atoms),
     )
     for t in _temperature_grid(ModelKind.EX, atoms, points):
         units = ReducedUnits.from_temperature(t)
@@ -109,11 +103,11 @@ def _fraction_sweep(atoms: float, points: int) -> SweepTable:
 
 
 def figure4(atoms: float = 1e6, points: int = 200) -> SweepTable:
-    return _fraction_sweep(atoms, points)
+    return _fraction_sweep(4, atoms, points)
 
 
 def figure5(atoms: float = 1e3, points: int = 200) -> SweepTable:
-    return _fraction_sweep(atoms, points)
+    return _fraction_sweep(5, atoms, points)
 
 
 def figure6(
@@ -127,7 +121,7 @@ def figure6(
     grid = np.linspace(0.0, r_max, points)
     units = ReducedUnits.from_temperature(temperature)
     columns = ["r_over_sigma"] + [f"rho_N{int(n)}" for n in atom_values]
-    table = SweepTable(columns, _meta(6, temperature=temperature))
+    table = SweepTable(columns, meta(figure=6, temperature=temperature))
     profiles = []
     for atoms in atom_values:
         state = solve_fugacity(ModelKind.EX, atoms, units)
@@ -142,7 +136,7 @@ def figure7(n_grid=None) -> SweepTable:
         n_grid = np.logspace(2, 8, 25)
     table = SweepTable(
         ["N", "peak_frac_1d_image", "peak_frac_2d_image", "peak_frac_3d"],
-        _meta(7),
+        meta(figure=7),
     )
     for atoms in n_grid:
         units = transition_temperature(ModelKind.EX, atoms)

@@ -30,9 +30,10 @@ from . import exact, semiclassical
 from .core import GasState
 from .errors import DomainError, QuadratureError
 from .exact import DEFAULT_CONTROL, LSumControl
-from .models import ModelKind
+from .models import PI_32, ModelKind, ground_column, lambda3
 
-_PI_32 = math.pi ** 1.5
+#: Relative accuracy demanded of the density moments.
+_MOMENT_TOL = 1e-6
 
 __all__ = [
     "DensityProfile",
@@ -94,12 +95,6 @@ def total_density(state: GasState, r, control: LSumControl = DEFAULT_CONTROL):
     return semiclassical.density_sc_x(variant, state.x, state.tau, r)
 
 
-def _ground_column(state: GasState, grid: np.ndarray, d: int) -> np.ndarray:
-    if not state.model.has_ground_state:
-        return np.zeros_like(grid)
-    return state.n0 * math.pi ** (0.5 * d) * np.exp(-(grid**2)) / _PI_32
-
-
 def first_excited_level_density(state: GasState, grid, dims_integrated: int = 0):
     """First-excited component (weighted by the level population N1)."""
     grid = np.asarray(grid, dtype=float)
@@ -109,7 +104,7 @@ def first_excited_level_density(state: GasState, grid, dims_integrated: int = 0)
     n1 = 3.0 * occ1
     s2 = grid**2
     if dims_integrated == 0:
-        shape = 2.0 * s2 * np.exp(-s2) / _PI_32
+        shape = 2.0 * s2 * np.exp(-s2) / PI_32
     elif dims_integrated == 1:
         shape = (2.0 * s2 + 1.0) * np.exp(-s2) / math.pi
     elif dims_integrated == 2:
@@ -146,7 +141,10 @@ def profile(
     if dims_integrated not in (0, 1, 2):
         raise DomainError(f"dims_integrated must be 0, 1 or 2, got {dims_integrated!r}")
     total = _column_total(state, grid, dims_integrated, control)
-    ground = _ground_column(state, grid, dims_integrated)
+    if state.model.has_ground_state:
+        ground = ground_column(state.n0, dims_integrated, grid)
+    else:
+        ground = np.zeros_like(grid)
     first = first_excited_level_density(state, grid, dims_integrated)
     other = total - ground - first
     return DensityProfile(
@@ -160,24 +158,19 @@ def profile(
     )
 
 
-def dip_height(
-    state: GasState,
-    control: LSumControl = DEFAULT_CONTROL,
-    r_max: float = 4.0,
-    points: int = 801,
-) -> float:
+def dip_height(state: GasState, control: LSumControl = DEFAULT_CONTROL) -> float:
     """Height of the central dip of the excited-states density (EX only).
 
-    max over r of the excited density minus its r = 0 value, located on a
-    coarse grid and refined locally.
+    max over r of the excited density minus its r = 0 value, located on an
+    801-point grid over r in [0, 4] and refined locally.
     """
     if state.model != ModelKind.EX:
         raise DomainError("the central dip is defined for the exact model only")
-    grid = np.linspace(0.0, r_max, points)
+    grid = np.linspace(0.0, 4.0, 801)
     excited = exact.excited_density_x(state.x, state.tau, grid, control)
     i = int(np.argmax(excited))
     lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, points - 1)]
+    hi = grid[min(i + 1, grid.size - 1)]
     fine = np.linspace(lo, hi, 101)
     peak = float(np.max(exact.excited_density_x(state.x, state.tau, fine, control)))
     center = float(excited[0])
@@ -188,11 +181,13 @@ def peak_report(state: GasState, control: LSumControl = DEFAULT_CONTROL) -> Peak
     """Peak densities, fractions and the degeneracy parameter rho(0) lambda^3."""
     _require_density(state)
     rho_peak = float(np.asarray(total_density(state, 0.0, control)))
-    rho0 = state.n0 / _PI_32 if state.model.has_ground_state else 0.0
+    rho0 = 0.0
+    if state.model.has_ground_state:
+        rho0 = float(ground_column(state.n0, 0, 0.0))
     return PeakReport(
         rho0_peak=rho0,
         rho_total_peak=rho_peak,
-        degeneracy_parameter=rho_peak * state.lambda3,
+        degeneracy_parameter=rho_peak * lambda3(state.tau),
         n0_fraction=state.n0 / state.atoms,
         peak_fraction=rho0 / rho_peak,
     )
@@ -209,15 +204,12 @@ def integrated_peak_fraction(
     _require_density(state)
     zero = np.zeros(1)
     total = float(_column_total(state, zero, dims_integrated, control)[0])
-    ground = float(_ground_column(state, zero, dims_integrated)[0])
+    ground = float(ground_column(state.n0, dims_integrated, zero)[0])
     return ground / total
 
 
 def density_moment(
-    state: GasState,
-    p: int,
-    control: LSumControl = DEFAULT_CONTROL,
-    rel_tol: float = 1e-6,
+    state: GasState, p: int, control: LSumControl = DEFAULT_CONTROL
 ) -> float:
     """Integral of rho(r)^p over space (4 pi r^2 weight), p = 2 or 3.
 
@@ -237,12 +229,13 @@ def density_moment(
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
             value, abserr = integrate.quad(
-                integrand, 0.0, r_max, epsabs=0.0, epsrel=rel_tol * 0.01, limit=300
+                integrand, 0.0, r_max, epsabs=0.0, epsrel=_MOMENT_TOL * 0.01, limit=300
             )
         except integrate.IntegrationWarning as exc:
             raise QuadratureError(f"density moment did not converge: {exc}") from exc
-    if value <= 0.0 or abserr > rel_tol * value:
+    if value <= 0.0 or abserr > _MOMENT_TOL * value:
         raise QuadratureError(
-            f"density moment uncertainty {abserr:.2e} exceeds {rel_tol:.1e} x {value:.6e}"
+            f"density moment uncertainty {abserr:.2e} exceeds "
+            f"{_MOMENT_TOL:.1e} x {value:.6e}"
         )
     return value

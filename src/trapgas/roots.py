@@ -18,20 +18,14 @@ from .errors import ConvergenceError
 _MAX_DOUBLINGS = 60
 
 
-def solve_monotone_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    rtol: float = 1e-12,
-    max_iter: int = 200,
-) -> float:
+def solve_monotone_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of a continuous, strictly monotone f on an expandable bracket.
 
     The hint [lo, hi] (0 < lo < hi) is widened geometrically, lo halving and
     hi doubling, until f changes sign; more than ``_MAX_DOUBLINGS``
     expansions raises ConvergenceError.  Brent iteration then runs to
-    relative tolerance ``rtol`` or ``max_iter`` iterations, whichever comes
-    first.  Deterministic for identical inputs.
+    relative tolerance 1e-12 or 200 iterations, whichever comes first.
+    Deterministic for identical inputs.
     """
     if not (0.0 < lo < hi) or not (math.isfinite(lo) and math.isfinite(hi)):
         raise ConvergenceError(f"bad bracket hint [{lo}, {hi}]")
@@ -54,7 +48,4 @@ def solve_monotone_root(
         if not (math.isfinite(flo) and math.isfinite(fhi)):
             raise ConvergenceError("function not finite on expanded bracket")
         expansions += 1
-    rtol = max(rtol, 8.9e-16)  # brentq floor is 4*eps
-    return float(
-        brentq(f, lo, hi, xtol=1e-300, rtol=rtol, maxiter=max_iter, disp=False)
-    )
+    return float(brentq(f, lo, hi, xtol=1e-300, rtol=1e-12, maxiter=200, disp=False))

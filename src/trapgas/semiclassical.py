@@ -28,9 +28,7 @@ import numpy as np
 
 from . import bose
 from .errors import DomainError
-from .models import ModelKind
-
-_PI_32 = math.pi ** 1.5
+from .models import ModelKind, check_positive, ground_column, lambda3
 
 
 @dataclass(frozen=True)
@@ -56,17 +54,10 @@ def _as_variant(variant) -> ScVariant:
     return ScVariant(ModelKind(variant))
 
 
-def _check_tau(tau: float) -> float:
-    tau = float(tau)
-    if not (tau > 0.0 and math.isfinite(tau)):
-        raise DomainError(f"tau must be positive and finite, got {tau!r}")
-    return tau
-
-
 def population_sc_x(variant, x: float, tau: float) -> float:
     """Atom number at z = e^-x.  x = 0 is the saturated (z = 1) branch."""
     v = _as_variant(variant)
-    tau = _check_tau(tau)
+    tau = check_positive("tau", tau)
     if x < 0.0:
         raise DomainError(f"need x >= 0, got {x!r}")
     n = bose.bose_g_x(3.0, x) / tau**3
@@ -91,7 +82,7 @@ def population_sc(variant, z: float, tau: float) -> float:
 def saturated_population_sc(variant, tau: float) -> float:
     """Excited-state capacity at z = 1 (the saturation value)."""
     v = _as_variant(variant)
-    tau = _check_tau(tau)
+    tau = check_positive("tau", tau)
     n = bose.zeta_const(3.0) / tau**3
     if v.kind in (ModelKind.SC0, ModelKind.SC):
         n += 1.5 * v.aniso_ratio * bose.zeta_const(2.0) / tau**2
@@ -99,7 +90,7 @@ def saturated_population_sc(variant, tau: float) -> float:
 
 
 def _column_sc(v: ScVariant, x: float, tau: float, d: int, s):
-    tau = _check_tau(tau)
+    tau = check_positive("tau", tau)
     if x < 0.0:
         raise DomainError(f"need x >= 0, got {x!r}")
     if x == 0.0 and v.kind != ModelKind.SCINF:
@@ -110,7 +101,7 @@ def _column_sc(v: ScVariant, x: float, tau: float, d: int, s):
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     if np.any(s_arr < 0.0):
         raise DomainError("radius must be nonnegative")
-    lam3 = (2.0 * math.pi * tau) ** 1.5
+    lam3 = lambda3(tau)
     x_local = x + 0.5 * tau * s_arr**2
     rho = np.array([bose.bose_g_x(1.5 + 0.5 * d, xv) for xv in x_local]) / lam3
     if v.kind in (ModelKind.SC0, ModelKind.SC):
@@ -118,9 +109,7 @@ def _column_sc(v: ScVariant, x: float, tau: float, d: int, s):
         rho = rho + 1.5 * tau * v.aniso_ratio * g_low / lam3
     rho = rho * (2.0 * math.pi / tau) ** (0.5 * d)
     if v.kind == ModelKind.SC:
-        rho = rho + (
-            (1.0 / math.expm1(x)) * math.pi ** (0.5 * d) * np.exp(-(s_arr**2)) / _PI_32
-        )
+        rho = rho + ground_column(1.0 / math.expm1(x), d, s_arr)
     return rho if np.ndim(s) else float(rho[0])
 
 
@@ -166,11 +155,9 @@ def condensate_fraction_sc(variant, atoms: float, temperature: float) -> float:
     and is continuous through the transition.
     """
     v = _as_variant(variant)
-    if atoms < 2:
+    if check_positive("atom number", atoms) < 2:
         raise DomainError("need at least two atoms")
-    if temperature <= 0.0:
-        raise DomainError("temperature must be positive")
-    tau = 1.0 / temperature
+    tau = 1.0 / check_positive("temperature", temperature)
     if v.kind in (ModelKind.SCINF, ModelKind.SC0):
         capacity = saturated_population_sc(v, tau)
         return max(0.0, 1.0 - capacity / atoms)

@@ -12,9 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import __version__
 from .errors import DomainError
 
 FLOAT_FMT = "%.8e"
+
+
+def meta(**extra: object) -> dict[str, str]:
+    """Header metadata: the tool version, then ``extra`` in keyword order."""
+    return {"tool": f"trapgas {__version__}", **{k: str(v) for k, v in extra.items()}}
 
 
 def format_cell(value) -> str:

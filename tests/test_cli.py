@@ -193,6 +193,28 @@ class TestFigureCommand:
         assert produced == golden
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transition", "--model", "sc", "--atoms", "1e4", "--aniso", "nan,1,1"],
+        ["transition", "--model", "sc", "--atoms", "1e4", "--aniso", "inf,1,1"],
+        ["fugacity", "--model", "ex", "--atoms", "nan", "--temp", "20"],
+        ["fugacity", "--model", "sc", "--atoms", "nan", "--temp", "20"],
+        ["transition", "--model", "ex", "--atoms", "nan"],
+        ["transition", "--model", "ex", "--atoms", "inf"],
+        ["profile", "--model", "ex", "--atoms", "1e3", "--temp", "8", "--rmax", "inf"],
+        ["sweep", "--atoms", "1e3", "--tmin", "6", "--tmax", "inf", "--steps", "3"],
+    ],
+)
+def test_non_finite_input_exits_2(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    if argv[0] in ("profile", "sweep"):
+        argv = argv + ["--out", str(out)]
+    assert main(argv) == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestExitCodeMapping:
     def test_convergence_maps_to_3(self, monkeypatch, capsys):
         import trapgas.cli as cli

@@ -35,7 +35,9 @@ class TestTrapSpec:
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            TrapSpec(omega=-1.0)
+            TrapSpec(frequencies=(math.nan, 1.0, 1.0))
+        with pytest.raises(DomainError):
+            TrapSpec(frequencies=(1.0, math.inf, 1.0))
         with pytest.raises(DomainError):
             TrapSpec(frequencies=(1.0, -2.0, 3.0))
 

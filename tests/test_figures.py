@@ -53,6 +53,9 @@ class TestFigure45:
         table = figures.figure5(points=12)
         assert table.metadata["atoms"] == "1000.0"
 
+    def test_figure_id_does_not_follow_atom_number(self):
+        assert figures.figure4(atoms=1e3, points=2).metadata["figure"] == "4"
+
 
 class TestFigure6:
     def test_profile_family_layout(self):
