@@ -13,12 +13,24 @@ The closed forms are single sums over l (one term per power of z):
 Both embed the ground state (sum_l z^l = z/(1-z), Gaussian of unit width).
 Near saturation x can be 1e-6 or smaller while the remaining factors decay
 only at rate tau, so the sums are evaluated with the ground-state term
-split off analytically; the residual brackets decay at rate x + tau and a
-geometric tail bound makes truncation safe at any admissible (z, tau).
+split off analytically; the residual brackets decay at rate x + tau.
+
+The sums run in blocks of l and stop once a geometric tail bound falls
+below rel_tol times the sum.  The Gaussian sum behind the density and the
+columns applies that test to each grid point and drops converged points
+from later blocks.  Where the plain sum would need more than one block
+(ln(1/rel_tol) > _BLOCK (x + tau): large clouds near threshold, where it
+would need about 32/tau ~ N^{1/3} terms), it stops at
+l_tail = ceil(ln(1/_TAIL_Q) / tau) instead.  Past l_tail each term is a
+power series in q = e^{-tau l} <= _TAIL_Q whose powers sum geometrically
+over l, so the rest of the sum is a closed form of _TAIL_TERMS terms, with
+a bound on the powers left out (see ``_q_series_tail``).  The population
+keeps the plain blocked sum.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +42,10 @@ from .models import PI_32, check_positive, ground_column
 _BLOCK = 4096
 #: Element budget of one l-block x grid-chunk buffer (2 MB of float64).
 _CHUNK_ELEMENTS = 1 << 18
+#: The Gaussian l-sum hands over to its q-series tail where q = e^{-tau l}
+#: first falls to _TAIL_Q; the series keeps _TAIL_TERMS powers of q.
+_TAIL_Q = 0.1
+_TAIL_TERMS = 60
 
 
 @dataclass(frozen=True)
@@ -168,24 +184,34 @@ def _excited_gauss_sum(x: float, tau: float, d: int, s, control: LSumControl):
     """sum_l e^{-lx} [k_l (pi/a_l)^{d/2} e^{-a_l s^2} - pi^{d/2} e^{-s^2}] / pi^{3/2}.
 
     The excited column over d axes (d = 0 is the density), with
-    k_l = (1 - e^{-2 tau l})^{-3/2} and a_l = tanh(tau l / 2).
+    k_l = (1 - e^{-2 tau l})^{-3/2} and a_l = tanh(tau l / 2).  Each grid
+    column leaves the block loop once its own tail bound is met; where the
+    plain sum would need more than one block, the loop stops at ``l_tail``
+    and the columns still open get the closed-form q-series tail.
     """
     tau = check_positive("tau", tau)
-    if x < 0.0:
+    if not x >= 0.0:
         raise DomainError(f"need x >= 0, got {x!r}")
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if np.any(s_arr < 0.0):
-        raise DomainError("radius or column coordinate must be nonnegative")
+    if not ((s_arr >= 0.0) & (s_arr < math.inf)).all():
+        raise DomainError("radius or column coordinate must be finite and nonnegative")
+    out = np.empty(s_arr.shape)
+    live = np.arange(s_arr.size)
     s2 = s_arr**2
     gauss = math.pi ** (0.5 * d) * np.exp(-s2)
     total = np.zeros_like(s2)
+    end = control.max_terms
+    l_tail = None
+    if math.log(1.0 / control.rel_tol) > _BLOCK * (x + tau):
+        l_tail = math.ceil(math.log(1.0 / _TAIL_Q) / tau)
+        end = min(end, l_tail)
     start = 1
-    while start <= control.max_terms:
-        l = np.arange(start, min(start + _BLOCK, control.max_terms + 1), dtype=float)
+    while live.size and start <= end:
+        l = np.arange(start, min(start + _BLOCK, end + 1), dtype=float)
         a = np.tanh(0.5 * tau * l)
         k32 = 1.0 / (-np.expm1(-2.0 * tau * l)) ** 1.5
-        col = (math.pi / a) ** (0.5 * d)
-        block, last = _gauss_block(np.exp(-x * l), k32 * col, a, s2, gauss)
+        coef = k32 * (math.pi / a) ** (0.5 * d) if d else k32
+        block, last = _gauss_block(np.exp(-x * l), coef, a, s2, gauss)
         total += block
         l_next = l[-1] + 1.0
         q_next = math.exp(-tau * l_next)
@@ -206,31 +232,117 @@ def _excited_gauss_sum(x: float, tau: float, d: int, s, control: LSumControl):
                 / (-math.expm1(-(x + tau)))
             )
             floor = control.rel_tol * np.maximum(total, 1e-300)
-            if np.all(tail <= floor) and np.all(last <= floor):
-                return total / PI_32 if np.ndim(s) else float(total[0]) / PI_32
+            done = (tail <= floor) & (last <= floor)
+            if done.all():
+                out[live] = total
+                live = live[:0]
+            elif done.any():
+                out[live[done]] = total[done]
+                keep = ~done
+                live, s2, gauss, total = live[keep], s2[keep], gauss[keep], total[keep]
         start += _BLOCK
-    raise TruncationError(
-        f"excited l-sum exceeded {control.max_terms} terms (x={x}, tau={tau}, d={d})"
+    if live.size:
+        if l_tail is None or l_tail > control.max_terms:
+            raise TruncationError(
+                f"excited l-sum exceeded {control.max_terms} terms "
+                f"(x={x}, tau={tau}, d={d})"
+            )
+        out[live] = total + _q_series_tail(x, tau, d, l_tail, s2, total, control)
+    return out / PI_32 if np.ndim(s) else float(out[0]) / PI_32
+
+
+def _q_series_tail(x, tau, d, l_end, s2, total, control):
+    """Closed-form sum of the terms l > l_end of :func:`_excited_gauss_sum`.
+
+    With q = e^{-tau l} each term is pi^{d/2} e^{-s^2} e^{-xl} [G(q) - 1], where
+    G(q) = (1-q)^{-(3+d)/2} (1+q)^{-(3-d)/2} exp(2 s^2 q / (1+q)) = sum_m g_m q^m.
+    Summing e^{-(x + m tau) l} over l > l_end is geometric, so the tail is
+    sum_{m=1}^{M} g_m e^{-x l1} q1^m / (1 - e^{-(x + m tau)}) with l1 = l_end + 1
+    and q1 = e^{-tau l1} < _TAIL_Q.  Each g_m is a polynomial in c = 2 s^2, so the
+    per-column work is one vector-matrix product.
+
+    The powers m > M are bounded through the majorant (1-q)^{-3} exp(c q / (1-q))
+    of G: Cauchy's estimate at radius 1/4 gives |g_m| <= (4/3)^3 e^{c/3} 4^m.
+    A column whose bound misses ``rel_tol`` times its total raises
+    ``TruncationError``.
+    """
+    l1 = l_end + 1
+    q1 = math.exp(-tau * l1)
+    m = np.arange(1.0, _TAIL_TERMS + 1.0)
+    v = (np.exp(-tau * l1 * m) / -np.expm1(-(x + tau * m))) @ _tail_coefficients(d)
+    scale = math.pi ** (0.5 * d) * math.exp(-x * l1)
+    rows = _TAIL_TERMS + 1
+    tail = np.empty_like(s2)
+    bounds = _chunk_bounds(s2.size, rows)
+    powers = np.empty(rows * -(-s2.size // len(bounds)))
+    for lo, hi in bounds:
+        p = powers[: rows * (hi - lo)].reshape(rows, hi - lo)
+        p[0] = np.exp(-s2[lo:hi])
+        p[1:] = 2.0 * s2[lo:hi]
+        np.cumprod(p, axis=0, out=p)  # row j: (2 s^2)^j e^{-s^2}
+        np.dot(v, p, out=tail[lo:hi])
+    tail *= scale
+    # sum_{m > M} (4/3)^3 e^{c/3} e^{-s^2} (4 q1)^m / (1 - e^{-(x + tau)})
+    remainder = (
+        scale
+        * (4.0 / 3.0) ** 3
+        * (4.0 * q1) ** rows
+        / ((1.0 - 4.0 * q1) * -math.expm1(-(x + tau)))
+        * np.exp(-s2 / 3.0)
     )
+    if (remainder > control.rel_tol * (total + tail)).any():
+        raise TruncationError(
+            f"q-series tail of the excited l-sum missed rel_tol {control.rel_tol} "
+            f"(x={x}, tau={tau}, d={d})"
+        )
+    return tail
+
+
+@functools.cache
+def _tail_coefficients(d: int) -> np.ndarray:
+    """C[m-1, j] with g_m = sum_j C[m-1, j] (2 s^2)^j for m = 1 .. M.
+
+    From (1-q)(1+q)^2 G' = [alpha (1+q)^2 - beta (1-q^2) + c (1-q)] G with
+    alpha = (3+d)/2, beta = (3-d)/2:
+    (m+1) g_{m+1} = (alpha - beta + c - m) g_m + (2 alpha - c + m - 1) g_{m-1}
+                    + (alpha + beta + m - 2) g_{m-2},  g_0 = 1.
+    """
+    alpha, beta = 0.5 * (3 + d), 0.5 * (3 - d)
+    g = np.zeros((_TAIL_TERMS + 3, _TAIL_TERMS + 1))  # rows g_{-2} .. g_M
+    g[2, 0] = 1.0
+    for m in range(_TAIL_TERMS):
+        g_m, g_m1, g_m2 = g[m + 2], g[m + 1], g[m]
+        g_next = (
+            (alpha - beta - m) * g_m
+            + (2.0 * alpha + m - 1) * g_m1
+            + (alpha + beta + m - 2) * g_m2
+        )
+        g_next[1:] += g_m[:-1] - g_m1[:-1]
+        g[m + 3] = g_next / (m + 1)
+    g = g[3:]
+    g.flags.writeable = False
+    return g
+
+
+def _chunk_bounds(n: int, rows: int):
+    """Even cuts of n grid columns so that rows x chunk stays under the budget."""
+    chunks = -(-n // max(_CHUNK_ELEMENTS // rows, 1))
+    return [(i * n // chunks, (i + 1) * n // chunks) for i in range(chunks)]
 
 
 def _gauss_block(weight, coef, a, s2, gauss):
     """One l-block: column sums and last row of weight_l (coef_l e^{-a_l s^2} - gauss).
 
-    The grid is cut into chunks of at most ``_CHUNK_ELEMENTS // _BLOCK``
-    points that reuse one buffer, so memory stays flat in the grid size.
-    Chunks are as even as possible and never a lone point while the grid is
-    wider: a single column would switch numpy to pairwise summation and move
-    the last bits of the row-by-row sum.
+    The grid is cut into even chunks that reuse one buffer, so memory stays
+    flat in the grid size.
     """
     n = s2.size
-    chunks = -(-n // (_CHUNK_ELEMENTS // _BLOCK))
-    bounds = [i * n // chunks for i in range(chunks + 1)]
-    buf = np.empty(a.size * -(-n // chunks))
+    bounds = _chunk_bounds(n, a.size)
+    buf = np.empty(a.size * -(-n // len(bounds)))
     sums = np.empty(n)
     last = np.empty(n)
     neg_a = -a[:, None]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    for lo, hi in bounds:
         b = buf[: a.size * (hi - lo)].reshape(a.size, hi - lo)
         np.multiply(neg_a, s2[lo:hi], out=b)
         np.exp(b, out=b)

@@ -136,6 +136,8 @@ def profile(
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise DomainError("grid must be a one-dimensional array")
+    if not np.all(np.isfinite(grid)):
+        raise DomainError("grid must be finite")
     if np.any(grid < 0.0) or np.any(np.diff(grid) <= 0.0):
         raise DomainError("grid must be nonnegative and strictly ascending")
     if dims_integrated not in (0, 1, 2):

@@ -3,9 +3,10 @@
 The live oracles below use mpmath at elevated precision and deliberately
 avoid the package's own evaluation strategies (no singular expansions, no
 ground-state splitting): plain term-by-term summation of the defining
-series.  Values that are too slow to recompute on every test run were
-frozen from the same routines at dps >= 40; ``scripts/reference_values.py``
-regenerates them.
+series.  The one exception is ``brute_gauss_sum``, the package's earlier
+blocked l-sum, which checks the faster kernel that replaced it.  Values
+that are too slow to recompute on every test run were frozen from the same
+routines at dps >= 40; ``scripts/reference_values.py`` regenerates them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,12 @@ from __future__ import annotations
 import math
 
 import mpmath as mp
+import numpy as np
 from scipy import integrate
+
+from trapgas.errors import DomainError, TruncationError
+from trapgas.exact import LSumControl
+from trapgas.models import PI_32, check_positive
 
 
 def mp_bose_series(nu, z, dps: int = 40) -> float:
@@ -73,6 +79,33 @@ def mp_density_ex(z, tau, r, dps: int = 40) -> float:
             l += 1
 
 
+def mp_gauss_tail(x, tau, d, l_end, s, dps: int = 40) -> list[float]:
+    """sum_{l > l_end} e^{-lx} [k_l (pi/a_l)^{d/2} e^{-a_l s^2} - pi^{d/2} e^{-s^2}].
+
+    The excited Gaussian l-sum's terms past ``l_end``, summed one by one
+    (k_l = (1 - e^{-2 tau l})^{-3/2}, a_l = tanh(tau l / 2)), for each s.
+    """
+    out = []
+    with mp.workdps(dps):
+        x, tau, half_d = mp.mpf(x), mp.mpf(tau), mp.mpf(d) / 2
+        tail_floor = mp.mpf(10) ** (-(dps - 5))
+        for s_val in s:
+            s2 = mp.mpf(s_val) ** 2
+            gauss = mp.pi**half_d * mp.exp(-s2)
+            total = mp.mpf(0)
+            l = l_end + 1
+            while True:
+                a = mp.tanh(tau * l / 2)
+                k = (-mp.expm1(-2 * tau * l)) ** mp.mpf("-1.5")
+                term = mp.exp(-x * l) * (k * (mp.pi / a) ** half_d * mp.exp(-a * s2) - gauss)
+                total += term
+                if term < tail_floor * total * (1 - mp.exp(-tau)):
+                    break
+                l += 1
+            out.append(float(total))
+    return out
+
+
 def quad_column_sc(variant, x, tau, dims_integrated, s) -> float:
     """Semi-classical column by adaptive quadrature of the 3D density.
 
@@ -93,6 +126,94 @@ def quad_column_sc(variant, x, tau, dims_integrated, s) -> float:
         lambda u: 2.0 * math.pi * u * rho(math.hypot(s, u)), 0.0, cut, limit=200
     )
     return val
+
+
+# ---------------------------------------------------------------------------
+# The blocked brute-force Gaussian l-sum, kept as the reference for the
+# closed-form tail and the per-column stopping of ``exact._excited_gauss_sum``:
+# every column sums whole 4096-term blocks until all columns meet the tail
+# bound.  Same arguments and result as the package kernel.
+
+_BLOCK = 4096
+_CHUNK_ELEMENTS = 1 << 18
+
+
+def brute_gauss_sum(x: float, tau: float, d: int, s, control: LSumControl):
+    """sum_l e^{-lx} [k_l (pi/a_l)^{d/2} e^{-a_l s^2} - pi^{d/2} e^{-s^2}] / pi^{3/2}.
+
+    The excited column over d axes (d = 0 is the density), with
+    k_l = (1 - e^{-2 tau l})^{-3/2} and a_l = tanh(tau l / 2).
+    """
+    tau = check_positive("tau", tau)
+    if x < 0.0:
+        raise DomainError(f"need x >= 0, got {x!r}")
+    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    if np.any(s_arr < 0.0):
+        raise DomainError("radius or column coordinate must be nonnegative")
+    s2 = s_arr**2
+    gauss = math.pi ** (0.5 * d) * np.exp(-s2)
+    total = np.zeros_like(s2)
+    start = 1
+    while start <= control.max_terms:
+        l = np.arange(start, min(start + _BLOCK, control.max_terms + 1), dtype=float)
+        a = np.tanh(0.5 * tau * l)
+        k32 = 1.0 / (-np.expm1(-2.0 * tau * l)) ** 1.5
+        col = (math.pi / a) ** (0.5 * d)
+        block, last = _brute_gauss_block(np.exp(-x * l), k32 * col, a, s2, gauss)
+        total += block
+        l_next = l[-1] + 1.0
+        q_next = math.exp(-tau * l_next)
+        if q_next < 0.5:
+            a_next = math.tanh(0.5 * tau * l_next)
+            # bracket_j <= q_j [ (3/2) q_next (1-q_next^2)^{-5/2} + 2 s^2 + d/a_next ]
+            #              (pi/a_next)^{d/2} e^{-a_next s^2}
+            coeff = (
+                1.5 * q_next / (1.0 - q_next * q_next) ** 2.5
+                + 2.0 * s2
+                + d / a_next
+            ) * (math.pi / a_next) ** (0.5 * d)
+            tail = (
+                coeff
+                * np.exp(-a_next * s2)
+                * q_next
+                * math.exp(-x * l_next)
+                / (-math.expm1(-(x + tau)))
+            )
+            floor = control.rel_tol * np.maximum(total, 1e-300)
+            if np.all(tail <= floor) and np.all(last <= floor):
+                return total / PI_32 if np.ndim(s) else float(total[0]) / PI_32
+        start += _BLOCK
+    raise TruncationError(
+        f"excited l-sum exceeded {control.max_terms} terms (x={x}, tau={tau}, d={d})"
+    )
+
+
+def _brute_gauss_block(weight, coef, a, s2, gauss):
+    """One l-block: column sums and last row of weight_l (coef_l e^{-a_l s^2} - gauss).
+
+    The grid is cut into chunks of at most ``_CHUNK_ELEMENTS // _BLOCK``
+    points that reuse one buffer, so memory stays flat in the grid size.
+    Chunks are as even as possible and never a lone point while the grid is
+    wider: a single column would switch numpy to pairwise summation and move
+    the last bits of the row-by-row sum.
+    """
+    n = s2.size
+    chunks = -(-n // (_CHUNK_ELEMENTS // _BLOCK))
+    bounds = [i * n // chunks for i in range(chunks + 1)]
+    buf = np.empty(a.size * -(-n // chunks))
+    sums = np.empty(n)
+    last = np.empty(n)
+    neg_a = -a[:, None]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        b = buf[: a.size * (hi - lo)].reshape(a.size, hi - lo)
+        np.multiply(neg_a, s2[lo:hi], out=b)
+        np.exp(b, out=b)
+        np.multiply(coef[:, None], b, out=b)
+        np.subtract(b, gauss[lo:hi], out=b)
+        np.multiply(weight[:, None], b, out=b)
+        b.sum(axis=0, out=sums[lo:hi])
+        last[lo:hi] = b[-1]
+    return sums, last
 
 
 # ---------------------------------------------------------------------------

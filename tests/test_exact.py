@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from trapgas import exact
+from trapgas import core, exact, observables
 from trapgas.errors import DomainError, TruncationError
+from trapgas.models import ModelKind
 
 import oracles
 
@@ -160,41 +161,159 @@ class TestColumns:
             exact.column_density_ex(0.5, 1.0, 4, 0.0)
 
 
+def ex_state(atoms, t_ratio):
+    t_star = core.transition_temperature(ModelKind.EX, atoms).temperature
+    units = core.ReducedUnits.from_temperature(t_ratio * t_star)
+    return core.solve_fugacity(ModelKind.EX, atoms, units)
+
+
+class TestGaussKernel:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_non_finite_coordinate_raises_domain_error(self, bad, d):
+        with pytest.raises(DomainError):
+            exact._excited_gauss_sum(0.01, 0.1, d, [0.0, bad], exact.DEFAULT_CONTROL)
+
+    def test_nan_fugacity_raises_domain_error(self):
+        with pytest.raises(DomainError):
+            exact.excited_density_x(math.nan, 0.1, 0.0)
+
+    def test_tail_beyond_max_terms_raises_truncation_error(self):
+        # At N = 1e10 near T* the tail starts near l = 4700 > max_terms.
+        state = ex_state(1e10, 0.995)
+        control = exact.LSumControl(max_terms=1000)
+        grid = np.linspace(0.0, 4.0, 5)
+        with pytest.raises(TruncationError):
+            exact.excited_density_x(state.x, state.tau, grid, control)
+        with pytest.raises(TruncationError):
+            exact.excited_column_x(state.x, state.tau, 1, 0.0, control)
+
+    def test_tail_remainder_above_rel_tol_raises_truncation_error(self):
+        # The 60-power series leaves about 1e-30 of the sum out; 1e-300 asks
+        # for more than it can give.
+        control = exact.LSumControl(rel_tol=1e-300)
+        with pytest.raises(TruncationError):
+            exact.excited_density_x(1e-3, 0.1, 0.0, control)
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    def test_q_series_tail_against_mpmath(self, d):
+        # The closed form of the terms l > l_end (q = e^{-tau l} below 0.1),
+        # against their direct sum at 30 digits; tau is large enough for the
+        # direct sum to be short.
+        x, tau, l_end = 1e-3, 0.1, 24
+        s = np.array([0.0, 1.0, 2.5, 4.0])
+        tail = exact._q_series_tail(
+            x, tau, d, l_end, s**2, np.zeros(s.size), exact.DEFAULT_CONTROL
+        )
+        ref = oracles.mp_gauss_tail(x, tau, d, l_end, s, dps=30)
+        np.testing.assert_allclose(tail, ref, rtol=1e-14, atol=0.0)
+
+
+#: States of the differential test: N from 1e2 to 1e12, T/T* from 0.5 to 1.5.
+BRUTE_STATES = [
+    (atoms, ratio)
+    for atoms in (1e2, 1e4, 1e6, 1e8, 1e10, 1e12)
+    for ratio in (0.5, 0.99, 1.01, 1.5)
+]
+
+
+class TestAgainstBruteSum:
+    """The kernel against the blocked brute sum it replaced (``oracles``)."""
+
+    @pytest.mark.parametrize("atoms,ratio", BRUTE_STATES)
+    def test_densities_and_columns(self, atoms, ratio):
+        state = ex_state(atoms, ratio)
+        far = 3.0 * math.sqrt(2.0 * state.temperature)
+        grid = np.concatenate([np.linspace(0.0, 4.0, 21), np.linspace(4.5, far, 8)])
+        for d in (0, 1, 2, 3):
+            got = exact._excited_gauss_sum(
+                state.x, state.tau, d, grid, exact.DEFAULT_CONTROL
+            )
+            ref = oracles.brute_gauss_sum(
+                state.x, state.tau, d, grid, exact.DEFAULT_CONTROL
+            )
+            np.testing.assert_allclose(got, ref, rtol=5e-14, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "atoms,ratio", [(1e4, 0.9), (1e6, 0.99), (1e8, 0.99), (1e10, 0.996)]
+    )
+    def test_dip_height(self, atoms, ratio):
+        # dip_height's two-stage search, run on the brute sum.  The dip is a
+        # difference, so it is held to the peak excited density, not to itself.
+        state = ex_state(atoms, ratio)
+
+        def brute(r):
+            return oracles.brute_gauss_sum(
+                state.x, state.tau, 0, r, exact.DEFAULT_CONTROL
+            )
+
+        grid = np.linspace(0.0, 4.0, 801)
+        excited = brute(grid)
+        i = int(np.argmax(excited))
+        fine = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], 101)
+        ref = max(float(np.max(brute(fine))) - float(excited[0]), 0.0)
+        assert ref > 0.0
+        got = observables.dip_height(state)
+        assert abs(got - ref) <= 1e-13 * float(np.max(excited))
+
+
 class TestMemory:
     # An unchunked l-block on this grid would need 4096 x 1e5 float64
     # (3.3 GB) per temporary; the child's address space is capped well
     # below that and its peak resident set must stay near the import cost.
+    # The traced peak of the kernel calls alone is about 9 MB (a few arrays
+    # the size of the grid); an unchunked (61 x grid) tail table reads 24 MB.
     ADDRESS_LIMIT = 1 << 30
     MAXRSS_CEILING_KB = 160 * 1024
+    TRACED_CEILING_BYTES = 16 << 20
     CHILD = """
-import resource, sys
+import resource, sys, tracemalloc
 resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))
 import numpy as np
 from trapgas import core, exact
 from trapgas.models import ModelKind
-units = core.transition_temperature(ModelKind.EX, 1e3)
-state = core.solve_fugacity(ModelKind.EX, 1e3, units)
+units = core.transition_temperature(ModelKind.EX, {atoms})
+units = core.ReducedUnits.from_temperature({t_ratio} * units.temperature)
+state = core.solve_fugacity(ModelKind.EX, {atoms}, units)
 grid = np.linspace(0.0, 15.0, 100_000)
-rho = exact.excited_density_x(state.x, state.tau, grid)
-col = exact.excited_column_x(state.x, state.tau, 1, grid)
-assert np.all(np.isfinite(rho)) and np.all(np.isfinite(col))
+tracemalloc.start()
+for d in {dims}:
+    if d:
+        out = exact.excited_column_x(state.x, state.tau, d, grid)
+    else:
+        out = exact.excited_density_x(state.x, state.tau, grid)
+    assert np.all(np.isfinite(out))
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(tracemalloc.get_traced_memory()[1])
 """
 
-    def test_large_grid_density_and_column_stay_bounded(self):
+    def _check_child(self, atoms, t_ratio, dims):
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(SRC), env.get("PYTHONPATH")) if p
         )
+        child = self.CHILD.format(
+            limit=self.ADDRESS_LIMIT, atoms=atoms, t_ratio=t_ratio, dims=dims
+        )
         proc = subprocess.run(
-            [sys.executable, "-c", self.CHILD.format(limit=self.ADDRESS_LIMIT)],
+            [sys.executable, "-c", child],
             env=env,
             capture_output=True,
             text=True,
             timeout=300,
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
-        assert int(proc.stdout.split()[-1]) < self.MAXRSS_CEILING_KB
+        maxrss_kb, traced_peak = (int(v) for v in proc.stdout.split()[-2:])
+        assert maxrss_kb < self.MAXRSS_CEILING_KB
+        assert traced_peak < self.TRACED_CEILING_BYTES
+
+    def test_large_grid_density_and_column_stay_bounded(self):
+        self._check_child(1e3, 1.0, (0, 1))
+
+    def test_tail_active_state_stays_bounded(self):
+        # N = 1e10 just below T*: the l-sum ends in the q-series tail, whose
+        # (terms x grid) power table must stay chunked like the l-blocks.
+        self._check_child(1e10, 0.99, (0,))
 
 
 class TestLevels:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -100,6 +101,16 @@ class TestProfile:
             tg.profile(ex_1e4, np.array([0.0, -1.0]))
         with pytest.raises(DomainError):
             tg.profile(ex_1e4, np.array([0.0, 1.0]), dims_integrated=3)
+
+    @pytest.mark.parametrize("model", [M.EX, M.SC])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_grid_fails_fast(self, model, bad):
+        state = tg.solve_fugacity(model, 1e3, ReducedUnits(0.1))
+        for dims in (0, 1, 2):
+            start = time.perf_counter()
+            with pytest.raises(DomainError):
+                tg.profile(state, [0.0, bad], dims)
+            assert time.perf_counter() - start < 0.25
 
 
 class TestDip:
