@@ -21,7 +21,6 @@ from .core import (
 )
 from .errors import ConvergenceError, DomainError, QuadratureError, TruncationError
 from .exact import (
-    LSumControl,
     column_density_ex,
     density_ex,
     eigenfunction_oracle,
@@ -55,7 +54,6 @@ __all__ = [
     "DomainError",
     "GasState",
     "HighNAsymptotics",
-    "LSumControl",
     "ModelKind",
     "PeakReport",
     "QuadratureError",

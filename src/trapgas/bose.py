@@ -87,23 +87,18 @@ def _check_order(nu: float) -> float:
     return nu
 
 
-def direct_series(
-    nu: float,
-    z: float,
-    rel_tol: float = _SERIES_REL,
-    tail_tol: float = _SERIES_TAIL,
-    max_terms: int = _SERIES_MAX_TERMS,
-) -> float:
+def direct_series(nu: float, z: float) -> float:
     """Sum g_nu(z) = sum z^l / l^nu term by term.
 
-    Exposed separately so tests can tighten the truncation; ``bose_g`` is
-    the dispatching entry point.
+    Truncated by ``_SERIES_REL``, ``_SERIES_TAIL`` and ``_SERIES_MAX_TERMS``,
+    read at call time; ``bose_g`` is the dispatching entry point.
     """
     nu = _check_order(nu)
     if not 0.0 <= z < 1.0:
         raise DomainError(f"direct series needs 0 <= z < 1, got {z!r}")
     if z == 0.0:
         return 0.0
+    rel_tol, tail_tol, max_terms = _SERIES_REL, _SERIES_TAIL, _SERIES_MAX_TERMS
     total = 0.0
     power = 1.0
     geom = z / (1.0 - z)
@@ -125,7 +120,7 @@ def bose_g_small_x(nu: float, x: float) -> float:
     slowly degrading truncation error) up to x of order 1.
     """
     nu = _check_order(nu)
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError(f"expansion needs x > 0, got {x!r}")
     if nu == 1.0:
         return _g_one(x)

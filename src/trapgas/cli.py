@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__, figures, observables
 from .core import ReducedUnits, TrapSpec, solve_fugacity, transition_temperature
 from .errors import ConvergenceError, DomainError, QuadratureError, TruncationError
-from .exact import DEFAULT_CONTROL, LSumControl
+from .exact import REL_TOL
 from .models import ModelKind, check_positive
 from .tables import SweepTable, meta
 
@@ -45,16 +45,10 @@ def _parse_aniso(text: str | None) -> TrapSpec:
     return TrapSpec(frequencies=freqs)
 
 
-def _control(args) -> LSumControl:
-    if getattr(args, "tol", None) is None:
-        return DEFAULT_CONTROL
-    return LSumControl(rel_tol=args.tol)
-
-
 def cmd_transition(args) -> int:
     trap = _parse_aniso(args.aniso)
     model = ModelKind(args.model)
-    units = transition_temperature(model, args.atoms, trap=trap, control=_control(args))
+    units = transition_temperature(model, args.atoms, trap=trap)
     print(f"T*={units.temperature:.6g}")
     if args.out is not None:
         table = SweepTable(
@@ -70,7 +64,7 @@ def cmd_fugacity(args) -> int:
     trap = _parse_aniso(args.aniso)
     model = ModelKind(args.model)
     units = ReducedUnits.from_temperature(args.temp)
-    state = solve_fugacity(model, args.atoms, units, trap=trap, control=_control(args))
+    state = solve_fugacity(model, args.atoms, units, trap=trap)
     print(f"z={state.z:.12g}")
     print(f"x={state.x:.12g}")
     print(f"N0={state.n0:.10g}")
@@ -81,12 +75,9 @@ def cmd_fugacity(args) -> int:
 def cmd_degeneracy(args) -> int:
     trap = _parse_aniso(args.aniso)
     model = ModelKind(args.model)
-    control = _control(args)
-    units = transition_temperature(model, args.atoms, trap=trap, control=control)
-    state = solve_fugacity(
-        model, args.atoms, units, trap=trap, control=control
-    )
-    report = observables.peak_report(state, control)
+    units = transition_temperature(model, args.atoms, trap=trap)
+    state = solve_fugacity(model, args.atoms, units, trap=trap)
+    report = observables.peak_report(state)
     print(f"rho0_lambda3={report.degeneracy_parameter:.6g}")
     return 0
 
@@ -97,11 +88,10 @@ def cmd_profile(args) -> int:
     if not 2 <= args.points <= MAX_POINTS:
         raise DomainError(f"--points must lie in [2, {MAX_POINTS}]")
     check_positive("--rmax", args.rmax)
-    control = _control(args)
     units = ReducedUnits.from_temperature(args.temp)
-    state = solve_fugacity(model, args.atoms, units, trap=trap, control=control)
+    state = solve_fugacity(model, args.atoms, units, trap=trap)
     grid = np.linspace(0.0, args.rmax, args.points)
-    prof = observables.profile(state, grid, args.dims, control)
+    prof = observables.profile(state, grid, args.dims)
     table = SweepTable(
         ["r_over_sigma", "total", "ground", "first_excited", "other_excited"],
         meta(
@@ -133,7 +123,6 @@ def cmd_sweep(args) -> int:
     t_max = check_positive("--tmax", args.tmax)
     if not t_min < t_max:
         raise DomainError("empty sweep range: need t-min < t-max")
-    control = _control(args)
     columns = ["T"]
     for model in models:
         columns += [f"N0_frac_{model.value}", f"peak_frac_{model.value}"]
@@ -143,17 +132,16 @@ def cmd_sweep(args) -> int:
             command="sweep",
             models=",".join(m.value for m in models),
             atoms=args.atoms,
-            rel_tol=control.rel_tol,
+            rel_tol=REL_TOL,
         ),
     )
     for t in np.linspace(t_min, t_max, args.steps):
         cells: list = [t]
         for model in models:
             try:
-                state = solve_fugacity(
-                    model, args.atoms, ReducedUnits.from_temperature(t), control=control
-                )
-                report = observables.peak_report(state, control)
+                units = ReducedUnits.from_temperature(t)
+                state = solve_fugacity(model, args.atoms, units)
+                report = observables.peak_report(state)
                 cells += [report.n0_fraction, report.peak_fraction]
             except (DomainError, ConvergenceError, TruncationError) as exc:
                 print(
@@ -188,8 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--atoms", type=float, required=True, help="atom number N")
         p.add_argument("--aniso", default=None, metavar="WX,WY,WZ",
                        help="anisotropic trap frequencies")
-        p.add_argument("--tol", type=float, default=None,
-                       help="level-sum relative truncation tolerance")
         if temp:
             p.add_argument("--temp", type=float, required=True,
                            help="temperature in hbar*omega/k_B")
@@ -222,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmin", type=float, required=True)
     p.add_argument("--tmax", type=float, required=True)
     p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_sweep)
 

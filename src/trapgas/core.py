@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from . import exact, semiclassical
 from .bose import zeta_const
 from .errors import ConvergenceError, DomainError
-from .exact import DEFAULT_CONTROL, LSumControl
 from .models import ModelKind, check_positive, lambda3
 from .roots import solve_monotone_root
 
@@ -154,37 +153,26 @@ def _resolve_ratio(model: ModelKind, trap: TrapSpec | None, aniso_ratio: float |
 
 
 def population_total(
-    model: ModelKind,
-    x: float,
-    tau,
-    aniso_ratio: float = 1.0,
-    control: LSumControl = DEFAULT_CONTROL,
+    model: ModelKind, x: float, tau, aniso_ratio: float = 1.0
 ) -> float:
     """Atom number of ``model`` at x = -ln z and temperature tau."""
     model = ModelKind(model)
     tau = _as_tau(tau)
+    ratio = _resolve_ratio(model, None, aniso_ratio)
     if model == ModelKind.EX:
-        if aniso_ratio != 1.0:
-            raise DomainError("the exact model supports only isotropic traps")
-        return exact.population_ex_x(x, tau, control)
-    variant = semiclassical.ScVariant(model, aniso_ratio)
+        return exact.population_ex_x(x, tau)
+    variant = semiclassical.ScVariant(model, ratio)
     return semiclassical.population_sc_x(variant, x, tau)
 
 
-def saturated_population(
-    model: ModelKind,
-    tau,
-    aniso_ratio: float = 1.0,
-    control: LSumControl = DEFAULT_CONTROL,
-) -> float:
+def saturated_population(model: ModelKind, tau, aniso_ratio: float = 1.0) -> float:
     """Excited-state capacity at z = 1 (defines the transition point)."""
     model = ModelKind(model)
     tau = _as_tau(tau)
+    ratio = _resolve_ratio(model, None, aniso_ratio)
     if model == ModelKind.EX:
-        if aniso_ratio != 1.0:
-            raise DomainError("the exact model supports only isotropic traps")
-        return exact.excited_population_x(0.0, tau, control)
-    variant = semiclassical.ScVariant(model, aniso_ratio)
+        return exact.excited_population_x(0.0, tau)
+    variant = semiclassical.ScVariant(model, ratio)
     return semiclassical.saturated_population_sc(variant, tau)
 
 
@@ -194,7 +182,6 @@ def solve_fugacity(
     tau,
     trap: TrapSpec | None = None,
     aniso_ratio: float | None = None,
-    control: LSumControl = DEFAULT_CONTROL,
 ) -> GasState:
     """State with population_total == atoms at temperature tau.
 
@@ -209,7 +196,7 @@ def solve_fugacity(
     ratio = _resolve_ratio(model, trap, aniso_ratio)
 
     if not model.has_ground_state:
-        capacity = saturated_population(model, tau, ratio, control)
+        capacity = saturated_population(model, tau, ratio)
         if atoms >= capacity:
             return GasState(
                 model=model,
@@ -222,10 +209,10 @@ def solve_fugacity(
             )
 
     def residual(x: float) -> float:
-        return population_total(model, x, tau, ratio, control) - atoms
+        return population_total(model, x, tau, ratio) - atoms
 
     x_root = solve_monotone_root(residual, 1e-12, 60.0)
-    pop = population_total(model, x_root, tau, ratio, control)
+    pop = population_total(model, x_root, tau, ratio)
     if abs(pop - atoms) > _FUGACITY_RESIDUAL * atoms:
         raise ConvergenceError(
             f"fugacity solve left a residual of {abs(pop - atoms) / atoms:.3e} "
@@ -248,7 +235,6 @@ def transition_temperature(
     atoms: float,
     trap: TrapSpec | None = None,
     aniso_ratio: float | None = None,
-    control: LSumControl = DEFAULT_CONTROL,
 ) -> ReducedUnits:
     """tau* at which the saturated excited population equals ``atoms``.
 
@@ -264,7 +250,7 @@ def transition_temperature(
         return ReducedUnits(tau_c)
 
     def residual(tau: float) -> float:
-        return saturated_population(model, tau, ratio, control) - atoms
+        return saturated_population(model, tau, ratio) - atoms
 
     # All transition points sit within a few percent of tau_c.
     tau_star = solve_monotone_root(residual, tau_c / 4.0, tau_c * 4.0)

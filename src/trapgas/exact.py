@@ -16,10 +16,10 @@ only at rate tau, so the sums are evaluated with the ground-state term
 split off analytically; the residual brackets decay at rate x + tau.
 
 The sums run in blocks of l and stop once a geometric tail bound falls
-below rel_tol times the sum.  The Gaussian sum behind the density and the
+below REL_TOL times the sum.  The Gaussian sum behind the density and the
 columns applies that test to each grid point and drops converged points
 from later blocks.  Where the plain sum would need more than one block
-(ln(1/rel_tol) > _BLOCK (x + tau): large clouds near threshold, where it
+(ln(1/REL_TOL) > _BLOCK (x + tau): large clouds near threshold, where it
 would need about 32/tau ~ N^{1/3} terms), it stops at
 l_tail = ceil(ln(1/_TAIL_Q) / tau) instead.  Past l_tail each term is a
 power series in q = e^{-tau l} <= _TAIL_Q whose powers sum geometrically
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,23 +45,9 @@ _CHUNK_ELEMENTS = 1 << 18
 #: first falls to _TAIL_Q; the series keeps _TAIL_TERMS powers of q.
 _TAIL_Q = 0.1
 _TAIL_TERMS = 60
-
-
-@dataclass(frozen=True)
-class LSumControl:
-    """Truncation policy for the l-sums."""
-
-    rel_tol: float = 1e-14
-    max_terms: int = 10_000_000
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rel_tol < 1e-6:
-            raise DomainError(f"rel_tol must lie in (0, 1e-6), got {self.rel_tol!r}")
-        if self.max_terms < 1_000:
-            raise DomainError(f"max_terms must be >= 1000, got {self.max_terms!r}")
-
-
-DEFAULT_CONTROL = LSumControl()
+#: Truncation of every l-sum: relative tail bound and the cap on terms.
+REL_TOL = 1e-14
+MAX_TERMS = 10_000_000
 
 
 def _x_from_z(z: float) -> float:
@@ -74,26 +59,24 @@ def _x_from_z(z: float) -> float:
 
 def ground_population(x: float) -> float:
     """N0 = z/(1-z) expressed through x = -ln z (exact near saturation)."""
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError(f"ground population needs x > 0, got {x!r}")
     return 1.0 / math.expm1(x)
 
 
-def excited_population_x(
-    x: float, tau: float, control: LSumControl = DEFAULT_CONTROL
-) -> float:
+def excited_population_x(x: float, tau: float) -> float:
     """sum_l e^{-lx} [(1 - e^{-tau l})^{-3} - 1]; finite for any x >= 0.
 
     At x = 0 this is the saturated excited-state population that defines
     the exact transition temperature.
     """
     tau = check_positive("tau", tau)
-    if x < 0.0:
+    if not x >= 0.0:
         raise DomainError(f"need x >= 0, got {x!r}")
     total = 0.0
     start = 1
-    while start <= control.max_terms:
-        l = np.arange(start, min(start + _BLOCK, control.max_terms + 1), dtype=float)
+    while start <= MAX_TERMS:
+        l = np.arange(start, min(start + _BLOCK, MAX_TERMS + 1), dtype=float)
         bracket = 1.0 / (-np.expm1(-tau * l)) ** 3 - 1.0
         terms = np.exp(-x * l) * bracket
         total += float(terms.sum())
@@ -108,65 +91,50 @@ def excited_population_x(
                 * math.exp(-x * (l_last + 1.0))
                 / ((1.0 - q_next) ** 3 * (-math.expm1(-decay)))
             )
-            if tail <= control.rel_tol * total and terms[-1] <= control.rel_tol * total:
+            if tail <= REL_TOL * total and terms[-1] <= REL_TOL * total:
                 return total
         start += _BLOCK
     raise TruncationError(
-        f"excited population sum exceeded {control.max_terms} terms (x={x}, tau={tau})"
+        f"excited population sum exceeded {MAX_TERMS} terms (x={x}, tau={tau})"
     )
 
 
-def population_ex(
-    z: float, tau: float, control: LSumControl = DEFAULT_CONTROL
-) -> float:
+def population_ex(z: float, tau: float) -> float:
     """Total atom number N(z, tau), ground state included."""
     x = _x_from_z(z)
-    return ground_population(x) + excited_population_x(x, tau, control)
+    return ground_population(x) + excited_population_x(x, tau)
 
 
-def population_ex_x(
-    x: float, tau: float, control: LSumControl = DEFAULT_CONTROL
-) -> float:
+def population_ex_x(x: float, tau: float) -> float:
     """x-space variant of :func:`population_ex` used by the solvers."""
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError(f"total population needs x > 0, got {x!r}")
-    return ground_population(x) + excited_population_x(x, tau, control)
+    return ground_population(x) + excited_population_x(x, tau)
 
 
-def excited_density_x(
-    x: float,
-    tau: float,
-    r,
-    control: LSumControl = DEFAULT_CONTROL,
-):
+def excited_density_x(x: float, tau: float, r):
     """Excited-states density (sigma^-3) at radius r (scalar or array).
 
     This is the full density with the ground-state Gaussian removed
     term by term, so it stays finite and accurate through saturation.
     """
-    return _excited_gauss_sum(x, tau, 0, r, control)
+    return _excited_gauss_sum(x, tau, 0, r)
 
 
-def density_ex(z: float, tau: float, r, control: LSumControl = DEFAULT_CONTROL):
+def density_ex(z: float, tau: float, r):
     """Total density rho_ex(r) in sigma^-3 units, ground state included."""
     x = _x_from_z(z)
-    return density_ex_x(x, tau, r, control)
+    return density_ex_x(x, tau, r)
 
 
-def density_ex_x(x: float, tau: float, r, control: LSumControl = DEFAULT_CONTROL):
-    if x <= 0.0:
+def density_ex_x(x: float, tau: float, r):
+    if not x > 0.0:
         raise DomainError(f"total density needs x > 0, got {x!r}")
     ground = ground_column(ground_population(x), 0, np.asarray(r, dtype=float))
-    return ground + excited_density_x(x, tau, r, control)
+    return ground + excited_density_x(x, tau, r)
 
 
-def excited_column_x(
-    x: float,
-    tau: float,
-    dims_integrated: int,
-    s,
-    control: LSumControl = DEFAULT_CONTROL,
-):
+def excited_column_x(x: float, tau: float, dims_integrated: int, s):
     """Excited part of the density integrated over ``dims_integrated`` axes.
 
     Each integrated axis turns a term's Gaussian of inverse width a_l into
@@ -177,10 +145,10 @@ def excited_column_x(
     """
     if dims_integrated not in (1, 2, 3):
         raise DomainError(f"dims_integrated must be 1, 2 or 3, got {dims_integrated!r}")
-    return _excited_gauss_sum(x, tau, dims_integrated, s, control)
+    return _excited_gauss_sum(x, tau, dims_integrated, s)
 
 
-def _excited_gauss_sum(x: float, tau: float, d: int, s, control: LSumControl):
+def _excited_gauss_sum(x: float, tau: float, d: int, s):
     """sum_l e^{-lx} [k_l (pi/a_l)^{d/2} e^{-a_l s^2} - pi^{d/2} e^{-s^2}] / pi^{3/2}.
 
     The excited column over d axes (d = 0 is the density), with
@@ -200,9 +168,9 @@ def _excited_gauss_sum(x: float, tau: float, d: int, s, control: LSumControl):
     s2 = s_arr**2
     gauss = math.pi ** (0.5 * d) * np.exp(-s2)
     total = np.zeros_like(s2)
-    end = control.max_terms
+    end = MAX_TERMS
     l_tail = None
-    if math.log(1.0 / control.rel_tol) > _BLOCK * (x + tau):
+    if math.log(1.0 / REL_TOL) > _BLOCK * (x + tau):
         l_tail = math.ceil(math.log(1.0 / _TAIL_Q) / tau)
         end = min(end, l_tail)
     start = 1
@@ -231,7 +199,7 @@ def _excited_gauss_sum(x: float, tau: float, d: int, s, control: LSumControl):
                 * math.exp(-x * l_next)
                 / (-math.expm1(-(x + tau)))
             )
-            floor = control.rel_tol * np.maximum(total, 1e-300)
+            floor = REL_TOL * np.maximum(total, 1e-300)
             done = (tail <= floor) & (last <= floor)
             if done.all():
                 out[live] = total
@@ -242,16 +210,15 @@ def _excited_gauss_sum(x: float, tau: float, d: int, s, control: LSumControl):
                 live, s2, gauss, total = live[keep], s2[keep], gauss[keep], total[keep]
         start += _BLOCK
     if live.size:
-        if l_tail is None or l_tail > control.max_terms:
+        if l_tail is None or l_tail > MAX_TERMS:
             raise TruncationError(
-                f"excited l-sum exceeded {control.max_terms} terms "
-                f"(x={x}, tau={tau}, d={d})"
+                f"excited l-sum exceeded {MAX_TERMS} terms (x={x}, tau={tau}, d={d})"
             )
-        out[live] = total + _q_series_tail(x, tau, d, l_tail, s2, total, control)
+        out[live] = total + _q_series_tail(x, tau, d, l_tail, s2, total)
     return out / PI_32 if np.ndim(s) else float(out[0]) / PI_32
 
 
-def _q_series_tail(x, tau, d, l_end, s2, total, control):
+def _q_series_tail(x, tau, d, l_end, s2, total):
     """Closed-form sum of the terms l > l_end of :func:`_excited_gauss_sum`.
 
     With q = e^{-tau l} each term is pi^{d/2} e^{-s^2} e^{-xl} [G(q) - 1], where
@@ -263,7 +230,7 @@ def _q_series_tail(x, tau, d, l_end, s2, total, control):
 
     The powers m > M are bounded through the majorant (1-q)^{-3} exp(c q / (1-q))
     of G: Cauchy's estimate at radius 1/4 gives |g_m| <= (4/3)^3 e^{c/3} 4^m.
-    A column whose bound misses ``rel_tol`` times its total raises
+    A column whose bound misses ``REL_TOL`` times its total raises
     ``TruncationError``.
     """
     l1 = l_end + 1
@@ -290,9 +257,9 @@ def _q_series_tail(x, tau, d, l_end, s2, total, control):
         / ((1.0 - 4.0 * q1) * -math.expm1(-(x + tau)))
         * np.exp(-s2 / 3.0)
     )
-    if (remainder > control.rel_tol * (total + tail)).any():
+    if (remainder > REL_TOL * (total + tail)).any():
         raise TruncationError(
-            f"q-series tail of the excited l-sum missed rel_tol {control.rel_tol} "
+            f"q-series tail of the excited l-sum missed rel_tol {REL_TOL} "
             f"(x={x}, tau={tau}, d={d})"
         )
     return tail
@@ -354,32 +321,20 @@ def _gauss_block(weight, coef, a, s2, gauss):
     return sums, last
 
 
-def column_density_ex(
-    z: float,
-    tau: float,
-    dims_integrated: int,
-    s,
-    control: LSumControl = DEFAULT_CONTROL,
-):
+def column_density_ex(z: float, tau: float, dims_integrated: int, s):
     """Density integrated over 1, 2 or all 3 axes, ground state included."""
     x = _x_from_z(z)
-    return column_density_ex_x(x, tau, dims_integrated, s, control)
+    return column_density_ex_x(x, tau, dims_integrated, s)
 
 
-def column_density_ex_x(
-    x: float,
-    tau: float,
-    dims_integrated: int,
-    s,
-    control: LSumControl = DEFAULT_CONTROL,
-):
-    if x <= 0.0:
+def column_density_ex_x(x: float, tau: float, dims_integrated: int, s):
+    if not x > 0.0:
         raise DomainError(f"column density needs x > 0, got {x!r}")
     if dims_integrated not in (1, 2, 3):
         raise DomainError(f"dims_integrated must be 1, 2 or 3, got {dims_integrated!r}")
     d = dims_integrated
     ground = ground_column(ground_population(x), d, np.asarray(s, dtype=float))
-    return ground + excited_column_x(x, tau, d, s, control)
+    return ground + excited_column_x(x, tau, d, s)
 
 
 def level_populations_ex(
@@ -429,8 +384,8 @@ def eigenfunction_oracle(z: float, tau: float, r: float, n_max: int = 200) -> fl
     """
     x = _x_from_z(z)
     tau = check_positive("tau", tau)
-    if r < 0.0:
-        raise DomainError("radius must be nonnegative")
+    if not r >= 0.0:
+        raise DomainError(f"radius must be nonnegative, got {r!r}")
     if tau < 0.2 or z > 0.95 or n_max > 200:
         raise DomainError(
             "oracle validated only for tau >= 0.2, z <= 0.95, n_max <= 200"

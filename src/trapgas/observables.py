@@ -29,7 +29,6 @@ from scipy import integrate
 from . import exact, semiclassical
 from .core import GasState
 from .errors import DomainError, QuadratureError
-from .exact import DEFAULT_CONTROL, LSumControl
 from .models import PI_32, ModelKind, ground_column, lambda3
 
 #: Relative accuracy demanded of the density moments.
@@ -86,11 +85,11 @@ def _require_density(state: GasState) -> None:
         )
 
 
-def total_density(state: GasState, r, control: LSumControl = DEFAULT_CONTROL):
+def total_density(state: GasState, r):
     """Model density (sigma^-3) of a resolved state at radius r."""
     _require_density(state)
     if state.model == ModelKind.EX:
-        return exact.density_ex_x(state.x, state.tau, r, control)
+        return exact.density_ex_x(state.x, state.tau, r)
     variant = semiclassical.ScVariant(state.model, state.aniso_ratio)
     return semiclassical.density_sc_x(variant, state.x, state.tau, r)
 
@@ -114,23 +113,18 @@ def first_excited_level_density(state: GasState, grid, dims_integrated: int = 0)
     return n1 * shape
 
 
-def _column_total(state: GasState, grid: np.ndarray, d: int, control: LSumControl):
+def _column_total(state: GasState, grid: np.ndarray, d: int):
     if d == 0:
-        return np.asarray(total_density(state, grid, control))
+        return np.asarray(total_density(state, grid))
     if state.model == ModelKind.EX:
-        return np.asarray(exact.column_density_ex_x(state.x, state.tau, d, grid, control))
+        return np.asarray(exact.column_density_ex_x(state.x, state.tau, d, grid))
     variant = semiclassical.ScVariant(state.model, state.aniso_ratio)
     return np.asarray(
         semiclassical.column_density_sc_x(variant, state.x, state.tau, d, grid)
     )
 
 
-def profile(
-    state: GasState,
-    grid,
-    dims_integrated: int = 0,
-    control: LSumControl = DEFAULT_CONTROL,
-) -> DensityProfile:
+def profile(state: GasState, grid, dims_integrated: int = 0) -> DensityProfile:
     """Decomposed (column) density profile on an ascending nonneg grid."""
     _require_density(state)
     grid = np.asarray(grid, dtype=float)
@@ -142,7 +136,7 @@ def profile(
         raise DomainError("grid must be nonnegative and strictly ascending")
     if dims_integrated not in (0, 1, 2):
         raise DomainError(f"dims_integrated must be 0, 1 or 2, got {dims_integrated!r}")
-    total = _column_total(state, grid, dims_integrated, control)
+    total = _column_total(state, grid, dims_integrated)
     if state.model.has_ground_state:
         ground = ground_column(state.n0, dims_integrated, grid)
     else:
@@ -160,7 +154,7 @@ def profile(
     )
 
 
-def dip_height(state: GasState, control: LSumControl = DEFAULT_CONTROL) -> float:
+def dip_height(state: GasState) -> float:
     """Height of the central dip of the excited-states density (EX only).
 
     max over r of the excited density minus its r = 0 value, located on an
@@ -169,20 +163,20 @@ def dip_height(state: GasState, control: LSumControl = DEFAULT_CONTROL) -> float
     if state.model != ModelKind.EX:
         raise DomainError("the central dip is defined for the exact model only")
     grid = np.linspace(0.0, 4.0, 801)
-    excited = exact.excited_density_x(state.x, state.tau, grid, control)
+    excited = exact.excited_density_x(state.x, state.tau, grid)
     i = int(np.argmax(excited))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid.size - 1)]
     fine = np.linspace(lo, hi, 101)
-    peak = float(np.max(exact.excited_density_x(state.x, state.tau, fine, control)))
+    peak = float(np.max(exact.excited_density_x(state.x, state.tau, fine)))
     center = float(excited[0])
     return max(peak - center, 0.0)
 
 
-def peak_report(state: GasState, control: LSumControl = DEFAULT_CONTROL) -> PeakReport:
+def peak_report(state: GasState) -> PeakReport:
     """Peak densities, fractions and the degeneracy parameter rho(0) lambda^3."""
     _require_density(state)
-    rho_peak = float(np.asarray(total_density(state, 0.0, control)))
+    rho_peak = float(np.asarray(total_density(state, 0.0)))
     rho0 = 0.0
     if state.model.has_ground_state:
         rho0 = float(ground_column(state.n0, 0, 0.0))
@@ -195,9 +189,7 @@ def peak_report(state: GasState, control: LSumControl = DEFAULT_CONTROL) -> Peak
     )
 
 
-def integrated_peak_fraction(
-    state: GasState, dims_integrated: int, control: LSumControl = DEFAULT_CONTROL
-) -> float:
+def integrated_peak_fraction(state: GasState, dims_integrated: int) -> float:
     """Ground-state share of the on-axis integrated density."""
     if dims_integrated not in (1, 2):
         raise DomainError(f"dims_integrated must be 1 or 2, got {dims_integrated!r}")
@@ -205,14 +197,12 @@ def integrated_peak_fraction(
         raise DomainError("integrated peak fraction needs a model with a ground state")
     _require_density(state)
     zero = np.zeros(1)
-    total = float(_column_total(state, zero, dims_integrated, control)[0])
+    total = float(_column_total(state, zero, dims_integrated)[0])
     ground = float(ground_column(state.n0, dims_integrated, zero)[0])
     return ground / total
 
 
-def density_moment(
-    state: GasState, p: int, control: LSumControl = DEFAULT_CONTROL
-) -> float:
+def density_moment(state: GasState, p: int) -> float:
     """Integral of rho(r)^p over space (4 pi r^2 weight), p = 2 or 3.
 
     Loss-rate style moment; adaptive radial quadrature out to eight thermal
@@ -224,7 +214,7 @@ def density_moment(
     r_max = 8.0 / math.sqrt(state.tau)
 
     def integrand(r: float) -> float:
-        rho = float(np.asarray(total_density(state, r, control)))
+        rho = float(np.asarray(total_density(state, r)))
         return 4.0 * math.pi * r * r * rho**p
 
     with warnings.catch_warnings():

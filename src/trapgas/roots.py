@@ -23,20 +23,24 @@ def solve_monotone_root(f: Callable[[float], float], lo: float, hi: float) -> fl
 
     The hint [lo, hi] (0 < lo < hi) is widened geometrically, lo halving and
     hi doubling, until f changes sign; more than ``_MAX_DOUBLINGS``
-    expansions raises ConvergenceError.  Brent iteration then runs to
-    relative tolerance 1e-12 or 200 iterations, whichever comes first.
-    Deterministic for identical inputs.
+    expansions, or a non-finite f at either end, raises ConvergenceError.
+    Brent iteration then runs to relative tolerance 1e-12 or 200
+    iterations, whichever comes first.  Deterministic for identical inputs.
     """
     if not (0.0 < lo < hi) or not (math.isfinite(lo) and math.isfinite(hi)):
         raise ConvergenceError(f"bad bracket hint [{lo}, {hi}]")
     flo = f(lo)
     fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
     expansions = 0
-    while flo * fhi > 0.0:
+    while True:
+        if not (math.isfinite(flo) and math.isfinite(fhi)):
+            raise ConvergenceError(f"function not finite on bracket [{lo}, {hi}]")
+        if flo == 0.0:
+            return lo
+        if fhi == 0.0:
+            return hi
+        if flo * fhi < 0.0:
+            break
         if expansions >= _MAX_DOUBLINGS:
             raise ConvergenceError(
                 f"no sign change in [{lo}, {hi}] after {_MAX_DOUBLINGS} doublings"
@@ -45,7 +49,5 @@ def solve_monotone_root(f: Callable[[float], float], lo: float, hi: float) -> fl
         hi *= 2.0
         flo = f(lo)
         fhi = f(hi)
-        if not (math.isfinite(flo) and math.isfinite(fhi)):
-            raise ConvergenceError("function not finite on expanded bracket")
         expansions += 1
     return float(brentq(f, lo, hi, xtol=1e-300, rtol=1e-12, maxiter=200, disp=False))

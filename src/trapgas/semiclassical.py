@@ -41,10 +41,10 @@ class ScVariant:
     def __post_init__(self) -> None:
         if self.kind == ModelKind.EX:
             raise DomainError("EX is not a semi-classical variant")
-        if self.aniso_ratio < 1.0:
+        if not 1.0 <= self.aniso_ratio < math.inf:
             raise DomainError(
-                f"aniso ratio is an arithmetic/geometric mean ratio, must be >= 1, "
-                f"got {self.aniso_ratio!r}"
+                f"aniso ratio is an arithmetic/geometric mean ratio, must be finite "
+                f"and >= 1, got {self.aniso_ratio!r}"
             )
 
 

@@ -18,7 +18,6 @@ import numpy as np
 from scipy import integrate
 
 from trapgas.errors import DomainError, TruncationError
-from trapgas.exact import LSumControl
 from trapgas.models import PI_32, check_positive
 
 
@@ -138,7 +137,15 @@ _BLOCK = 4096
 _CHUNK_ELEMENTS = 1 << 18
 
 
-def brute_gauss_sum(x: float, tau: float, d: int, s, control: LSumControl):
+def brute_gauss_sum(
+    x: float,
+    tau: float,
+    d: int,
+    s,
+    *,
+    rel_tol: float = 1e-14,
+    max_terms: int = 10_000_000,
+):
     """sum_l e^{-lx} [k_l (pi/a_l)^{d/2} e^{-a_l s^2} - pi^{d/2} e^{-s^2}] / pi^{3/2}.
 
     The excited column over d axes (d = 0 is the density), with
@@ -154,8 +161,8 @@ def brute_gauss_sum(x: float, tau: float, d: int, s, control: LSumControl):
     gauss = math.pi ** (0.5 * d) * np.exp(-s2)
     total = np.zeros_like(s2)
     start = 1
-    while start <= control.max_terms:
-        l = np.arange(start, min(start + _BLOCK, control.max_terms + 1), dtype=float)
+    while start <= max_terms:
+        l = np.arange(start, min(start + _BLOCK, max_terms + 1), dtype=float)
         a = np.tanh(0.5 * tau * l)
         k32 = 1.0 / (-np.expm1(-2.0 * tau * l)) ** 1.5
         col = (math.pi / a) ** (0.5 * d)
@@ -179,12 +186,12 @@ def brute_gauss_sum(x: float, tau: float, d: int, s, control: LSumControl):
                 * math.exp(-x * l_next)
                 / (-math.expm1(-(x + tau)))
             )
-            floor = control.rel_tol * np.maximum(total, 1e-300)
+            floor = rel_tol * np.maximum(total, 1e-300)
             if np.all(tail <= floor) and np.all(last <= floor):
                 return total / PI_32 if np.ndim(s) else float(total[0]) / PI_32
         start += _BLOCK
     raise TruncationError(
-        f"excited l-sum exceeded {control.max_terms} terms (x={x}, tau={tau}, d={d})"
+        f"excited l-sum exceeded {max_terms} terms (x={x}, tau={tau}, d={d})"
     )
 
 

@@ -1,15 +1,17 @@
 import math
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import trapgas as tg
-from trapgas.cli import main
+from trapgas.cli import build_parser, main
 from trapgas.errors import ConvergenceError
 from trapgas.models import ModelKind as M
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestTransition:
@@ -229,3 +231,36 @@ class TestExitCodeMapping:
         with pytest.raises(SystemExit) as excinfo:
             main(["transition", "--atoms"])
         assert excinfo.value.code == 2
+
+    def test_removed_tol_flag_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["transition", "--atoms", "1e3", "--tol", "1e-12"])
+        assert excinfo.value.code == 2
+
+
+def readme_cli_commands() -> list[list[str]]:
+    """The ``trapgas`` commands of the README's CLI block, one argv each."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands, pending = [], ""
+    for line in block.splitlines():
+        line = pending + line.split("#", 1)[0].rstrip()
+        if line.endswith("\\"):
+            pending = line[:-1] + " "
+            continue
+        pending = ""
+        words = shlex.split(line)
+        if words and words[0] == "trapgas":
+            commands.append(words[1:])
+    return commands
+
+
+def test_readme_cli_examples_parse():
+    commands = readme_cli_commands()
+    assert len(commands) >= 7
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: trapgas {shlex.join(argv)}")

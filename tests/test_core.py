@@ -72,6 +72,13 @@ class TestMonotoneRoot:
         with pytest.raises(ConvergenceError):
             tg.solve_monotone_root(lambda x: 1.0 + x * 0.0, 1.0, 2.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_start_bracket(self, bad):
+        with pytest.raises(ConvergenceError):
+            tg.solve_monotone_root(lambda x: bad, 1.0, 2.0)
+        with pytest.raises(ConvergenceError):
+            tg.solve_monotone_root(lambda x: bad if x > 1.5 else -1.0, 1.0, 2.0)
+
     def test_scinf_transition_residual(self):
         z3 = tg.zeta_const(3.0)
         tau = tg.solve_monotone_root(lambda t: z3 / t**3 - 1e3, 0.05, 0.2)
@@ -186,6 +193,21 @@ class TestSolveFugacity:
             tg.solve_fugacity(M.EX, 1e3, -1.0)
         with pytest.raises(DomainError):
             tg.solve_fugacity(M.EX, 1e3, 1.0, trap=TrapSpec(frequencies=(1, 2, 3)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda r: tg.population_total(M.SC, 0.1, 0.1, aniso_ratio=r),
+        lambda r: tg.solve_fugacity(M.SC, 1e4, 0.1, aniso_ratio=r),
+        lambda r: tg.transition_temperature(M.SC, 1e4, aniso_ratio=r),
+    ],
+    ids=["population_total", "solve_fugacity", "transition_temperature"],
+)
+def test_non_finite_aniso_ratio_raises_domain_error(call, bad):
+    with pytest.raises(DomainError):
+        call(bad)
 
 
 @settings(max_examples=25, deadline=None)

@@ -20,19 +20,10 @@ PI32 = math.pi**1.5
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-class TestLSumControl:
+class TestTruncationConstants:
     def test_defaults(self):
-        control = exact.LSumControl()
-        assert control.rel_tol == 1e-14
-        assert control.max_terms == 10_000_000
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            exact.LSumControl(rel_tol=1e-5)
-        with pytest.raises(DomainError):
-            exact.LSumControl(rel_tol=0.0)
-        with pytest.raises(DomainError):
-            exact.LSumControl(max_terms=10)
+        assert exact.REL_TOL == 1e-14
+        assert exact.MAX_TERMS == 10_000_000
 
 
 class TestPopulation:
@@ -60,10 +51,17 @@ class TestPopulation:
                 oracles.mp_population_ex(z, tau), rel=1e-12
             )
 
-    def test_truncation_error(self):
-        control = exact.LSumControl(max_terms=1000)
+    def test_truncation_error(self, monkeypatch):
+        monkeypatch.setattr(exact, "MAX_TERMS", 1000)
         with pytest.raises(TruncationError):
-            exact.excited_population_x(0.0, 1e-4, control)
+            exact.excited_population_x(0.0, 1e-4)
+
+    def test_nan_fugacity_raises_domain_error(self):
+        # NaN fails every ordered comparison; it must not reach the sum.
+        with pytest.raises(DomainError):
+            exact.excited_population_x(math.nan, 0.1)
+        with pytest.raises(DomainError):
+            core.population_total(ModelKind.EX, math.nan, 0.1)
 
     def test_saturated_capacity_at_9337(self):
         cap = exact.excited_population_x(0.0, 1.0 / 93.37)
@@ -172,28 +170,28 @@ class TestGaussKernel:
     @pytest.mark.parametrize("d", [0, 1, 2])
     def test_non_finite_coordinate_raises_domain_error(self, bad, d):
         with pytest.raises(DomainError):
-            exact._excited_gauss_sum(0.01, 0.1, d, [0.0, bad], exact.DEFAULT_CONTROL)
+            exact._excited_gauss_sum(0.01, 0.1, d, [0.0, bad])
 
     def test_nan_fugacity_raises_domain_error(self):
         with pytest.raises(DomainError):
             exact.excited_density_x(math.nan, 0.1, 0.0)
 
-    def test_tail_beyond_max_terms_raises_truncation_error(self):
-        # At N = 1e10 near T* the tail starts near l = 4700 > max_terms.
+    def test_tail_beyond_max_terms_raises_truncation_error(self, monkeypatch):
+        # At N = 1e10 near T* the tail starts near l = 4700 > MAX_TERMS.
         state = ex_state(1e10, 0.995)
-        control = exact.LSumControl(max_terms=1000)
+        monkeypatch.setattr(exact, "MAX_TERMS", 1000)
         grid = np.linspace(0.0, 4.0, 5)
         with pytest.raises(TruncationError):
-            exact.excited_density_x(state.x, state.tau, grid, control)
+            exact.excited_density_x(state.x, state.tau, grid)
         with pytest.raises(TruncationError):
-            exact.excited_column_x(state.x, state.tau, 1, 0.0, control)
+            exact.excited_column_x(state.x, state.tau, 1, 0.0)
 
-    def test_tail_remainder_above_rel_tol_raises_truncation_error(self):
+    def test_tail_remainder_above_rel_tol_raises_truncation_error(self, monkeypatch):
         # The 60-power series leaves about 1e-30 of the sum out; 1e-300 asks
         # for more than it can give.
-        control = exact.LSumControl(rel_tol=1e-300)
+        monkeypatch.setattr(exact, "REL_TOL", 1e-300)
         with pytest.raises(TruncationError):
-            exact.excited_density_x(1e-3, 0.1, 0.0, control)
+            exact.excited_density_x(1e-3, 0.1, 0.0)
 
     @pytest.mark.parametrize("d", [0, 1, 2, 3])
     def test_q_series_tail_against_mpmath(self, d):
@@ -202,9 +200,7 @@ class TestGaussKernel:
         # direct sum to be short.
         x, tau, l_end = 1e-3, 0.1, 24
         s = np.array([0.0, 1.0, 2.5, 4.0])
-        tail = exact._q_series_tail(
-            x, tau, d, l_end, s**2, np.zeros(s.size), exact.DEFAULT_CONTROL
-        )
+        tail = exact._q_series_tail(x, tau, d, l_end, s**2, np.zeros(s.size))
         ref = oracles.mp_gauss_tail(x, tau, d, l_end, s, dps=30)
         np.testing.assert_allclose(tail, ref, rtol=1e-14, atol=0.0)
 
@@ -226,12 +222,8 @@ class TestAgainstBruteSum:
         far = 3.0 * math.sqrt(2.0 * state.temperature)
         grid = np.concatenate([np.linspace(0.0, 4.0, 21), np.linspace(4.5, far, 8)])
         for d in (0, 1, 2, 3):
-            got = exact._excited_gauss_sum(
-                state.x, state.tau, d, grid, exact.DEFAULT_CONTROL
-            )
-            ref = oracles.brute_gauss_sum(
-                state.x, state.tau, d, grid, exact.DEFAULT_CONTROL
-            )
+            got = exact._excited_gauss_sum(state.x, state.tau, d, grid)
+            ref = oracles.brute_gauss_sum(state.x, state.tau, d, grid)
             np.testing.assert_allclose(got, ref, rtol=5e-14, atol=0.0)
 
     @pytest.mark.parametrize(
@@ -243,9 +235,7 @@ class TestAgainstBruteSum:
         state = ex_state(atoms, ratio)
 
         def brute(r):
-            return oracles.brute_gauss_sum(
-                state.x, state.tau, 0, r, exact.DEFAULT_CONTROL
-            )
+            return oracles.brute_gauss_sum(state.x, state.tau, 0, r)
 
         grid = np.linspace(0.0, 4.0, 801)
         excited = brute(grid)
@@ -359,3 +349,7 @@ class TestEigenfunctionOracle:
             exact.eigenfunction_oracle(0.99, 1.0, 1.0)
         with pytest.raises(DomainError):
             exact.eigenfunction_oracle(0.5, 1.0, 1.0, n_max=500)
+
+    def test_nan_radius_raises_domain_error(self):
+        with pytest.raises(DomainError):
+            exact.eigenfunction_oracle(0.5, 0.3, math.nan)

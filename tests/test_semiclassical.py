@@ -20,6 +20,11 @@ class TestVariant:
         with pytest.raises(DomainError):
             sc.ScVariant(M.SC, aniso_ratio=0.9)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_ratio(self, bad):
+        with pytest.raises(DomainError):
+            sc.ScVariant(M.SC, aniso_ratio=bad)
+
 
 class TestPopulation:
     def test_scinf_saturation(self):
