@@ -177,7 +177,7 @@ def bose_g_x(nu: float, x: float) -> float:
     meaningful arbitrarily close to saturation.
     """
     nu = _check_order(nu)
-    if x < 0.0:
+    if not x >= 0.0:
         raise DomainError(f"need x >= 0, got {x!r}")
     if x == 0.0:
         if nu <= 1.0:

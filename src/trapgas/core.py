@@ -247,6 +247,7 @@ def transition_temperature(
     ratio = _resolve_ratio(model, trap, aniso_ratio)
     tau_c = (zeta_const(3.0) / atoms) ** (1.0 / 3.0)
     if model == ModelKind.SCINF:
+        semiclassical.ScVariant(model, ratio)  # validates the ratio it does not use
         return ReducedUnits(tau_c)
 
     def residual(tau: float) -> float:

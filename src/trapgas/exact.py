@@ -15,17 +15,18 @@ Near saturation x can be 1e-6 or smaller while the remaining factors decay
 only at rate tau, so the sums are evaluated with the ground-state term
 split off analytically; the residual brackets decay at rate x + tau.
 
-The sums run in blocks of l and stop once a geometric tail bound falls
-below REL_TOL times the sum.  The Gaussian sum behind the density and the
-columns applies that test to each grid point and drops converged points
-from later blocks.  Where the plain sum would need more than one block
-(ln(1/REL_TOL) > _BLOCK (x + tau): large clouds near threshold, where it
-would need about 32/tau ~ N^{1/3} terms), it stops at
-l_tail = ceil(ln(1/_TAIL_Q) / tau) instead.  Past l_tail each term is a
-power series in q = e^{-tau l} <= _TAIL_Q whose powers sum geometrically
-over l, so the rest of the sum is a closed form of _TAIL_TERMS terms, with
-a bound on the powers left out (see ``_q_series_tail``).  The population
-keeps the plain blocked sum.
+Every l-sum (the population, and the Gaussian sum behind the density and
+the columns) follows one rule, fixed before any term is summed
+(``_head_length``): a head of L terms summed one by one, then, near
+saturation, a closed-form tail.  Each bracket is at most the l = 1 bracket,
+so far from saturation L = 1 + ceil((ln(1/REL_TOL) - ln(e^x - 1)) / x)
+leaves out at most REL_TOL of the sum.  Where that L would pass
+l_tail = ceil(ln(1/_TAIL_Q) / tau) (large clouds near threshold, where it
+grows like 32/x), the head stops at l_tail instead.  Past l_tail each term
+is a power series in q = e^{-tau l} <= _TAIL_Q whose powers sum
+geometrically over l, so the rest of the sum is a closed form of
+_TAIL_TERMS terms, with a bound on the powers left out (see
+``_q_series_tail``).
 """
 
 from __future__ import annotations
@@ -38,11 +39,10 @@ import numpy as np
 from .errors import DomainError, TruncationError
 from .models import PI_32, check_positive, ground_column
 
-_BLOCK = 4096
-#: Element budget of one l-block x grid-chunk buffer (2 MB of float64).
+#: Element budget of one head x grid-chunk buffer (2 MB of float64).
 _CHUNK_ELEMENTS = 1 << 18
-#: The Gaussian l-sum hands over to its q-series tail where q = e^{-tau l}
-#: first falls to _TAIL_Q; the series keeps _TAIL_TERMS powers of q.
+#: The l-sums hand over to their q-series tail where q = e^{-tau l} first
+#: falls to _TAIL_Q; the series keeps _TAIL_TERMS powers of q.
 _TAIL_Q = 0.1
 _TAIL_TERMS = 60
 #: Truncation of every l-sum: relative tail bound and the cap on terms.
@@ -64,39 +64,49 @@ def ground_population(x: float) -> float:
     return 1.0 / math.expm1(x)
 
 
+def _head_length(x: float, tau: float) -> tuple[int, bool]:
+    """Terms L summed one by one, and whether the q-series tail adds the rest.
+
+    L = l_tail with the tail, or, where it is shorter, the L past which
+    the terms add at most term_1 e^{-x(L-1)} / (e^x - 1) <= REL_TOL term_1
+    and no tail is needed.
+    """
+    # Capped so that a tiny tau fails the MAX_TERMS test instead of overflowing.
+    l_tail = math.ceil(min(math.log(1.0 / _TAIL_Q) / tau, MAX_TERMS + 1.0))
+    head, tail = l_tail, True
+    if x > 0.0:
+        # ln(1/REL_TOL) - ln(e^x - 1), finite for every positive x.
+        cut = math.log(1.0 / REL_TOL) - x - math.log(-math.expm1(-x))
+        if (l_tail - 1) * x > cut:
+            head, tail = 1 + math.ceil(max(cut, 0.0) / x), False
+    if head > MAX_TERMS:
+        raise TruncationError(
+            f"excited l-sum needs {head} > {MAX_TERMS} terms (x={x}, tau={tau})"
+        )
+    return head, tail
+
+
 def excited_population_x(x: float, tau: float) -> float:
     """sum_l e^{-lx} [(1 - e^{-tau l})^{-3} - 1]; finite for any x >= 0.
 
     At x = 0 this is the saturated excited-state population that defines
-    the exact transition temperature.
+    the exact transition temperature.  It is the d = 3, s = 0 case of
+    :func:`_excited_gauss_sum` (whose bracket reduces to the one here),
+    summed on its own because the solvers make many scalar calls, where
+    the general kernel's numpy overhead would dominate.
     """
     tau = check_positive("tau", tau)
     if not x >= 0.0:
         raise DomainError(f"need x >= 0, got {x!r}")
-    total = 0.0
-    start = 1
-    while start <= MAX_TERMS:
-        l = np.arange(start, min(start + _BLOCK, MAX_TERMS + 1), dtype=float)
-        bracket = 1.0 / (-np.expm1(-tau * l)) ** 3 - 1.0
-        terms = np.exp(-x * l) * bracket
-        total += float(terms.sum())
-        l_last = l[-1]
-        q_next = math.exp(-tau * (l_last + 1.0))
-        if q_next < 0.5:
-            # bracket_j <= 3 q_j / (1 - q_j)^3 for j > l_last
-            decay = x + tau
-            tail = (
-                3.0
-                * q_next
-                * math.exp(-x * (l_last + 1.0))
-                / ((1.0 - q_next) ** 3 * (-math.expm1(-decay)))
-            )
-            if tail <= REL_TOL * total and terms[-1] <= REL_TOL * total:
-                return total
-        start += _BLOCK
-    raise TruncationError(
-        f"excited population sum exceeded {MAX_TERMS} terms (x={x}, tau={tau})"
-    )
+    head, tail = _head_length(x, tau)
+    l = np.arange(1.0, head + 1.0)
+    bracket = 1.0 / (-np.expm1(-tau * l)) ** 3 - 1.0
+    total = float((np.exp(-x * l) * bracket).sum())
+    if tail:
+        # The Gaussian sum's d = 3 tail at s = 0 is pi^{3/2} times this one.
+        rest = _q_series_tail(x, tau, 3, head, np.zeros(1), total * PI_32)
+        total += float(rest[0]) / PI_32
+    return total
 
 
 def population_ex(z: float, tau: float) -> float:
@@ -152,10 +162,9 @@ def _excited_gauss_sum(x: float, tau: float, d: int, s):
     """sum_l e^{-lx} [k_l (pi/a_l)^{d/2} e^{-a_l s^2} - pi^{d/2} e^{-s^2}] / pi^{3/2}.
 
     The excited column over d axes (d = 0 is the density), with
-    k_l = (1 - e^{-2 tau l})^{-3/2} and a_l = tanh(tau l / 2).  Each grid
-    column leaves the block loop once its own tail bound is met; where the
-    plain sum would need more than one block, the loop stops at ``l_tail``
-    and the columns still open get the closed-form q-series tail.
+    k_l = (1 - e^{-2 tau l})^{-3/2} and a_l = tanh(tau l / 2).  Every grid
+    column sums the same head (``_head_length``), then the closed-form
+    q-series tail where the head stops at ``l_tail``.
     """
     tau = check_positive("tau", tau)
     if not x >= 0.0:
@@ -163,59 +172,17 @@ def _excited_gauss_sum(x: float, tau: float, d: int, s):
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     if not ((s_arr >= 0.0) & (s_arr < math.inf)).all():
         raise DomainError("radius or column coordinate must be finite and nonnegative")
-    out = np.empty(s_arr.shape)
-    live = np.arange(s_arr.size)
+    head, tail = _head_length(x, tau)
     s2 = s_arr**2
     gauss = math.pi ** (0.5 * d) * np.exp(-s2)
-    total = np.zeros_like(s2)
-    end = MAX_TERMS
-    l_tail = None
-    if math.log(1.0 / REL_TOL) > _BLOCK * (x + tau):
-        l_tail = math.ceil(math.log(1.0 / _TAIL_Q) / tau)
-        end = min(end, l_tail)
-    start = 1
-    while live.size and start <= end:
-        l = np.arange(start, min(start + _BLOCK, end + 1), dtype=float)
-        a = np.tanh(0.5 * tau * l)
-        k32 = 1.0 / (-np.expm1(-2.0 * tau * l)) ** 1.5
-        coef = k32 * (math.pi / a) ** (0.5 * d) if d else k32
-        block, last = _gauss_block(np.exp(-x * l), coef, a, s2, gauss)
-        total += block
-        l_next = l[-1] + 1.0
-        q_next = math.exp(-tau * l_next)
-        if q_next < 0.5:
-            a_next = math.tanh(0.5 * tau * l_next)
-            # bracket_j <= q_j [ (3/2) q_next (1-q_next^2)^{-5/2} + 2 s^2 + d/a_next ]
-            #              (pi/a_next)^{d/2} e^{-a_next s^2}
-            coeff = (
-                1.5 * q_next / (1.0 - q_next * q_next) ** 2.5
-                + 2.0 * s2
-                + d / a_next
-            ) * (math.pi / a_next) ** (0.5 * d)
-            tail = (
-                coeff
-                * np.exp(-a_next * s2)
-                * q_next
-                * math.exp(-x * l_next)
-                / (-math.expm1(-(x + tau)))
-            )
-            floor = REL_TOL * np.maximum(total, 1e-300)
-            done = (tail <= floor) & (last <= floor)
-            if done.all():
-                out[live] = total
-                live = live[:0]
-            elif done.any():
-                out[live[done]] = total[done]
-                keep = ~done
-                live, s2, gauss, total = live[keep], s2[keep], gauss[keep], total[keep]
-        start += _BLOCK
-    if live.size:
-        if l_tail is None or l_tail > MAX_TERMS:
-            raise TruncationError(
-                f"excited l-sum exceeded {MAX_TERMS} terms (x={x}, tau={tau}, d={d})"
-            )
-        out[live] = total + _q_series_tail(x, tau, d, l_tail, s2, total)
-    return out / PI_32 if np.ndim(s) else float(out[0]) / PI_32
+    l = np.arange(1.0, head + 1.0)
+    a = np.tanh(0.5 * tau * l)
+    k32 = 1.0 / (-np.expm1(-2.0 * tau * l)) ** 1.5
+    coef = k32 * (math.pi / a) ** (0.5 * d) if d else k32
+    total = _gauss_head(np.exp(-x * l), coef, a, s2, gauss)
+    if tail:
+        total += _q_series_tail(x, tau, d, head, s2, total)
+    return total / PI_32 if np.ndim(s) else float(total[0]) / PI_32
 
 
 def _q_series_tail(x, tau, d, l_end, s2, total):
@@ -229,9 +196,12 @@ def _q_series_tail(x, tau, d, l_end, s2, total):
     per-column work is one vector-matrix product.
 
     The powers m > M are bounded through the majorant (1-q)^{-3} exp(c q / (1-q))
-    of G: Cauchy's estimate at radius 1/4 gives |g_m| <= (4/3)^3 e^{c/3} 4^m.
-    A column whose bound misses ``REL_TOL`` times its total raises
-    ``TruncationError``.
+    of G: Cauchy's estimate at radius rho gives
+    |g_m| <= (1-rho)^{-3} e^{c rho/(1-rho)} rho^{-m}.  With
+    rho = min(1/4, p1/(1 + 2 p1)), p1 = e^{-tau}, the bound times e^{-s^2}
+    decays in s like the l = 1 term, e^{-tanh(tau/2) s^2}, at every tau, and
+    q1/rho <= 0.4.  A column whose bound misses ``REL_TOL`` times its total
+    raises ``TruncationError``.
     """
     l1 = l_end + 1
     q1 = math.exp(-tau * l1)
@@ -249,13 +219,17 @@ def _q_series_tail(x, tau, d, l_end, s2, total):
         np.cumprod(p, axis=0, out=p)  # row j: (2 s^2)^j e^{-s^2}
         np.dot(v, p, out=tail[lo:hi])
     tail *= scale
-    # sum_{m > M} (4/3)^3 e^{c/3} e^{-s^2} (4 q1)^m / (1 - e^{-(x + tau)})
+    p1 = math.exp(-tau)
+    rho = min(0.25, p1 / (1.0 + 2.0 * p1))
+    # q1 / rho, written so that it stays finite where p1 underflows to 0.
+    ratio = max(4.0 * q1, math.exp(-tau * l_end) * (1.0 + 2.0 * p1))
+    # sum_{m > M} (1-rho)^{-3} e^{c rho/(1-rho)} e^{-s^2} (q1/rho)^m / (1 - e^{-(x + tau)})
     remainder = (
         scale
-        * (4.0 / 3.0) ** 3
-        * (4.0 * q1) ** rows
-        / ((1.0 - 4.0 * q1) * -math.expm1(-(x + tau)))
-        * np.exp(-s2 / 3.0)
+        * (1.0 - rho) ** -3
+        * ratio**rows
+        / ((1.0 - ratio) * -math.expm1(-(x + tau)))
+        * np.exp(-s2 * (1.0 - 3.0 * rho) / (1.0 - rho))
     )
     if (remainder > REL_TOL * (total + tail)).any():
         raise TruncationError(
@@ -297,28 +271,27 @@ def _chunk_bounds(n: int, rows: int):
     return [(i * n // chunks, (i + 1) * n // chunks) for i in range(chunks)]
 
 
-def _gauss_block(weight, coef, a, s2, gauss):
-    """One l-block: column sums and last row of weight_l (coef_l e^{-a_l s^2} - gauss).
+def _gauss_head(weight, coef, a, s2, gauss):
+    """Column sums of weight_l (coef_l e^{-a_l s^2} - gauss) over the head rows.
 
     The grid is cut into even chunks that reuse one buffer, so memory stays
-    flat in the grid size.
+    flat in the grid size.  Each grid point's terms are contiguous in the
+    buffer, so numpy sums them pairwise (rounding error O(log L), not O(L)).
     """
-    n = s2.size
-    bounds = _chunk_bounds(n, a.size)
-    buf = np.empty(a.size * -(-n // len(bounds)))
+    n, rows = s2.size, a.size
+    bounds = _chunk_bounds(n, rows)
+    buf = np.empty(rows * -(-n // len(bounds)))
     sums = np.empty(n)
-    last = np.empty(n)
-    neg_a = -a[:, None]
+    neg_a = -a
     for lo, hi in bounds:
-        b = buf[: a.size * (hi - lo)].reshape(a.size, hi - lo)
-        np.multiply(neg_a, s2[lo:hi], out=b)
+        b = buf[: rows * (hi - lo)].reshape(hi - lo, rows)
+        np.multiply(s2[lo:hi, None], neg_a, out=b)
         np.exp(b, out=b)
-        np.multiply(coef[:, None], b, out=b)
-        np.subtract(b, gauss[lo:hi], out=b)
-        np.multiply(weight[:, None], b, out=b)
-        b.sum(axis=0, out=sums[lo:hi])
-        last[lo:hi] = b[-1]
-    return sums, last
+        np.multiply(b, coef, out=b)
+        np.subtract(b, gauss[lo:hi, None], out=b)
+        np.multiply(b, weight, out=b)
+        b.sum(axis=1, out=sums[lo:hi])
+    return sums
 
 
 def column_density_ex(z: float, tau: float, dims_integrated: int, s):

@@ -58,7 +58,7 @@ def population_sc_x(variant, x: float, tau: float) -> float:
     """Atom number at z = e^-x.  x = 0 is the saturated (z = 1) branch."""
     v = _as_variant(variant)
     tau = check_positive("tau", tau)
-    if x < 0.0:
+    if not x >= 0.0:
         raise DomainError(f"need x >= 0, got {x!r}")
     n = bose.bose_g_x(3.0, x) / tau**3
     if v.kind in (ModelKind.SC0, ModelKind.SC):
@@ -91,7 +91,7 @@ def saturated_population_sc(variant, tau: float) -> float:
 
 def _column_sc(v: ScVariant, x: float, tau: float, d: int, s):
     tau = check_positive("tau", tau)
-    if x < 0.0:
+    if not x >= 0.0:
         raise DomainError(f"need x >= 0, got {x!r}")
     if x == 0.0 and v.kind != ModelKind.SCINF:
         raise DomainError(
@@ -99,7 +99,7 @@ def _column_sc(v: ScVariant, x: float, tau: float, d: int, s):
             "(g_{1/2} diverges; the ground-state term is the cure)"
         )
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if np.any(s_arr < 0.0):
+    if not (s_arr >= 0.0).all():
         raise DomainError("radius must be nonnegative")
     lam3 = lambda3(tau)
     x_local = x + 0.5 * tau * s_arr**2

@@ -58,6 +58,18 @@ def mp_population_ex(z, tau, dps: int = 40) -> float:
             l += 1
 
 
+def fsum_population(x, tau) -> float:
+    """Excited population sum_l e^{-lx} [(1 - e^{-tau l})^{-3} - 1] by math.fsum.
+
+    The float terms for l <= 40/(x + tau) + 10, summed exactly rounded, so the
+    only error left is that of the terms themselves.  Past l the terms decay
+    like e^{-l(x + tau)}, so those left out are below about e^{-40} of the sum.
+    """
+    l = np.arange(1.0, math.floor(40.0 / (x + tau) + 10.0) + 1.0)
+    terms = np.exp(-x * l) * (1.0 / (-np.expm1(-tau * l)) ** 3 - 1.0)
+    return math.fsum(terms)
+
+
 def mp_density_ex(z, tau, r, dps: int = 40) -> float:
     with mp.workdps(dps):
         z = mp.mpf(z)
@@ -128,10 +140,10 @@ def quad_column_sc(variant, x, tau, dims_integrated, s) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The blocked brute-force Gaussian l-sum, kept as the reference for the
-# closed-form tail and the per-column stopping of ``exact._excited_gauss_sum``:
-# every column sums whole 4096-term blocks until all columns meet the tail
-# bound.  Same arguments and result as the package kernel.
+# The blocked brute-force Gaussian l-sum, kept as the reference for the head
+# length and the closed-form tail of ``exact._excited_gauss_sum``: every
+# column sums whole 4096-term blocks until all columns meet the tail bound.
+# Same arguments and result as the package kernel.
 
 _BLOCK = 4096
 _CHUNK_ELEMENTS = 1 << 18

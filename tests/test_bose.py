@@ -56,6 +56,12 @@ def test_domain_errors():
         bose.bose_g_small_x(1.5, math.nan)
 
 
+@pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+def test_nan_x_names_x(nu):
+    with pytest.raises(DomainError, match="x >= 0"):
+        bose.bose_g_x(nu, math.nan)
+
+
 def test_small_x_examples():
     # leading singular behaviour of the 1/2 order
     x = 1e-10

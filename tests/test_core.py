@@ -210,6 +210,13 @@ def test_non_finite_aniso_ratio_raises_domain_error(call, bad):
         call(bad)
 
 
+@pytest.mark.parametrize("ratio", [math.nan, 0.5, math.inf])
+def test_scinf_transition_validates_aniso_ratio(ratio):
+    # The SCINF closed form does not use the ratio, but it must still be valid.
+    with pytest.raises(DomainError):
+        tg.transition_temperature(M.SCINF, 1e4, aniso_ratio=ratio)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     atoms=st.floats(min_value=50.0, max_value=1e5),

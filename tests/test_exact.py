@@ -67,6 +67,45 @@ class TestPopulation:
         cap = exact.excited_population_x(0.0, 1.0 / 93.37)
         assert cap == pytest.approx(oracles.CAP_EX_AT_9337, rel=1e-12)
 
+    @pytest.mark.parametrize("atoms", [2, 1e2, 1e4, 1e6, 1e8, 1e10, 1e12])
+    @pytest.mark.parametrize("ratio", [0.5, 1.01, 3.0])
+    def test_against_fsum(self, atoms, ratio):
+        t_star = core.transition_temperature(ModelKind.EX, atoms).temperature
+        tau = 1.0 / (ratio * t_star)
+        for x in (0.0, 1e-6, 0.05, 10.0):
+            ref = oracles.fsum_population(x, tau)
+            assert exact.excited_population_x(x, tau) == pytest.approx(ref, rel=5e-15)
+
+    @pytest.mark.parametrize("x", [5e-324, 1e-300])
+    def test_tiny_x_is_saturated(self, x):
+        # e^{-lx} rounds to 1 for every l summed: the x = 0 sum, no overflow.
+        tau = 1.0 / 93.37
+        assert exact.excited_population_x(x, tau) == exact.excited_population_x(0.0, tau)
+        grid = np.array([0.0, 1.0, 40.0])
+        np.testing.assert_array_equal(
+            exact.excited_density_x(x, tau, grid), exact.excited_density_x(0.0, tau, grid)
+        )
+
+    @pytest.mark.parametrize("tau", [0.01, 1.0, 800.0])
+    def test_huge_x_underflows_to_zero(self, tau):
+        assert exact.excited_population_x(800.0, tau) == 0.0
+        grid = np.array([0.0, 1.0, 40.0])
+        np.testing.assert_array_equal(exact.excited_density_x(800.0, tau, grid), 0.0)
+
+    @pytest.mark.parametrize(
+        "x,tau,tail", [(0.0, 1e-4, True), (0.1, 1e-3, False)], ids=["tail", "no-tail"]
+    )
+    def test_head_beyond_max_terms_raises_truncation_error(self, monkeypatch, x, tau, tail):
+        # Both rules for the head length: l_tail = 23026 rows with the q-series
+        # tail, and the 346 rows that leave out at most REL_TOL without it.
+        head, with_tail = exact._head_length(x, tau)
+        assert with_tail == tail and head > 100
+        monkeypatch.setattr(exact, "MAX_TERMS", 100)
+        with pytest.raises(TruncationError):
+            exact.excited_population_x(x, tau)
+        with pytest.raises(TruncationError):
+            exact.excited_density_x(x, tau, [0.0, 1.0])
+
 
 class TestDensity:
     def test_decays_to_zero(self):
@@ -205,12 +244,14 @@ class TestGaussKernel:
         np.testing.assert_allclose(tail, ref, rtol=1e-14, atol=0.0)
 
 
-#: States of the differential test: N from 1e2 to 1e12, T/T* from 0.5 to 1.5.
+#: States of the differential test: N from 1e2 to 1e12, T/T* from 0.5 to 1.5,
+#: and cold clouds (tau 0.9 to 2.6), whose sums are one to three head rows
+#: and the q-series tail, with its remainder bound tested out to s = 40.
 BRUTE_STATES = [
     (atoms, ratio)
     for atoms in (1e2, 1e4, 1e6, 1e8, 1e10, 1e12)
     for ratio in (0.5, 0.99, 1.01, 1.5)
-]
+] + [(2, 0.5), (10, 0.5), (1e2, 0.3)]
 
 
 class TestAgainstBruteSum:
@@ -219,12 +260,13 @@ class TestAgainstBruteSum:
     @pytest.mark.parametrize("atoms,ratio", BRUTE_STATES)
     def test_densities_and_columns(self, atoms, ratio):
         state = ex_state(atoms, ratio)
-        far = 3.0 * math.sqrt(2.0 * state.temperature)
+        far = max(3.0 * math.sqrt(2.0 * state.temperature), 40.0)
         grid = np.concatenate([np.linspace(0.0, 4.0, 21), np.linspace(4.5, far, 8)])
         for d in (0, 1, 2, 3):
             got = exact._excited_gauss_sum(state.x, state.tau, d, grid)
             ref = oracles.brute_gauss_sum(state.x, state.tau, d, grid)
-            np.testing.assert_allclose(got, ref, rtol=5e-14, atol=0.0)
+            # atol: far-out cold-cloud columns fall into the subnormal range.
+            np.testing.assert_allclose(got, ref, rtol=5e-14, atol=1e-300)
 
     @pytest.mark.parametrize(
         "atoms,ratio", [(1e4, 0.9), (1e6, 0.99), (1e8, 0.99), (1e10, 0.996)]

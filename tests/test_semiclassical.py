@@ -67,6 +67,11 @@ class TestPopulation:
         with pytest.raises(DomainError):
             sc.population_sc(M.SC, 1.0, 0.1)  # SC needs z < 1
 
+    @pytest.mark.parametrize("kind", [M.SC, M.SC0, M.SCINF])
+    def test_nan_x_names_x(self, kind):
+        with pytest.raises(DomainError, match="x >= 0"):
+            sc.population_sc_x(kind, math.nan, 0.1)
+
 
 class TestDensity:
     def test_scinf_threshold_peak(self):
@@ -209,3 +214,11 @@ class TestColumns:
     def test_bad_dims(self):
         with pytest.raises(DomainError):
             sc.column_density_sc_x(M.SC, 0.1, 0.1, 3, 0.0)
+
+    @pytest.mark.parametrize("kind", [M.SC, M.SC0, M.SCINF])
+    @pytest.mark.parametrize("dims", [0, 1, 2])
+    def test_nan_arguments_are_named(self, kind, dims):
+        with pytest.raises(DomainError, match="x >= 0"):
+            sc.column_density_sc_x(kind, math.nan, 0.1, dims, 0.0)
+        with pytest.raises(DomainError, match="radius"):
+            sc.column_density_sc_x(kind, 0.1, 0.1, dims, [0.0, math.nan])
