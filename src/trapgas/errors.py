@@ -14,4 +14,4 @@ class TruncationError(RuntimeError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive integration did not reach the requested tolerance."""
+    """A quadrature's error estimate exceeds the requested tolerance."""

@@ -47,7 +47,7 @@ _TAIL_Q = 0.1
 _TAIL_TERMS = 60
 #: Truncation of every l-sum: relative tail bound and the cap on terms.
 REL_TOL = 1e-14
-MAX_TERMS = 10_000_000
+MAX_TERMS = 1_000_000
 
 
 def _x_from_z(z: float) -> float:

@@ -3,7 +3,9 @@
 All solver problems in this package (fugacity at fixed N and T, transition
 temperature at fixed N) are strictly monotone on (0, inf), so a doubling
 bracket expansion followed by Brent's method is both robust and
-deterministic.
+deterministic.  The Brent iteration is the one of Brent (1973),
+*Algorithms for Minimization Without Derivatives*, ch. 4, step for step
+as in scipy's ``brentq``, so it returns the same floats.
 """
 
 from __future__ import annotations
@@ -11,11 +13,13 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from scipy.optimize import brentq
-
 from .errors import ConvergenceError
 
 _MAX_DOUBLINGS = 60
+#: Brent stops once the bracket is below XTOL + RTOL |x|, or after MAX_ITER steps.
+_XTOL = 1e-300
+_RTOL = 1e-12
+_MAX_ITER = 200
 
 
 def solve_monotone_root(f: Callable[[float], float], lo: float, hi: float) -> float:
@@ -24,8 +28,9 @@ def solve_monotone_root(f: Callable[[float], float], lo: float, hi: float) -> fl
     The hint [lo, hi] (0 < lo < hi) is widened geometrically, lo halving and
     hi doubling, until f changes sign; more than ``_MAX_DOUBLINGS``
     expansions, or a non-finite f at either end, raises ConvergenceError.
-    Brent iteration then runs to relative tolerance 1e-12 or 200
-    iterations, whichever comes first.  Deterministic for identical inputs.
+    Brent iteration then runs to relative tolerance 1e-12; a non-finite f
+    inside the bracket, or no convergence in 200 iterations, raises
+    ConvergenceError.  Deterministic for identical inputs.
     """
     if not (0.0 < lo < hi) or not (math.isfinite(lo) and math.isfinite(hi)):
         raise ConvergenceError(f"bad bracket hint [{lo}, {hi}]")
@@ -50,4 +55,48 @@ def solve_monotone_root(f: Callable[[float], float], lo: float, hi: float) -> fl
         flo = f(lo)
         fhi = f(hi)
         expansions += 1
-    return float(brentq(f, lo, hi, xtol=1e-300, rtol=1e-12, maxiter=200, disp=False))
+    return _brent(f, lo, hi, flo, fhi)
+
+
+def _brent(f, xpre, xcur, fpre, fcur) -> float:
+    """Brent's method on [xpre, xcur], given f(xpre) = fpre and f(xcur) = fcur.
+
+    fpre and fcur are nonzero and of opposite sign.  xcur is the best
+    estimate, xblk the other end of the bracket and xpre the previous
+    estimate; each step interpolates (secant or inverse quadratic) when that
+    shrinks the bracket fast enough, and bisects otherwise.
+    """
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAX_ITER):
+        if (fpre < 0.0) != (fcur < 0.0):  # a zero fcur returns below either way
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)  # interpolate
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)  # extrapolate
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+        if not math.isfinite(fcur):
+            raise ConvergenceError(f"function not finite at x={xcur} inside the bracket")
+    raise ConvergenceError(f"Brent iteration did not converge in {_MAX_ITER} steps")

@@ -70,6 +70,25 @@ def fsum_population(x, tau) -> float:
     return math.fsum(terms)
 
 
+def gauss_sum_moment(weights, widths, p: int) -> float:
+    """Integral over space of (sum_i w_i e^{-a_i r^2})^p, p = 2 or 3, in closed form.
+
+    Expanding the power gives a multi-sum of Gaussians, each of which
+    integrates to (pi / (a_i + a_j [+ a_k]))^{3/2}.
+    """
+    w = np.asarray(weights, dtype=float)
+    a = np.asarray(widths, dtype=float)
+    if p == 2:
+        terms = np.multiply.outer(w, w) * (math.pi / np.add.outer(a, a)) ** 1.5
+    elif p == 3:
+        ww = np.multiply.outer(w, w)
+        aa = np.add.outer(a, a)
+        terms = np.multiply.outer(ww, w) * (math.pi / np.add.outer(aa, a)) ** 1.5
+    else:
+        raise DomainError(f"p must be 2 or 3, got {p!r}")
+    return math.fsum(terms.ravel())
+
+
 def mp_density_ex(z, tau, r, dps: int = 40) -> float:
     with mp.workdps(dps):
         z = mp.mpf(z)

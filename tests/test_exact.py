@@ -23,7 +23,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 class TestTruncationConstants:
     def test_defaults(self):
         assert exact.REL_TOL == 1e-14
-        assert exact.MAX_TERMS == 10_000_000
+        assert exact.MAX_TERMS == 1_000_000
 
 
 class TestPopulation:
@@ -105,6 +105,14 @@ class TestPopulation:
             exact.excited_population_x(x, tau)
         with pytest.raises(TruncationError):
             exact.excited_density_x(x, tau, [0.0, 1.0])
+
+    def test_head_near_ten_million_rows_is_refused(self):
+        # tau = 2.33e-7 (N ~ 1e20) needs a 9.9e6-row head: it must raise
+        # before allocating arrays of that length.
+        with pytest.raises(TruncationError):
+            exact.excited_population_x(0.0, 2.33e-7)
+        with pytest.raises(TruncationError):
+            exact.excited_density_x(0.0, 2.33e-7, 0.0)
 
 
 class TestDensity:

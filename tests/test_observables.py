@@ -7,8 +7,10 @@ import pytest
 import trapgas as tg
 from trapgas import observables as obs
 from trapgas.core import GasState, ReducedUnits
-from trapgas.errors import DomainError
+from trapgas.errors import DomainError, QuadratureError
 from trapgas.models import ModelKind as M
+
+import oracles
 
 PI32 = math.pi**1.5
 
@@ -236,3 +238,31 @@ class TestDensityMoment:
     def test_validation(self, ex_1e4):
         with pytest.raises(DomainError):
             tg.density_moment(ex_1e4, 4)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_ex_against_closed_form_gaussian_sum(self, p):
+        # rho = pi^{-3/2} sum_l e^{-lx} (1 - e^{-2 tau l})^{-3/2} e^{-tanh(tau l/2) r^2}
+        x, tau = 1.0, 0.5
+        state = GasState(model=M.EX, atoms=tg.population_total(M.EX, x, tau),
+                         tau=tau, x=x, n0=1.0 / math.expm1(x))
+        l = np.arange(1.0, 45.0)
+        weights = np.exp(-x * l) / (-np.expm1(-2.0 * tau * l)) ** 1.5 / PI32
+        ref = oracles.gauss_sum_moment(weights, np.tanh(0.5 * tau * l), p)
+        assert tg.density_moment(state, p) == pytest.approx(ref, rel=1e-11)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_scinf_against_closed_form_gaussian_sum(self, p):
+        # rho = g_{3/2}(e^{-x - tau r^2/2}) / lambda^3 = sum_l e^{-lx - l tau r^2/2} / (l^{3/2} lambda^3)
+        x, tau = 1.0, 0.1
+        state = GasState(model=M.SCINF, atoms=tg.population_total(M.SCINF, x, tau),
+                         tau=tau, x=x, n0=0.0)
+        l = np.arange(1.0, 45.0)
+        weights = np.exp(-x * l) / l**1.5 / (2.0 * math.pi * tau) ** 1.5
+        ref = oracles.gauss_sum_moment(weights, 0.5 * tau * l, p)
+        assert tg.density_moment(state, p) == pytest.approx(ref, rel=1e-11)
+
+    def test_node_doubling_estimate_raises_quadrature_error(self, ex_1e4, monkeypatch):
+        # The 48- and 96-node values never agree to 1e-300 of the moment.
+        monkeypatch.setattr(obs, "_MOMENT_TOL", 1e-300)
+        with pytest.raises(QuadratureError, match="uncertainty"):
+            tg.density_moment(ex_1e4, 2)
