@@ -17,8 +17,9 @@ split off analytically; the residual brackets decay at rate x + tau.
 
 Every l-sum (the population, and the Gaussian sum behind the density and
 the columns) follows one rule, fixed before any term is summed
-(``_head_length``): a head of L terms summed one by one, then, near
-saturation, a closed-form tail.  Each bracket is at most the l = 1 bracket,
+(``_head_length``): a head of L terms summed one by one (in slabs of
+_SLAB_ROWS terms, so memory stays flat in L), then, near saturation, a
+closed-form tail.  Each bracket is at most the l = 1 bracket,
 so far from saturation L = 1 + ceil((ln(1/REL_TOL) - ln(e^x - 1)) / x)
 leaves out at most REL_TOL of the sum.  Where that L would pass
 l_tail = ceil(ln(1/_TAIL_Q) / tau) (large clouds near threshold, where it
@@ -41,13 +42,16 @@ from .models import PI_32, check_positive, ground_column
 
 #: Element budget of one head x grid-chunk buffer (2 MB of float64).
 _CHUNK_ELEMENTS = 1 << 18
+#: Rows of an l-sum head evaluated at a time, so that memory stays flat in
+#: the head length; one slab holds every head that N <= 1e12 needs near T*.
+_SLAB_ROWS = 1 << 17
 #: The l-sums hand over to their q-series tail where q = e^{-tau l} first
 #: falls to _TAIL_Q; the series keeps _TAIL_TERMS powers of q.
 _TAIL_Q = 0.1
 _TAIL_TERMS = 60
 #: Truncation of every l-sum: relative tail bound and the cap on terms.
 REL_TOL = 1e-14
-MAX_TERMS = 1_000_000
+MAX_TERMS = 10_000_000
 
 
 def _x_from_z(z: float) -> float:
@@ -86,6 +90,12 @@ def _head_length(x: float, tau: float) -> tuple[int, bool]:
     return head, tail
 
 
+def _head_slabs(head: int):
+    """l = 1 .. head as consecutive float arrays of at most _SLAB_ROWS terms."""
+    for start in range(0, head, _SLAB_ROWS):
+        yield np.arange(start + 1.0, min(start + _SLAB_ROWS, head) + 1.0)
+
+
 def excited_population_x(x: float, tau: float) -> float:
     """sum_l e^{-lx} [(1 - e^{-tau l})^{-3} - 1]; finite for any x >= 0.
 
@@ -99,9 +109,10 @@ def excited_population_x(x: float, tau: float) -> float:
     if not x >= 0.0:
         raise DomainError(f"need x >= 0, got {x!r}")
     head, tail = _head_length(x, tau)
-    l = np.arange(1.0, head + 1.0)
-    bracket = 1.0 / (-np.expm1(-tau * l)) ** 3 - 1.0
-    total = float((np.exp(-x * l) * bracket).sum())
+    total = 0.0
+    for l in _head_slabs(head):
+        bracket = 1.0 / (-np.expm1(-tau * l)) ** 3 - 1.0
+        total += float((np.exp(-x * l) * bracket).sum())
     if tail:
         # The Gaussian sum's d = 3 tail at s = 0 is pi^{3/2} times this one.
         rest = _q_series_tail(x, tau, 3, head, np.zeros(1), total * PI_32)
@@ -163,8 +174,8 @@ def _excited_gauss_sum(x: float, tau: float, d: int, s):
 
     The excited column over d axes (d = 0 is the density), with
     k_l = (1 - e^{-2 tau l})^{-3/2} and a_l = tanh(tau l / 2).  Every grid
-    column sums the same head (``_head_length``), then the closed-form
-    q-series tail where the head stops at ``l_tail``.
+    column sums the same head (``_head_length``), slab by slab, then the
+    closed-form q-series tail where the head stops at ``l_tail``.
     """
     tau = check_positive("tau", tau)
     if not x >= 0.0:
@@ -175,11 +186,12 @@ def _excited_gauss_sum(x: float, tau: float, d: int, s):
     head, tail = _head_length(x, tau)
     s2 = s_arr**2
     gauss = math.pi ** (0.5 * d) * np.exp(-s2)
-    l = np.arange(1.0, head + 1.0)
-    a = np.tanh(0.5 * tau * l)
-    k32 = 1.0 / (-np.expm1(-2.0 * tau * l)) ** 1.5
-    coef = k32 * (math.pi / a) ** (0.5 * d) if d else k32
-    total = _gauss_head(np.exp(-x * l), coef, a, s2, gauss)
+    total = np.zeros_like(s2)
+    for l in _head_slabs(head):
+        a = np.tanh(0.5 * tau * l)
+        k32 = 1.0 / (-np.expm1(-2.0 * tau * l)) ** 1.5
+        coef = k32 * (math.pi / a) ** (0.5 * d) if d else k32
+        total += _gauss_head(np.exp(-x * l), coef, a, s2, gauss)
     if tail:
         total += _q_series_tail(x, tau, d, head, s2, total)
     return total / PI_32 if np.ndim(s) else float(total[0]) / PI_32

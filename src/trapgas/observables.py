@@ -205,17 +205,26 @@ def density_moment(state: GasState, p: int) -> float:
     Loss-rate style moment; Gauss-Legendre quadrature on the radial panels
     [0, 6] and [6, 8 / sqrt(tau)] (eight thermal radii, where the integrand
     has decayed far below the tolerance), with one array call of the
-    density per panel and rule.
+    density per panel and rule.  The finite-size term of SC0 and SC,
+    g_{1/2}(x + tau r^2 / 2), has a core of width sqrt(2x / tau) that
+    shrinks to 0 at saturation, so for those models [0, 6] is cut further
+    at 6 / 16^j, down to the first such edge within 4 core widths.
     """
     if p not in (2, 3):
         raise DomainError(f"density moment supports p = 2 or 3, got {p!r}")
     _require_density(state)
     r_max = 8.0 / math.sqrt(state.tau)
+    graded = []
+    if state.model in (ModelKind.SC0, ModelKind.SC) and state.x > 0.0:
+        four_widths = 4.0 * math.sqrt(2.0 * state.x / state.tau)
+        panels = max(math.ceil(math.log(6.0 / four_widths, 16.0)), 0)
+        graded = [6.0 / 16.0**j for j in range(panels, 0, -1)]
+    edges = [min(r, r_max) for r in (0.0, *graded, 6.0, r_max)]
 
     def integrand(r: np.ndarray) -> np.ndarray:
         return 4.0 * math.pi * r * r * np.asarray(total_density(state, r)) ** p
 
-    value, abserr = integrate.quad(integrand, (0.0, min(6.0, r_max), r_max))
+    value, abserr = integrate.quad(integrand, edges)
     if not value > 0.0 or abserr > _MOMENT_TOL * value:
         raise QuadratureError(
             f"density moment uncertainty {abserr:.2e} exceeds "

@@ -181,6 +181,14 @@ class TestSolveFugacity:
         assert 0.0 < state.z <= 1.0
         assert state.n0 >= 0.0
 
+    @pytest.mark.parametrize("atoms, t_over_tstar", [(1e12, 100.0), (1e10, 1000.0)])
+    def test_hot_ex_states(self, atoms, t_over_tstar):
+        # The bracket's low end x = 1e-12 needs heads of 2.2e6 and 4.7e6 rows
+        # here; far above T* the exact and semi-classical fugacities agree.
+        tau = tg.transition_temperature(M.EX, atoms).tau / t_over_tstar
+        state = tg.solve_fugacity(M.EX, atoms, tau)
+        assert state.x == pytest.approx(tg.solve_fugacity(M.SC, atoms, tau).x, rel=1e-10)
+
     def test_fugacity_monotone_in_atoms(self):
         tau = 0.05
         zs = [tg.solve_fugacity(M.EX, n, tau).z for n in (1e2, 1e3, 1e4, 1e5)]

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from trapgas import core, exact, observables
+from trapgas import bose, core, exact, observables, semiclassical
 from trapgas.errors import DomainError, TruncationError
 from trapgas.models import ModelKind
 
@@ -23,7 +24,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 class TestTruncationConstants:
     def test_defaults(self):
         assert exact.REL_TOL == 1e-14
-        assert exact.MAX_TERMS == 1_000_000
+        assert exact.MAX_TERMS == 10_000_000
 
 
 class TestPopulation:
@@ -106,13 +107,36 @@ class TestPopulation:
         with pytest.raises(TruncationError):
             exact.excited_density_x(x, tau, [0.0, 1.0])
 
-    def test_head_near_ten_million_rows_is_refused(self):
-        # tau = 2.33e-7 (N ~ 1e20) needs a 9.9e6-row head: it must raise
-        # before allocating arrays of that length.
-        with pytest.raises(TruncationError):
-            exact.excited_population_x(0.0, 2.33e-7)
-        with pytest.raises(TruncationError):
-            exact.excited_density_x(0.0, 2.33e-7, 0.0)
+    def test_head_near_ten_million_rows_in_flat_memory(self):
+        # tau = 2.33e-7 (N ~ 1e20) needs a 9.9e6-row head; summed in slabs it
+        # peaks at a few MB instead of several arrays of that length.
+        tau = 2.33e-7
+        tracemalloc.start()
+        try:
+            n_sat = exact.excited_population_x(0.0, tau)
+            rho_0 = exact.excited_density_x(0.0, tau, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+        assert n_sat == pytest.approx(
+            semiclassical.saturated_population_sc(ModelKind.SC0, tau), rel=1e-9
+        )
+        scinf = bose.zeta_const(1.5) / (2.0 * math.pi * tau) ** 1.5
+        assert rho_0 == pytest.approx(scinf, rel=1e-2)
+
+    @pytest.mark.parametrize("x", [0.0, 1e-6, 1e-3])
+    def test_slabs_match_one_pass(self, monkeypatch, x):
+        # tau = 1e-3: heads of 2,303 rows (l_tail) or fewer; slabs of 1,000
+        tau = 1e-3
+        grid = np.linspace(0.0, 40.0, 7)
+        n_one = exact.excited_population_x(x, tau)
+        rho_one = exact.excited_density_x(x, tau, grid)
+        col_one = exact.excited_column_x(x, tau, 2, grid)
+        monkeypatch.setattr(exact, "_SLAB_ROWS", 1000)
+        assert exact.excited_population_x(x, tau) == pytest.approx(n_one, rel=1e-14)
+        np.testing.assert_allclose(exact.excited_density_x(x, tau, grid), rho_one, rtol=1e-14)
+        np.testing.assert_allclose(exact.excited_column_x(x, tau, 2, grid), col_one, rtol=1e-14)
 
 
 class TestDensity:

@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 import trapgas as tg
 from trapgas import observables as obs
@@ -266,3 +267,23 @@ class TestDensityMoment:
         monkeypatch.setattr(obs, "_MOMENT_TOL", 1e-300)
         with pytest.raises(QuadratureError, match="uncertainty"):
             tg.density_moment(ex_1e4, 2)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("state", [
+        tg.solve_fugacity(M.SC0, 1e4, tg.transition_temperature(M.SC0, 1e4)),
+        GasState(model=M.SC0, atoms=tg.population_total(M.SC0, 1e-7, 0.05),
+                 tau=0.05, x=1e-7, n0=0.0),
+    ], ids=["sc0-threshold", "sc0-x1e-7"])
+    def test_sc0_near_saturation_against_adaptive_quad(self, state, p):
+        # g_{1/2}(x + tau r^2/2) has a core of width sqrt(2x/tau), here below
+        # 1e-3; the reference places breakpoints at decades of that width.
+        width = math.sqrt(2.0 * state.x / state.tau)
+        r_max = 8.0 / math.sqrt(state.tau)
+
+        def integrand(r):
+            return 4.0 * math.pi * r * r * float(np.asarray(obs.total_density(state, r))) ** p
+
+        points = [width * 10.0**k for k in range(12) if width * 10.0**k < r_max]
+        ref, _ = integrate.quad(integrand, 0.0, r_max, epsabs=0.0, epsrel=1e-12,
+                                limit=1000, points=points)
+        assert tg.density_moment(state, p) == pytest.approx(ref, rel=1e-11)
