@@ -208,11 +208,14 @@ def solve_fugacity(
                 aniso_ratio=ratio,
             )
 
+    populations = {}  # the root is always one of the points evaluated
+
     def residual(x: float) -> float:
-        return population_total(model, x, tau, ratio) - atoms
+        populations[x] = population_total(model, x, tau, ratio)
+        return populations[x] - atoms
 
     x_root = solve_monotone_root(residual, 1e-12, 60.0)
-    pop = population_total(model, x_root, tau, ratio)
+    pop = populations[x_root]
     if abs(pop - atoms) > _FUGACITY_RESIDUAL * atoms:
         raise ConvergenceError(
             f"fugacity solve left a residual of {abs(pop - atoms) / atoms:.3e} "

@@ -26,8 +26,8 @@ l_tail = ceil(ln(1/_TAIL_Q) / tau) (large clouds near threshold, where it
 grows like 32/x), the head stops at l_tail instead.  Past l_tail each term
 is a power series in q = e^{-tau l} <= _TAIL_Q whose powers sum
 geometrically over l, so the rest of the sum is a closed form of
-_TAIL_TERMS terms, with a bound on the powers left out (see
-``_q_series_tail``).
+_TAIL_TERMS terms with a bound on the powers left out (``_tail_series``),
+a polynomial in s^2 that the population reads at s = 0.
 """
 
 from __future__ import annotations
@@ -101,9 +101,8 @@ def excited_population_x(x: float, tau: float) -> float:
 
     At x = 0 this is the saturated excited-state population that defines
     the exact transition temperature.  It is the d = 3, s = 0 case of
-    :func:`_excited_gauss_sum` (whose bracket reduces to the one here),
-    summed on its own because the solvers make many scalar calls, where
-    the general kernel's numpy overhead would dominate.
+    :func:`_excited_gauss_sum`, summed on its own for the solvers' many
+    scalar calls, and reads that sum's q-series tail at s = 0.
     """
     tau = check_positive("tau", tau)
     if not x >= 0.0:
@@ -115,8 +114,10 @@ def excited_population_x(x: float, tau: float) -> float:
         total += float((np.exp(-x * l) * bracket).sum())
     if tail:
         # The Gaussian sum's d = 3 tail at s = 0 is pi^{3/2} times this one.
-        rest = _q_series_tail(x, tau, 3, head, np.zeros(1), total * PI_32)
-        total += float(rest[0]) / PI_32
+        v, scale, bound, _ = _tail_series(x, tau, 3, head)
+        rest = v[0] * scale
+        _check_tail(bound, total * PI_32 + rest, x, tau, 3)
+        total += float(rest) / PI_32
     return total
 
 
@@ -198,28 +199,8 @@ def _excited_gauss_sum(x: float, tau: float, d: int, s):
 
 
 def _q_series_tail(x, tau, d, l_end, s2, total):
-    """Closed-form sum of the terms l > l_end of :func:`_excited_gauss_sum`.
-
-    With q = e^{-tau l} each term is pi^{d/2} e^{-s^2} e^{-xl} [G(q) - 1], where
-    G(q) = (1-q)^{-(3+d)/2} (1+q)^{-(3-d)/2} exp(2 s^2 q / (1+q)) = sum_m g_m q^m.
-    Summing e^{-(x + m tau) l} over l > l_end is geometric, so the tail is
-    sum_{m=1}^{M} g_m e^{-x l1} q1^m / (1 - e^{-(x + m tau)}) with l1 = l_end + 1
-    and q1 = e^{-tau l1} < _TAIL_Q.  Each g_m is a polynomial in c = 2 s^2, so the
-    per-column work is one vector-matrix product.
-
-    The powers m > M are bounded through the majorant (1-q)^{-3} exp(c q / (1-q))
-    of G: Cauchy's estimate at radius rho gives
-    |g_m| <= (1-rho)^{-3} e^{c rho/(1-rho)} rho^{-m}.  With
-    rho = min(1/4, p1/(1 + 2 p1)), p1 = e^{-tau}, the bound times e^{-s^2}
-    decays in s like the l = 1 term, e^{-tanh(tau/2) s^2}, at every tau, and
-    q1/rho <= 0.4.  A column whose bound misses ``REL_TOL`` times its total
-    raises ``TruncationError``.
-    """
-    l1 = l_end + 1
-    q1 = math.exp(-tau * l1)
-    m = np.arange(1.0, _TAIL_TERMS + 1.0)
-    v = (np.exp(-tau * l1 * m) / -np.expm1(-(x + tau * m))) @ _tail_coefficients(d)
-    scale = math.pi ** (0.5 * d) * math.exp(-x * l1)
+    """Terms l > l_end of :func:`_excited_gauss_sum` per column (``_tail_series``)."""
+    v, scale, bound, decay = _tail_series(x, tau, d, l_end)
     rows = _TAIL_TERMS + 1
     tail = np.empty_like(s2)
     bounds = _chunk_bounds(s2.size, rows)
@@ -231,24 +212,48 @@ def _q_series_tail(x, tau, d, l_end, s2, total):
         np.cumprod(p, axis=0, out=p)  # row j: (2 s^2)^j e^{-s^2}
         np.dot(v, p, out=tail[lo:hi])
     tail *= scale
+    _check_tail(bound * np.exp(-s2 * decay), total + tail, x, tau, d)
+    return tail
+
+
+def _tail_series(x, tau, d, l_end):
+    """The s-independent parts (v, scale, bound, decay) of the tail past l_end.
+
+    With q = e^{-tau l} each term is pi^{d/2} e^{-s^2} e^{-xl} [G(q) - 1], where
+    G(q) = (1-q)^{-(3+d)/2} (1+q)^{-(3-d)/2} exp(2 s^2 q / (1+q)) = sum_m g_m q^m.
+    Summing e^{-(x + m tau) l} over l > l_end is geometric, so the tail is
+    sum_{m=1}^{M} g_m e^{-x l1} q1^m / (1 - e^{-(x + m tau)}) with l1 = l_end + 1
+    and q1 = e^{-tau l1} < _TAIL_Q.  Each g_m is a polynomial in c = 2 s^2, so
+    the tail is scale * sum_j v_j c^j e^{-s^2} (v[0] * scale at s = 0).
+
+    The powers m > M are bounded through the majorant (1-q)^{-3} exp(c q / (1-q))
+    of G: Cauchy's estimate at radius rho gives
+    |g_m| <= (1-rho)^{-3} e^{c rho/(1-rho)} rho^{-m}.  With
+    rho = min(1/4, p1/(1 + 2 p1)), p1 = e^{-tau}, the remainder bound times
+    e^{-s^2}, bound e^{-decay s^2}, decays in s like the l = 1 term,
+    e^{-tanh(tau/2) s^2}, at every tau, and q1/rho <= 0.4.
+    """
+    l1 = l_end + 1
+    m = np.arange(1.0, _TAIL_TERMS + 1.0)
+    v = (np.exp(-tau * l1 * m) / -np.expm1(-(x + tau * m))) @ _tail_coefficients(d)
+    scale = math.pi ** (0.5 * d) * math.exp(-x * l1)
     p1 = math.exp(-tau)
     rho = min(0.25, p1 / (1.0 + 2.0 * p1))
     # q1 / rho, written so that it stays finite where p1 underflows to 0.
-    ratio = max(4.0 * q1, math.exp(-tau * l_end) * (1.0 + 2.0 * p1))
-    # sum_{m > M} (1-rho)^{-3} e^{c rho/(1-rho)} e^{-s^2} (q1/rho)^m / (1 - e^{-(x + tau)})
-    remainder = (
-        scale
-        * (1.0 - rho) ** -3
-        * ratio**rows
-        / ((1.0 - ratio) * -math.expm1(-(x + tau)))
-        * np.exp(-s2 * (1.0 - 3.0 * rho) / (1.0 - rho))
-    )
-    if (remainder > REL_TOL * (total + tail)).any():
+    ratio = max(4.0 * math.exp(-tau * l1), math.exp(-tau * l_end) * (1.0 + 2.0 * p1))
+    # sum_{m > M} (1-rho)^{-3} (q1/rho)^m / (1 - e^{-(x + tau)}), times scale
+    bound = scale * (1.0 - rho) ** -3 * ratio ** (_TAIL_TERMS + 1)
+    bound /= (1.0 - ratio) * -math.expm1(-(x + tau))
+    return v, scale, bound, (1.0 - 3.0 * rho) / (1.0 - rho)
+
+
+def _check_tail(remainder, total, x, tau, d):
+    """TruncationError where a tail's remainder bound passes REL_TOL * total."""
+    if np.any(remainder > REL_TOL * total):
         raise TruncationError(
             f"q-series tail of the excited l-sum missed rel_tol {REL_TOL} "
             f"(x={x}, tau={tau}, d={d})"
         )
-    return tail
 
 
 @functools.cache

@@ -30,7 +30,7 @@ def solve_monotone_root(f: Callable[[float], float], lo: float, hi: float) -> fl
     expansions, or a non-finite f at either end, raises ConvergenceError.
     Brent iteration then runs to relative tolerance 1e-12; a non-finite f
     inside the bracket, or no convergence in 200 iterations, raises
-    ConvergenceError.  Deterministic for identical inputs.
+    ConvergenceError.  Deterministic; the root is a point at which f was evaluated.
     """
     if not (0.0 < lo < hi) or not (math.isfinite(lo) and math.isfinite(hi)):
         raise ConvergenceError(f"bad bracket hint [{lo}, {hi}]")

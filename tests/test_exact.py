@@ -263,6 +263,8 @@ class TestGaussKernel:
         monkeypatch.setattr(exact, "REL_TOL", 1e-300)
         with pytest.raises(TruncationError):
             exact.excited_density_x(1e-3, 0.1, 0.0)
+        with pytest.raises(TruncationError):
+            exact.excited_population_x(1e-3, 0.1)
 
     @pytest.mark.parametrize("d", [0, 1, 2, 3])
     def test_q_series_tail_against_mpmath(self, d):
@@ -327,8 +329,10 @@ class TestMemory:
     # below that and its peak resident set must stay near the import cost.
     # The traced peak of the kernel calls alone is about 9 MB (a few arrays
     # the size of the grid); an unchunked (61 x grid) tail table reads 24 MB.
+    # The child reports its own VmHWM, which starts afresh at exec; ru_maxrss
+    # would carry over the peak of the pytest process that forked it.
     ADDRESS_LIMIT = 1 << 30
-    MAXRSS_CEILING_KB = 160 * 1024
+    PEAK_RSS_CEILING_KB = 160 * 1024
     TRACED_CEILING_BYTES = 16 << 20
     CHILD = """
 import resource, sys, tracemalloc
@@ -347,7 +351,7 @@ for d in {dims}:
     else:
         out = exact.excited_density_x(state.x, state.tau, grid)
     assert np.all(np.isfinite(out))
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
 print(tracemalloc.get_traced_memory()[1])
 """
 
@@ -367,8 +371,8 @@ print(tracemalloc.get_traced_memory()[1])
             timeout=300,
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
-        maxrss_kb, traced_peak = (int(v) for v in proc.stdout.split()[-2:])
-        assert maxrss_kb < self.MAXRSS_CEILING_KB
+        peak_rss_kb, traced_peak = (int(v) for v in proc.stdout.split()[-2:])
+        assert peak_rss_kb < self.PEAK_RSS_CEILING_KB
         assert traced_peak < self.TRACED_CEILING_BYTES
 
     def test_large_grid_density_and_column_stay_bounded(self):
