@@ -6,6 +6,14 @@ One fugacity convention is used for every model: z = e^{beta (mu - eps0)},
 so z is always in (0, 1) and the ground-state population is exactly
 z/(1-z).  Solvers work in x = -ln z, which keeps N0 = 1/(e^x - 1) accurate
 arbitrarily close to saturation where z itself would round to 1.
+
+Both solvers run Newton's method in ln x (ln tau for T*) on ln N
+(:func:`trapgas.roots.solve_log_newton`), with the slope of each
+population kernel from the same pass as its value.  The fugacity solve
+starts from the near-saturation quadratic N = cap - zeta(2) x / tau^3 + 1/x
+and evaluates only near its root, so a hot EX state costs a few short
+heads: the exact l-sums reach MAX_TERMS only where the root itself lies
+below x = 4.5e-6 with tau < 2.3e-7, that is for N above about 1e20.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from . import exact, semiclassical
 from .bose import zeta_const
 from .errors import ConvergenceError, DomainError
 from .models import ModelKind, check_positive, lambda3
-from .roots import solve_monotone_root
+from .roots import solve_log_newton, solve_monotone_root
 
 __all__ = [
     "GasState",
@@ -195,26 +203,35 @@ def solve_fugacity(
     tau = _as_tau(tau)
     ratio = _resolve_ratio(model, trap, aniso_ratio)
 
-    if not model.has_ground_state:
-        capacity = saturated_population(model, tau, ratio)
-        if atoms >= capacity:
-            return GasState(
-                model=model,
-                atoms=atoms,
-                tau=tau,
-                x=0.0,
-                n0=atoms - capacity,
-                condensed=True,
-                aniso_ratio=ratio,
-            )
+    # The semi-classical model with the same finite-size term; for EX, SC.
+    variant = semiclassical.ScVariant(
+        ModelKind.SC if model == ModelKind.EX else model, ratio
+    )
+    capacity = semiclassical.saturated_population_sc(variant, tau)
+    if not model.has_ground_state and atoms >= capacity:
+        return GasState(
+            model=model,
+            atoms=atoms,
+            tau=tau,
+            x=0.0,
+            n0=atoms - capacity,
+            condensed=True,
+            aniso_ratio=ratio,
+        )
 
     populations = {}  # the root is always one of the points evaluated
 
-    def residual(x: float) -> float:
-        populations[x] = population_total(model, x, tau, ratio)
-        return populations[x] - atoms
+    def residual(x: float) -> tuple[float, float]:
+        if model == ModelKind.EX:
+            pop, slope = exact.population_slope_ex_x(x, tau)
+        else:
+            pop, slope = semiclassical.population_slope_sc_x(variant, x, tau)
+        populations[x] = pop
+        return math.log(pop / atoms), x * slope / pop
 
-    x_root = solve_monotone_root(residual, 1e-12, 60.0)
+    ground = 1.0 if model.has_ground_state else 0.0
+    start = _fugacity_start(atoms, tau, capacity, ground)
+    x_root = solve_log_newton(residual, start)
     pop = populations[x_root]
     if abs(pop - atoms) > _FUGACITY_RESIDUAL * atoms:
         raise ConvergenceError(
@@ -242,7 +259,10 @@ def transition_temperature(
     """tau* at which the saturated excited population equals ``atoms``.
 
     SC and SC0 share one saturation equation and return bit-identical
-    values; SCINF has the closed form tau* = (zeta(3)/N)^{1/3}.
+    values; SCINF has the closed form tau* = (zeta(3)/N)^{1/3}.  EX, SC and
+    SC0 return tau* on the unsaturated side, where the capacity exceeds
+    ``atoms`` (one ulp hotter where the root rounds the other way), so the
+    gas at tau* is not yet condensed.
     """
     model = ModelKind(model)
     if check_positive("atom number", atoms) < 2.0:
@@ -253,9 +273,34 @@ def transition_temperature(
         semiclassical.ScVariant(model, ratio)  # validates the ratio it does not use
         return ReducedUnits(tau_c)
 
-    def residual(tau: float) -> float:
-        return saturated_population(model, tau, ratio) - atoms
+    variant = semiclassical.ScVariant(model, ratio) if model != ModelKind.EX else None
+    capacities = {}
 
-    # All transition points sit within a few percent of tau_c.
-    tau_star = solve_monotone_root(residual, tau_c / 4.0, tau_c * 4.0)
+    def residual(tau: float) -> tuple[float, float]:
+        if variant is None:
+            capacity, slope = exact.saturated_slope_ex(tau)
+        else:
+            capacity, slope = semiclassical.saturated_slope_sc(variant, tau)
+        capacities[tau] = capacity
+        return math.log(capacity / atoms), tau * slope / capacity
+
+    # Every transition point lies within a few percent of tau_c.
+    tau_star = solve_log_newton(residual, tau_c)
+    while capacities[tau_star] <= atoms:  # one ulp hotter, to the unsaturated side
+        tau_star = math.nextafter(tau_star, 0.0)
+        residual(tau_star)
     return ReducedUnits(tau_star)
+
+
+def _fugacity_start(atoms: float, tau: float, capacity: float, ground: float) -> float:
+    """Near-saturation start: the positive root of N = capacity - a x + ground / x.
+
+    a = zeta(2)/tau^3 is the slope of g_3/tau^3 at saturation, capacity the
+    semi-classical one, and ground 1 for the models with a ground state
+    (N0 = 1/x) or 0 for those without; each branch of the quadratic
+    formula avoids cancellation on its side.
+    """
+    a = zeta_const(2.0) / tau**3
+    b = atoms - capacity
+    root = math.hypot(b, 2.0 * math.sqrt(a * ground))  # sqrt(b^2 + 4 a ground)
+    return 2.0 * ground / (b + root) if b >= 0.0 else (root - b) / (2.0 * a)

@@ -104,21 +104,70 @@ def excited_population_x(x: float, tau: float) -> float:
     :func:`_excited_gauss_sum`, summed on its own for the solvers' many
     scalar calls, and reads that sum's q-series tail at s = 0.
     """
+    return _excited_population(x, tau, None)[0]
+
+
+def population_slope_ex_x(x: float, tau: float) -> tuple[float, float]:
+    """:func:`population_ex_x` and its derivative in x, from the same pass."""
+    n0 = ground_population(x)
+    excited, slope = _excited_population(x, tau, "x")
+    return n0 + excited, slope - n0 * (n0 + 1.0)
+
+
+def saturated_slope_ex(tau: float) -> tuple[float, float]:
+    """The saturated excited population (x = 0) and its derivative in tau."""
+    return _excited_population(0.0, tau, "tau")
+
+
+def _excited_population(x: float, tau: float, wrt):
+    """:func:`excited_population_x`, and its derivative in ``wrt`` ("x" or "tau").
+
+    The head's terms e^{-lx} b_l, b_l = (1 - e^{-tau l})^{-3} - 1, give the
+    x-slope -sum_l l e^{-lx} b_l and the tau-slope
+    -3 sum_l l e^{-lx} e^{-tau l} (1 - e^{-tau l})^{-4}; the tail adds its
+    own (``_tail_slope``).  The slope is 0.0 when wrt is None.
+    """
     tau = check_positive("tau", tau)
     if not x >= 0.0:
         raise DomainError(f"need x >= 0, got {x!r}")
     head, tail = _head_length(x, tau)
-    total = 0.0
+    total = slope = 0.0
     for l in _head_slabs(head):
-        bracket = 1.0 / (-np.expm1(-tau * l)) ** 3 - 1.0
-        total += float((np.exp(-x * l) * bracket).sum())
+        one_minus_q = -np.expm1(-tau * l)
+        weight = np.exp(-x * l)
+        terms = weight * (1.0 / one_minus_q**3 - 1.0)
+        total += float(terms.sum())
+        if wrt == "x":
+            slope -= float(l @ terms)
+        elif wrt == "tau":
+            slope -= 3.0 * float(l @ (weight * np.exp(-tau * l) / one_minus_q**4))
     if tail:
         # The Gaussian sum's d = 3 tail at s = 0 is pi^{3/2} times this one.
         v, scale, bound, _ = _tail_series(x, tau, 3, head)
         rest = v[0] * scale
         _check_tail(bound, total * PI_32 + rest, x, tau, 3)
         total += float(rest) / PI_32
-    return total
+        if wrt is not None:
+            slope += _tail_slope(x, tau, head, wrt)
+    return total, slope
+
+
+def _tail_slope(x, tau, l_end, wrt):
+    """Derivative in x or tau of the population's tail past l_end.
+
+    The tail is e^{-x l1} sum_m g_m T_m with T_m = q1^m / (1 - e^{-a_m}),
+    a_m = x + tau m (``_tail_series`` at s = 0); its x-derivative is
+    -e^{-x l1} sum_m g_m T_m (l1 + 1/(e^{a_m} - 1)), and its tau-derivative
+    carries one more factor m in each term.
+    """
+    l1 = l_end + 1
+    m = np.arange(1.0, _TAIL_TERMS + 1.0)
+    a = x + tau * m
+    one_minus = -np.expm1(-a)
+    terms = np.exp(-tau * l1 * m) / one_minus * (l1 + np.exp(-a) / one_minus)
+    if wrt == "tau":
+        terms *= m
+    return -math.exp(-x * l1) * float(terms @ _tail_coefficients(3)[:, 0])
 
 
 def population_ex(z: float, tau: float) -> float:

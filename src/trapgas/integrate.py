@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import functools
 
-from numpy.polynomial.legendre import leggauss
-
 #: Nodes per panel of the coarse rule; the returned value uses twice as many.
 _NODES = 48
 
 
 @functools.cache
 def _rule(n: int):
+    # Imported here, so that importing the package does not load numpy.polynomial.
+    from numpy.polynomial.legendre import leggauss
+
     nodes, weights = leggauss(n)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights

@@ -1,11 +1,14 @@
-"""Bracketed root finding for strictly monotone scalar functions.
+"""Root finding for strictly monotone scalar functions on (0, inf).
 
 All solver problems in this package (fugacity at fixed N and T, transition
-temperature at fixed N) are strictly monotone on (0, inf), so a doubling
-bracket expansion followed by Brent's method is both robust and
-deterministic.  The Brent iteration is the one of Brent (1973),
-*Algorithms for Minimization Without Derivatives*, ch. 4, step for step
-as in scipy's ``brentq``, so it returns the same floats.
+temperature at fixed N) are strictly monotone on (0, inf).  The solvers use
+:func:`solve_log_newton`, a safeguarded Newton iteration in u = ln x (the
+``rtsafe`` scheme of Press et al., *Numerical Recipes*, section 9.4) that
+needs the slope beside each value.  :func:`solve_monotone_root` needs values
+alone: a doubling bracket expansion followed by Brent's method, the
+iteration of Brent (1973), *Algorithms for Minimization Without
+Derivatives*, ch. 4, step for step as in scipy's ``brentq``, so it returns
+the same floats.
 """
 
 from __future__ import annotations
@@ -16,10 +19,17 @@ from typing import Callable
 from .errors import ConvergenceError
 
 _MAX_DOUBLINGS = 60
-#: Brent stops once the bracket is below XTOL + RTOL |x|, or after MAX_ITER steps.
+#: Brent stops once the bracket is below XTOL + RTOL |x|; Brent and Newton
+#: raise ConvergenceError after MAX_ITER steps.
 _XTOL = 1e-300
 _RTOL = 1e-12
 _MAX_ITER = 200
+#: Newton stops one evaluation after a step in ln x shorter than this, or
+#: at once where |f| is below _F_FLOOR but the slope too flat for such a step.
+_STEP_TOL = 1e-9
+_F_FLOOR = 1e-15
+#: Longest Newton step in ln x: a factor of 4 in x.
+_MAX_STEP = math.log(4.0)
 
 
 def solve_monotone_root(f: Callable[[float], float], lo: float, hi: float) -> float:
@@ -100,3 +110,45 @@ def _brent(f, xpre, xcur, fpre, fcur) -> float:
         if not math.isfinite(fcur):
             raise ConvergenceError(f"function not finite at x={xcur} inside the bracket")
     raise ConvergenceError(f"Brent iteration did not converge in {_MAX_ITER} steps")
+
+
+def solve_log_newton(f, x: float) -> float:
+    """Root of a strictly decreasing f on (0, inf), by Newton's method in u = ln x.
+
+    f(x) returns f and its derivative with respect to ln x; x > 0 is the
+    start.  A Newton step is cut to a factor of 4 in x.  Once points on
+    both sides of the root have been evaluated, a step that would leave the
+    nearest two is replaced by bisection in u between them.  x moves
+    multiplicatively, x e^{du}, so it keeps full relative precision at any
+    magnitude.  A step with |du| < 1e-9 is taken, f is evaluated
+    once more there and that point returned; a point with |f| < 1e-15
+    whose step is longer is returned as it is, since f carries rounding
+    errors of that order and can guide x no further.  A non-finite value
+    or slope, a slope that is not negative, or no convergence in 200 steps
+    raises ConvergenceError.
+    """
+    x_pos = x_neg = None  # nearest evaluated points with f > 0 and f < 0
+    converged = False
+    for _ in range(_MAX_ITER):
+        fx, slope = f(x)
+        if not (math.isfinite(fx) and math.isfinite(slope) and slope < 0.0):
+            raise ConvergenceError(f"value {fx} or slope {slope} not usable at x={x}")
+        if fx == 0.0 or converged:
+            return x
+        if fx > 0.0:
+            x_pos = x
+        else:
+            x_neg = x
+        step = -fx / slope
+        if abs(step) < _STEP_TOL:
+            converged = True
+        elif abs(fx) < _F_FLOOR:
+            return x
+        else:
+            step = max(-_MAX_STEP, min(step, _MAX_STEP))
+            bracketed = x_pos is not None and x_neg is not None
+            if bracketed and not x_pos < x * math.exp(step) < x_neg:
+                x = x_pos * math.sqrt(x_neg / x_pos)
+                continue
+        x *= math.exp(step)
+    raise ConvergenceError(f"Newton iteration did not converge in {_MAX_ITER} steps")

@@ -57,17 +57,31 @@ def _as_variant(variant) -> ScVariant:
 def population_sc_x(variant, x: float, tau: float) -> float:
     """Atom number at z = e^-x.  x = 0 is the saturated (z = 1) branch."""
     v = _as_variant(variant)
-    tau = check_positive("tau", tau)
     if not x >= 0.0:
         raise DomainError(f"need x >= 0, got {x!r}")
-    n = bose.bose_g_x(3.0, x) / tau**3
-    if v.kind in (ModelKind.SC0, ModelKind.SC):
-        n += 1.5 * v.aniso_ratio * bose.bose_g_x(2.0, x) / tau**2
-    if v.kind == ModelKind.SC:
-        if x == 0.0:
+    if x == 0.0:
+        if v.kind == ModelKind.SC:
             raise DomainError("SC has a ground-state term; z = 1 is not admissible")
-        n += 1.0 / math.expm1(x)
-    return n
+        return saturated_population_sc(v, tau)
+    return population_slope_sc_x(v, x, tau)[0]
+
+
+def population_slope_sc_x(variant, x: float, tau: float) -> tuple[float, float]:
+    """Atom number at z = e^-x, x > 0, and its x-derivative (dg_nu/dx = -g_{nu-1})."""
+    v = _as_variant(variant)
+    tau = check_positive("tau", tau)
+    if not x > 0.0:
+        raise DomainError(f"need x > 0, got {x!r}")
+    g2 = bose.bose_g_x(2.0, x)
+    n, slope = bose.bose_g_x(3.0, x) / tau**3, -g2 / tau**3
+    if v.kind in (ModelKind.SC0, ModelKind.SC):
+        n += 1.5 * v.aniso_ratio * g2 / tau**2
+        slope -= 1.5 * v.aniso_ratio * bose.bose_g_x(1.0, x) / tau**2
+    if v.kind == ModelKind.SC:
+        n0 = 1.0 / math.expm1(x)
+        n += n0
+        slope -= n0 * (n0 + 1.0)
+    return n, slope
 
 
 def population_sc(variant, z: float, tau: float) -> float:
@@ -81,12 +95,20 @@ def population_sc(variant, z: float, tau: float) -> float:
 
 def saturated_population_sc(variant, tau: float) -> float:
     """Excited-state capacity at z = 1 (the saturation value)."""
+    return saturated_slope_sc(variant, tau)[0]
+
+
+def saturated_slope_sc(variant, tau: float) -> tuple[float, float]:
+    """:func:`saturated_population_sc` and its derivative in tau."""
     v = _as_variant(variant)
     tau = check_positive("tau", tau)
     n = bose.zeta_const(3.0) / tau**3
+    slope = -3.0 * n / tau
     if v.kind in (ModelKind.SC0, ModelKind.SC):
-        n += 1.5 * v.aniso_ratio * bose.zeta_const(2.0) / tau**2
-    return n
+        finite_size = 1.5 * v.aniso_ratio * bose.zeta_const(2.0) / tau**2
+        n += finite_size
+        slope -= 2.0 * finite_size / tau
+    return n, slope
 
 
 def _column_sc(v: ScVariant, x: float, tau: float, d: int, s):

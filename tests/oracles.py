@@ -58,6 +58,52 @@ def mp_population_ex(z, tau, dps: int = 40) -> float:
             l += 1
 
 
+def mp_level_sum(x, tau, first_level: int = 0):
+    """sum_{n >= first_level} g_n / (e^{x + tau n} - 1) and its x- and tau-slopes.
+
+    g_n = (n+1)(n+2)/2 is the degeneracy of level n, so this is the exact
+    atom number (first_level 0) or, at x = 0 from level 1, the saturated
+    excited population, summed over levels rather than over powers of z.
+    Returns mpf values at the caller's working precision, summed until a
+    term falls below 1e-45 of the total.
+    """
+    x, tau = mp.mpf(x), mp.mpf(tau)
+    q = mp.exp(-tau)
+    p = mp.exp(-x) * q**first_level
+    n = first_level
+    total = dx = dtau = mp.mpf(0)
+    while True:
+        occ = p / (1 - p)
+        term = (n + 1) * (n + 2) // 2 * occ
+        total += term
+        dx -= term * (1 + occ)
+        dtau -= term * (1 + occ) * n
+        if term < total * mp.mpf(10) ** -45:
+            return total, dx, dtau
+        n += 1
+        p *= q
+
+
+def mp_population_sc(kind, x, tau, ratio=1):
+    """SC, SC0 or SCINF atom number at z = e^-x from mpmath's polylog (mpf)."""
+    x, tau = mp.mpf(x), mp.mpf(tau)
+    z = mp.exp(-x)
+    total = mp.polylog(3, z) / tau**3
+    if kind != "scinf":
+        total += 1.5 * ratio * mp.polylog(2, z) / tau**2
+    if kind == "sc":
+        total += 1 / mp.expm1(x)
+    return total
+
+
+def mp_derivative(f, x, dps: int = 40) -> float:
+    """Central difference of the mpf function f at x, step 1e-12 x, at dps digits."""
+    with mp.workdps(dps):
+        x = mp.mpf(x)
+        h = x * mp.mpf(10) ** -12
+        return float((f(x + h) - f(x - h)) / (2 * h))
+
+
 def fsum_population(x, tau) -> float:
     """Excited population sum_l e^{-lx} [(1 - e^{-tau l})^{-3} - 1] by math.fsum.
 

@@ -270,18 +270,28 @@ def test_readme_cli_examples_parse():
             pytest.fail(f"README command does not parse: trapgas {shlex.join(argv)}")
 
 
-def test_import_loads_no_scipy():
-    # numpy is the only runtime dependency; scipy is for the tests alone.
+def _loaded_by_import(package):
+    """Modules of ``package`` that a fresh ``import trapgas`` loads."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     code = (
         "import sys, trapgas; "
-        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+        f"print([m for m in sys.modules if m == {package!r} or m.startswith({package + '.'!r})])"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is for the tests alone.
+    assert _loaded_by_import("scipy") == "[]"
+
+
+def test_import_loads_no_numpy_polynomial():
+    # Only the moments' Gauss-Legendre rule needs it, and loads it when first used.
+    assert _loaded_by_import("numpy.polynomial") == "[]"

@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trapgas as tg
+from trapgas import exact, semiclassical
 from trapgas.core import ReducedUnits, TrapSpec
 from trapgas.errors import ConvergenceError, DomainError
 from trapgas.models import ModelKind as M
@@ -126,6 +128,14 @@ class TestTransitionTemperature:
         ).temperature
         assert strong < mild < base
 
+    @pytest.mark.parametrize("model", [M.EX, M.SC, M.SC0])
+    def test_lands_on_unsaturated_side(self, model):
+        # At tau* the excited states hold all N atoms above z = 1, so SC0 is
+        # not yet condensed there.
+        for atoms in np.logspace(2, 10, 81):
+            units = tg.transition_temperature(model, atoms)
+            assert tg.saturated_population(model, units) > atoms
+
     def test_exact_rejects_anisotropy(self):
         with pytest.raises(DomainError):
             tg.transition_temperature(M.EX, 1e4, trap=TrapSpec(frequencies=(1, 1, 2)))
@@ -183,9 +193,15 @@ class TestSolveFugacity:
 
     @pytest.mark.parametrize("atoms, t_over_tstar", [(1e12, 100.0), (1e10, 1000.0)])
     def test_hot_ex_states(self, atoms, t_over_tstar):
-        # The bracket's low end x = 1e-12 needs heads of 2.2e6 and 4.7e6 rows
-        # here; far above T* the exact and semi-classical fugacities agree.
+        # Far above T* the exact and semi-classical fugacities agree.
         tau = tg.transition_temperature(M.EX, atoms).tau / t_over_tstar
+        state = tg.solve_fugacity(M.EX, atoms, tau)
+        assert state.x == pytest.approx(tg.solve_fugacity(M.SC, atoms, tau).x, rel=1e-10)
+
+    @pytest.mark.parametrize("atoms, tau", [(1e6, 1e-7), (1e3, 5e-8)])
+    def test_very_hot_ex_states(self, atoms, tau):
+        # Only states near the root are evaluated: at x = 1e-12 the heads
+        # would need 2.3e7 and 4.6e7 rows (more than MAX_TERMS).
         state = tg.solve_fugacity(M.EX, atoms, tau)
         assert state.x == pytest.approx(tg.solve_fugacity(M.SC, atoms, tau).x, rel=1e-10)
 
@@ -235,3 +251,48 @@ def test_round_trip_property(atoms, ratio):
     units = ReducedUnits.from_temperature(ratio * t_star)
     state = tg.solve_fugacity(M.EX, atoms, units)
     assert tg.population_total(M.EX, state.x, units) == pytest.approx(atoms, rel=1e-9)
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Counts the solvers' calls of the population kernels."""
+    calls = []
+    for module, name in [
+        (exact, "population_slope_ex_x"),
+        (exact, "saturated_slope_ex"),
+        (semiclassical, "population_slope_sc_x"),
+        (semiclassical, "saturated_slope_sc"),
+    ]:
+        kernel = getattr(module, name)
+
+        def counted(*args, kernel=kernel):
+            calls.append(kernel)
+            return kernel(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_evaluations_per_solve(model, evaluations):
+    for atoms in np.logspace(2, 12, 6):
+        evaluations.clear()
+        t_star = tg.transition_temperature(model, atoms).temperature
+        assert len(evaluations) <= 6
+        for t_ratio in (0.3, 0.7, 0.95, 1.0, 1.05, 1.5, 3.0):
+            evaluations.clear()
+            tg.solve_fugacity(model, atoms, 1.0 / (t_ratio * t_star))
+            assert len(evaluations) <= 10, (atoms, t_ratio)
+
+
+@pytest.mark.parametrize("ratio", [1.0, 1.3, 2.0, 7.0])
+def test_sc0_solves_at_and_just_above_its_transition(ratio, evaluations):
+    # At tau* and a few ulp hotter the root x is about 1e-16, where the
+    # population is flat to rounding: the solve must stop, not wander.
+    for atoms in np.logspace(0.31, 12, 60):
+        tau = tg.transition_temperature(M.SC0, atoms, aniso_ratio=ratio).tau
+        for _ in range(8):
+            evaluations.clear()
+            state = tg.solve_fugacity(M.SC0, atoms, tau, aniso_ratio=ratio)
+            assert not state.condensed and len(evaluations) <= 10, (atoms, tau)
+            tau = math.nextafter(tau, 0.0)

@@ -139,6 +139,29 @@ class TestPopulation:
         np.testing.assert_allclose(exact.excited_column_x(x, tau, 2, grid), col_one, rtol=1e-14)
 
 
+class TestSlopes:
+    @pytest.mark.parametrize(
+        "x, tau, tail",
+        [(1e-4, 0.05, True), (0.5, 0.05, True), (2.0, 0.05, False),
+         (18.0, 12.0, True), (1e-3, 20.0, True)],
+    )
+    def test_population_slope_against_mpmath(self, x, tau, tail):
+        # (18, 12) is the state N = 1e-8 at tau = 12: its tail's 1/(e^a - 1)
+        # must not overflow.
+        assert exact._head_length(x, tau)[1] == tail
+        value, slope = exact.population_slope_ex_x(x, tau)
+        assert value == exact.population_ex_x(x, tau)
+        ref = oracles.mp_derivative(lambda v: oracles.mp_level_sum(v, tau)[0], x)
+        assert slope == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("tau", [0.01, 0.05, 0.5, 12.0, 20.0])
+    def test_saturated_slope_against_mpmath(self, tau):
+        value, slope = exact.saturated_slope_ex(tau)
+        assert value == exact.excited_population_x(0.0, tau)
+        ref = oracles.mp_derivative(lambda t: oracles.mp_level_sum(0, t, 1)[0], tau)
+        assert slope == pytest.approx(ref, rel=1e-10)
+
+
 class TestDensity:
     def test_decays_to_zero(self):
         assert float(exact.density_ex(0.5, 1.0, 40.0)) < 1e-200

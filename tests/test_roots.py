@@ -1,7 +1,9 @@
-"""Brent's method in ``roots`` against scipy's ``brentq``, and its typed errors."""
+"""Brent's method in ``roots`` against scipy's ``brentq``, the solvers' roots
+against 40-digit mpmath roots, and the typed errors of both iterations."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -10,6 +12,8 @@ import trapgas as tg
 from trapgas import roots
 from trapgas.errors import ConvergenceError
 from trapgas.models import ModelKind as M
+
+import oracles
 
 
 def _reference(f, lo, hi):
@@ -37,29 +41,67 @@ def test_matches_brentq_on_monotone_functions(seed):
         assert roots.solve_monotone_root(f, lo, hi) == _reference(f, lo, hi)
 
 
+def _mp_population(model, x, tau):
+    """EX or SC atom number and its x-derivative at the working precision."""
+    if model == M.EX:
+        return oracles.mp_level_sum(x, tau)[:2]
+    z = mp.exp(-x)
+    n0 = 1 / mp.expm1(x)
+    slope = -mp.polylog(2, z) / tau**3 + 1.5 * mp.log(1 - z) / tau**2 - n0 * (1 + n0)
+    return oracles.mp_population_sc(model.value, x, tau), slope
+
+
+def _mp_capacity(model, tau):
+    """Saturated excited population and its tau-derivative at the working precision."""
+    if model == M.EX:
+        value, _, slope = oracles.mp_level_sum(0, tau, first_level=1)
+        return value, slope
+    value = mp.zeta(3) / tau**3 + 1.5 * mp.zeta(2) / tau**2
+    return value, -3 * mp.zeta(3) / tau**4 - 3 * mp.zeta(2) / tau**3
+
+
+def _mp_root(f, start):
+    """Newton's method at 40 digits from a float start near the root of f.
+
+    It stops after a step below 1e-15 relative, which leaves an error of
+    order that step squared.
+    """
+    with mp.workdps(40):
+        x = mp.mpf(start)
+        while True:
+            value, slope = f(x)
+            step = value / slope
+            x -= step
+            if abs(step) < 1e-15 * x:
+                return x
+
+
+# The solvers' roots, once pinned to brentq's floats (which miss the root by
+# up to 2.7e-14), are held to 2e-15 of 40-digit mpmath roots.
 @pytest.mark.parametrize("model", [M.EX, M.SC])
 @pytest.mark.parametrize("t_ratio", [0.7, 1.0, 1.5])
 def test_matches_brentq_on_fugacity_residual(model, t_ratio):
     atoms = 1e4
     tau = tg.transition_temperature(model, atoms).tau / t_ratio
-
-    def residual(x):
-        return tg.population_total(model, x, tau) - atoms
-
     x = tg.solve_fugacity(model, atoms, tau).x
-    assert x == _reference(residual, 1e-12, 60.0)
+
+    def residual(v):
+        value, slope = _mp_population(model, v, mp.mpf(tau))
+        return value - atoms, slope
+
+    assert abs(x / _mp_root(residual, x) - 1) <= 2e-15
 
 
 @pytest.mark.parametrize("model", [M.EX, M.SC0])
 @pytest.mark.parametrize("atoms", [1e3, 1e8])
 def test_matches_brentq_on_transition_residual(model, atoms):
-    tau_c = (tg.zeta_const(3.0) / atoms) ** (1.0 / 3.0)
-
-    def residual(tau):
-        return tg.saturated_population(model, tau) - atoms
-
     tau = tg.transition_temperature(model, atoms).tau
-    assert tau == _reference(residual, tau_c / 4.0, tau_c * 4.0)
+
+    def residual(v):
+        value, slope = _mp_capacity(model, v)
+        return value - atoms, slope
+
+    assert abs(tau / _mp_root(residual, tau) - 1) <= 2e-15
 
 
 def test_reuses_bracket_end_values():
@@ -87,3 +129,46 @@ def test_iteration_cap_raises_convergence_error(monkeypatch):
     monkeypatch.setattr(roots, "_MAX_ITER", 3)
     with pytest.raises(ConvergenceError, match="did not converge"):
         roots.solve_monotone_root(lambda x: x**3 - 2.0, 1.0, 2.0)
+
+
+def _log_newton_cases():
+    """Decreasing functions of x, with their slopes in ln x, and their roots."""
+    r = 3.7
+    yield (lambda x: (math.log(r / x), -1.0)), r
+    yield (lambda x: ((r / x) ** 3 - 1.0, -3.0 * (r / x) ** 3)), r
+    # Flat far from the root, where Newton steps overshoot.
+    yield (lambda x: (math.atan(r - x), -x / (1.0 + (r - x) ** 2))), r
+
+
+@pytest.mark.parametrize("start", [1e-6, 0.5, 1.0, 2.0, 1e6])
+def test_log_newton_finds_the_root(start):
+    for f, root in _log_newton_cases():
+        x = roots.solve_log_newton(f, start * root)
+        assert x == pytest.approx(root, rel=4e-16)
+
+
+def test_log_newton_stops_where_f_is_rounding_noise():
+    # |f| < 1e-15 with a slope so flat that Newton would step a factor of
+    # 10: the point is as good as f can tell, and is returned at once.
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return 3e-16, -1e-20
+
+    assert roots.solve_log_newton(f, 2.0) == 2.0
+    assert calls == [2.0]
+
+
+def test_log_newton_non_finite_value_raises_convergence_error():
+    def f(x):
+        return (math.nan if x > 2.0 else math.log(3.0 / x)), -1.0
+
+    with pytest.raises(ConvergenceError, match="not usable"):
+        roots.solve_log_newton(f, 1.0)
+
+
+def test_log_newton_iteration_cap_raises_convergence_error(monkeypatch):
+    monkeypatch.setattr(roots, "_MAX_ITER", 3)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        roots.solve_log_newton(lambda x: ((2.0 / x) ** 3 - 1.0, -3.0 * (2.0 / x) ** 3), 1e-3)

@@ -68,6 +68,30 @@ class TestPopulation:
             sc.population_sc(M.SC, 1.0, 0.1)  # SC needs z < 1
 
     @pytest.mark.parametrize("kind", [M.SC, M.SC0, M.SCINF])
+    @pytest.mark.parametrize(
+        "x, tau", [(1e-4, 0.05), (0.05, 0.05), (0.5, 0.3), (3.0, 1.0), (18.0, 12.0)]
+    )
+    def test_population_slope_against_mpmath(self, kind, x, tau):
+        variant = sc.ScVariant(kind, 1.3)
+        value, slope = sc.population_slope_sc_x(variant, x, tau)
+        assert value == sc.population_sc_x(variant, x, tau)
+        ref = oracles.mp_derivative(
+            lambda v: oracles.mp_population_sc(kind.value, v, tau, 1.3), x
+        )
+        assert slope == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("kind", [M.SC0, M.SCINF])
+    @pytest.mark.parametrize("tau", [0.05, 20.0])
+    def test_saturated_slope_against_mpmath(self, kind, tau):
+        variant = sc.ScVariant(kind, 1.3)
+        value, slope = sc.saturated_slope_sc(variant, tau)
+        assert value == sc.saturated_population_sc(variant, tau)
+        ref = oracles.mp_derivative(
+            lambda t: oracles.mp_population_sc(kind.value, 0, t, 1.3), tau
+        )
+        assert slope == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("kind", [M.SC, M.SC0, M.SCINF])
     def test_nan_x_names_x(self, kind):
         with pytest.raises(DomainError, match="x >= 0"):
             sc.population_sc_x(kind, math.nan, 0.1)
