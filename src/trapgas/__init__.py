@@ -16,7 +16,6 @@ from .core import (
     population_total,
     saturated_population,
     solve_fugacity,
-    solve_monotone_root,
     transition_temperature,
 )
 from .errors import ConvergenceError, DomainError, QuadratureError, TruncationError
@@ -80,7 +79,6 @@ __all__ = [
     "profile",
     "saturated_population",
     "solve_fugacity",
-    "solve_monotone_root",
     "transition_temperature",
     "zeta_const",
 ]

@@ -75,6 +75,8 @@ def cmd_fugacity(args) -> int:
 def cmd_degeneracy(args) -> int:
     trap = _parse_aniso(args.aniso)
     model = ModelKind(args.model)
+    if model == ModelKind.SC0:
+        raise DomainError("sc0 peak density at T* is set by rounding: g_{1/2} diverges")
     units = transition_temperature(model, args.atoms, trap=trap)
     state = solve_fugacity(model, args.atoms, units, trap=trap)
     report = observables.peak_report(state)

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from . import exact, semiclassical
 from .bose import zeta_const
 from .errors import ConvergenceError, DomainError
-from .models import ModelKind, check_positive, lambda3
-from .roots import solve_log_newton, solve_monotone_root
+from .models import ModelKind, check_positive, check_tau, lambda3, occupation
+from .roots import solve_log_newton
 
 __all__ = [
     "GasState",
@@ -35,7 +35,6 @@ __all__ = [
     "population_total",
     "saturated_population",
     "solve_fugacity",
-    "solve_monotone_root",
     "transition_temperature",
 ]
 
@@ -99,7 +98,7 @@ class ReducedUnits:
     tau: float
 
     def __post_init__(self) -> None:
-        check_positive("tau", self.tau)
+        check_tau(self.tau)
 
     @classmethod
     def from_temperature(cls, temperature: float) -> "ReducedUnits":
@@ -145,7 +144,7 @@ class GasState:
 def _as_tau(tau) -> float:
     if isinstance(tau, ReducedUnits):
         return tau.tau
-    return check_positive("tau", tau)
+    return check_tau(tau)
 
 
 def _resolve_ratio(model: ModelKind, trap: TrapSpec | None, aniso_ratio: float | None):
@@ -227,6 +226,8 @@ def solve_fugacity(
         else:
             pop, slope = semiclassical.population_slope_sc_x(variant, x, tau)
         populations[x] = pop
+        if pop == 0.0:
+            raise ConvergenceError(f"population underflows to 0 at x={x}, tau={tau}")
         return math.log(pop / atoms), x * slope / pop
 
     ground = 1.0 if model.has_ground_state else 0.0
@@ -238,7 +239,7 @@ def solve_fugacity(
             f"fugacity solve left a residual of {abs(pop - atoms) / atoms:.3e} "
             f"(model {model.value}, N={atoms}, tau={tau})"
         )
-    n0 = 1.0 / math.expm1(x_root) if model.has_ground_state else 0.0
+    n0 = occupation(x_root) if model.has_ground_state else 0.0
     return GasState(
         model=model,
         atoms=atoms,

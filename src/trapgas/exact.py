@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, TruncationError
-from .models import PI_32, check_positive, ground_column
+from .models import PI_32, check_coordinates, check_tau, ground_column, occupation
 
 #: Element budget of one head x grid-chunk buffer (2 MB of float64).
 _CHUNK_ELEMENTS = 1 << 18
@@ -65,7 +65,7 @@ def ground_population(x: float) -> float:
     """N0 = z/(1-z) expressed through x = -ln z (exact near saturation)."""
     if not x > 0.0:
         raise DomainError(f"ground population needs x > 0, got {x!r}")
-    return 1.0 / math.expm1(x)
+    return occupation(x)
 
 
 def _head_length(x: float, tau: float) -> tuple[int, bool]:
@@ -127,7 +127,7 @@ def _excited_population(x: float, tau: float, wrt):
     -3 sum_l l e^{-lx} e^{-tau l} (1 - e^{-tau l})^{-4}; the tail adds its
     own (``_tail_slope``).  The slope is 0.0 when wrt is None.
     """
-    tau = check_positive("tau", tau)
+    tau = check_tau(tau)
     if not x >= 0.0:
         raise DomainError(f"need x >= 0, got {x!r}")
     head, tail = _head_length(x, tau)
@@ -227,12 +227,10 @@ def _excited_gauss_sum(x: float, tau: float, d: int, s):
     column sums the same head (``_head_length``), slab by slab, then the
     closed-form q-series tail where the head stops at ``l_tail``.
     """
-    tau = check_positive("tau", tau)
+    tau = check_tau(tau)
     if not x >= 0.0:
         raise DomainError(f"need x >= 0, got {x!r}")
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if not ((s_arr >= 0.0) & (s_arr < math.inf)).all():
-        raise DomainError("radius or column coordinate must be finite and nonnegative")
+    s_arr = check_coordinates(s)
     head, tail = _head_length(x, tau)
     s2 = s_arr**2
     gauss = math.pi ** (0.5 * d) * np.exp(-s2)
@@ -385,15 +383,13 @@ def level_populations_ex(
     summed over all n this reproduces the l-sum atom number.
     """
     x = _x_from_z(z)
-    tau = check_positive("tau", tau)
+    tau = check_tau(tau)
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
     out = []
     for n in range(n_max + 1):
         g = (n + 1) * (n + 2) // 2
-        arg = x + tau * n
-        occ = 1.0 / math.expm1(arg) if arg < 700.0 else math.exp(-arg)
-        out.append((n, g, g * occ))
+        out.append((n, g, g * occupation(x + tau * n)))
     return out
 
 
@@ -422,7 +418,7 @@ def eigenfunction_oracle(z: float, tau: float, r: float, n_max: int = 200) -> fl
     z <= 0.95 for the default n_max.
     """
     x = _x_from_z(z)
-    tau = check_positive("tau", tau)
+    tau = check_tau(tau)
     if not r >= 0.0:
         raise DomainError(f"radius must be nonnegative, got {r!r}")
     if tau < 0.2 or z > 0.95 or n_max > 200:

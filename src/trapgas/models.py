@@ -11,6 +11,7 @@ unit-width Gaussian e^{-r^2} / pi^{3/2}.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 
 import numpy as np
@@ -39,6 +40,28 @@ def check_positive(name: str, value) -> float:
     if not (value > 0.0 and math.isfinite(value)):
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
     return value
+
+
+def check_tau(tau) -> float:
+    """``tau`` as a float; DomainError unless positive, finite, with a normal cube."""
+    tau = check_positive("tau", tau)
+    if tau < 1.0 and tau**3 < sys.float_info.min:
+        raise DomainError(f"tau^3 underflows at tau = {tau!r}")
+    return tau
+
+
+def check_coordinates(s) -> np.ndarray:
+    """``s`` as a float array, at least 1-d; DomainError unless s >= 0, s^2 < inf."""
+    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    with np.errstate(over="ignore"):
+        if not ((s_arr >= 0.0) & np.isfinite(s_arr**2)).all():
+            raise DomainError("radius or column coordinate needs s >= 0, s^2 < inf")
+    return s_arr
+
+
+def occupation(x: float) -> float:
+    """Bose occupation 1/(e^x - 1) at x > 0; e^{-x}, equal in floats, above x = 700."""
+    return 1.0 / math.expm1(x) if x < 700.0 else math.exp(-x)
 
 
 def lambda3(tau: float) -> float:

@@ -28,7 +28,7 @@ import numpy as np
 from . import exact, integrate, semiclassical
 from .core import GasState
 from .errors import DomainError, QuadratureError
-from .models import ModelKind, ground_column, lambda3
+from .models import ModelKind, check_coordinates, ground_column, lambda3
 
 #: Relative accuracy demanded of the density moments.
 _MOMENT_TOL = 1e-6
@@ -127,10 +127,9 @@ def profile(state: GasState, grid, dims_integrated: int = 0) -> DensityProfile:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise DomainError("grid must be a one-dimensional array")
-    if not np.all(np.isfinite(grid)):
-        raise DomainError("grid must be finite")
-    if np.any(grid < 0.0) or np.any(np.diff(grid) <= 0.0):
-        raise DomainError("grid must be nonnegative and strictly ascending")
+    check_coordinates(grid)
+    if np.any(np.diff(grid) <= 0.0):
+        raise DomainError("grid must be strictly ascending")
     if dims_integrated not in (0, 1, 2):
         raise DomainError(f"dims_integrated must be 0, 1 or 2, got {dims_integrated!r}")
     total = _column_total(state, grid, dims_integrated)

@@ -28,7 +28,8 @@ import numpy as np
 
 from . import bose
 from .errors import DomainError
-from .models import ModelKind, check_positive, ground_column, lambda3
+from .models import ModelKind, check_coordinates, check_positive, check_tau
+from .models import ground_column, lambda3, occupation
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ def population_sc_x(variant, x: float, tau: float) -> float:
 def population_slope_sc_x(variant, x: float, tau: float) -> tuple[float, float]:
     """Atom number at z = e^-x, x > 0, and its x-derivative (dg_nu/dx = -g_{nu-1})."""
     v = _as_variant(variant)
-    tau = check_positive("tau", tau)
+    tau = check_tau(tau)
     if not x > 0.0:
         raise DomainError(f"need x > 0, got {x!r}")
     g2 = bose.bose_g_x(2.0, x)
@@ -78,7 +79,7 @@ def population_slope_sc_x(variant, x: float, tau: float) -> tuple[float, float]:
         n += 1.5 * v.aniso_ratio * g2 / tau**2
         slope -= 1.5 * v.aniso_ratio * bose.bose_g_x(1.0, x) / tau**2
     if v.kind == ModelKind.SC:
-        n0 = 1.0 / math.expm1(x)
+        n0 = occupation(x)
         n += n0
         slope -= n0 * (n0 + 1.0)
     return n, slope
@@ -101,7 +102,7 @@ def saturated_population_sc(variant, tau: float) -> float:
 def saturated_slope_sc(variant, tau: float) -> tuple[float, float]:
     """:func:`saturated_population_sc` and its derivative in tau."""
     v = _as_variant(variant)
-    tau = check_positive("tau", tau)
+    tau = check_tau(tau)
     n = bose.zeta_const(3.0) / tau**3
     slope = -3.0 * n / tau
     if v.kind in (ModelKind.SC0, ModelKind.SC):
@@ -112,7 +113,7 @@ def saturated_slope_sc(variant, tau: float) -> tuple[float, float]:
 
 
 def _column_sc(v: ScVariant, x: float, tau: float, d: int, s):
-    tau = check_positive("tau", tau)
+    tau = check_tau(tau)
     if not x >= 0.0:
         raise DomainError(f"need x >= 0, got {x!r}")
     if x == 0.0 and v.kind != ModelKind.SCINF:
@@ -120,9 +121,7 @@ def _column_sc(v: ScVariant, x: float, tau: float, d: int, s):
             f"{v.kind.value} density is not defined at z = 1 "
             "(g_{1/2} diverges; the ground-state term is the cure)"
         )
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if not (s_arr >= 0.0).all():
-        raise DomainError("radius must be nonnegative")
+    s_arr = check_coordinates(s)
     lam3 = lambda3(tau)
     x_local = x + 0.5 * tau * s_arr**2
     rho = np.array([bose.bose_g_x(1.5 + 0.5 * d, xv) for xv in x_local]) / lam3
@@ -131,7 +130,7 @@ def _column_sc(v: ScVariant, x: float, tau: float, d: int, s):
         rho = rho + 1.5 * tau * v.aniso_ratio * g_low / lam3
     rho = rho * (2.0 * math.pi / tau) ** (0.5 * d)
     if v.kind == ModelKind.SC:
-        rho = rho + ground_column(1.0 / math.expm1(x), d, s_arr)
+        rho = rho + ground_column(occupation(x), d, s_arr)
     return rho if np.ndim(s) else float(rho[0])
 
 

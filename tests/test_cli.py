@@ -127,6 +127,33 @@ class TestProfileCommand:
         assert "100000" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("model", ["ex", "sc"])
+    def test_radius_with_overflowing_square_exits_2(self, model, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        code = main(
+            [
+                "profile", "--model", model, "--atoms", "1e3", "--temp", "10",
+                "--rmax", "1e200", "--points", "3", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "s^2 < inf" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestDegeneracyCommand:
+    @pytest.mark.parametrize("model", ["ex", "sc", "scinf"])
+    def test_prints_peak_degeneracy(self, model, capsys):
+        assert main(["degeneracy", "--model", model, "--atoms", "1e4"]) == 0
+        assert capsys.readouterr().out.startswith("rho0_lambda3=")
+
+    @pytest.mark.parametrize("atoms", ["100", "1e4", "1e6"])
+    def test_sc0_exits_2_naming_the_divergence(self, atoms, capsys):
+        # SC0 sits at x ~ 1e-16 at its own T*, where g_{1/2} diverges and
+        # the peak density is set by rounding.
+        assert main(["degeneracy", "--model", "sc0", "--atoms", atoms]) == 2
+        assert "g_{1/2} diverges" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_columns_and_rows(self, tmp_path, capsys):

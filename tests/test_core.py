@@ -58,37 +58,6 @@ class TestReducedUnits:
             ReducedUnits(0.0)
 
 
-class TestMonotoneRoot:
-    def test_linear(self):
-        assert tg.solve_monotone_root(lambda x: x - 1.0, 0.5, 2.0) == pytest.approx(1.0)
-
-    def test_cubic(self):
-        root = tg.solve_monotone_root(lambda x: x**3 - 2.0, 1.0, 2.0)
-        assert root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-12)
-
-    def test_bracket_expansion(self):
-        root = tg.solve_monotone_root(lambda x: x - 100.0, 1.0, 2.0)
-        assert root == pytest.approx(100.0, rel=1e-12)
-
-    def test_no_sign_change(self):
-        with pytest.raises(ConvergenceError):
-            tg.solve_monotone_root(lambda x: 1.0 + x * 0.0, 1.0, 2.0)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_start_bracket(self, bad):
-        with pytest.raises(ConvergenceError):
-            tg.solve_monotone_root(lambda x: bad, 1.0, 2.0)
-        with pytest.raises(ConvergenceError):
-            tg.solve_monotone_root(lambda x: bad if x > 1.5 else -1.0, 1.0, 2.0)
-
-    def test_scinf_transition_residual(self):
-        z3 = tg.zeta_const(3.0)
-        tau = tg.solve_monotone_root(lambda t: z3 / t**3 - 1e3, 0.05, 0.2)
-        assert tau == pytest.approx((z3 / 1e3) ** (1.0 / 3.0), rel=1e-12)
-        assert tau == pytest.approx(0.106327, abs=1e-6)
-        assert 1.0 / tau == pytest.approx(9.40499, abs=1e-5)
-
-
 class TestTransitionTemperature:
     def test_scinf_closed_form(self):
         for atoms in (1e3, 1e6):
@@ -209,6 +178,19 @@ class TestSolveFugacity:
         tau = 0.05
         zs = [tg.solve_fugacity(M.EX, n, tau).z for n in (1e2, 1e3, 1e4, 1e5)]
         assert all(a < b for a, b in zip(zs, zs[1:]))
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    @pytest.mark.parametrize("tau", [1e-30, 1e-100, 1e-110])
+    def test_absurd_temperatures_solve_or_raise_typed_errors(self, model, tau):
+        # tau = 1e-110 has a cube below the normal floats and is refused.
+        try:
+            state = tg.solve_fugacity(model, 2.0, tau)
+        except (ConvergenceError, DomainError) as exc:
+            assert tau != 1e-30
+            assert tau != 1e-110 or "underflows" in str(exc)
+            return
+        pop = tg.population_total(model, state.x, tau)
+        assert abs(pop - 2.0) <= 1e-10 * 2.0
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):

@@ -260,7 +260,7 @@ def ex_state(atoms, t_ratio):
 
 
 class TestGaussKernel:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
     @pytest.mark.parametrize("d", [0, 1, 2])
     def test_non_finite_coordinate_raises_domain_error(self, bad, d):
         with pytest.raises(DomainError):

@@ -244,5 +244,6 @@ class TestColumns:
     def test_nan_arguments_are_named(self, kind, dims):
         with pytest.raises(DomainError, match="x >= 0"):
             sc.column_density_sc_x(kind, math.nan, 0.1, dims, 0.0)
-        with pytest.raises(DomainError, match="radius"):
-            sc.column_density_sc_x(kind, 0.1, 0.1, dims, [0.0, math.nan])
+        for bad in (math.nan, math.inf, 1e200):  # the last two square to inf
+            with pytest.raises(DomainError, match="radius"):
+                sc.column_density_sc_x(kind, 0.1, 0.1, dims, [0.0, bad])
