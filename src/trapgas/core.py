@@ -11,9 +11,11 @@ Both solvers run Newton's method in ln x (ln tau for T*) on ln N
 (:func:`trapgas.roots.solve_log_newton`), with the slope of each
 population kernel from the same pass as its value.  The fugacity solve
 starts from the near-saturation quadratic N = cap - zeta(2) x / tau^3 + 1/x
-and evaluates only near its root, so a hot EX state costs a few short
-heads: the exact l-sums reach MAX_TERMS only where the root itself lies
-below x = 4.5e-6 with tau < 2.3e-7, that is for N above about 1e20.
+and evaluates only near its root.  No population kernel costs more at
+larger N (the exact one sums 39 levels and an Euler-Maclaurin rest), so
+both solvers work at any N.  A population that underflows to 0 (where
+e^-x does, past x = 745) marks a point beyond the root, and the solve
+bisects back from it.
 """
 
 from __future__ import annotations
@@ -226,8 +228,8 @@ def solve_fugacity(
         else:
             pop, slope = semiclassical.population_slope_sc_x(variant, x, tau)
         populations[x] = pop
-        if pop == 0.0:
-            raise ConvergenceError(f"population underflows to 0 at x={x}, tau={tau}")
+        if pop == 0.0:  # past the root, see solve_log_newton
+            return -math.inf, slope
         return math.log(pop / atoms), x * slope / pop
 
     ground = 1.0 if model.has_ground_state else 0.0

@@ -4,19 +4,30 @@ Everything here works in trap units: lengths in sigma = sqrt(hbar/m omega),
 densities in sigma^-3, temperature through tau = hbar omega / k_B T, and
 fugacity through x = -ln z with z = e^{beta(mu - eps0)} in (0, 1).
 
-The closed forms are single sums over l (one term per power of z):
+The atom number is a sum over the levels n, of degeneracy
+g_n = (n+1)(n+2)/2:
 
-    N      = sum_l z^l (1 - e^{-tau l})^{-3}
+    N = sum_n g_n / (e^{x + tau n} - 1)
+
+Its excited part (n >= 1) sums the levels n < _EM_LEVELS one by one and
+the rest by Euler-Maclaurin: the integral of the summand from
+n = _EM_LEVELS on, a few Bose functions g_1 .. g_3 in closed form (from
+n = 0 it is the semi-classical g_3/tau^3 + (3/2) g_2/tau^2 plus g_1/tau),
+and an end correction (``_excited_population``).  Its cost does not grow
+with N.
+
+The density and its columns are single sums over l (one term per power
+of z):
+
     rho(r) = pi^{-3/2} sum_l z^l (1 - e^{-2 tau l})^{-3/2}
                  exp(-tanh(tau l / 2) r^2)
 
-Both embed the ground state (sum_l z^l = z/(1-z), Gaussian of unit width).
+This embeds the ground state (sum_l z^l = z/(1-z), Gaussian of unit width).
 Near saturation x can be 1e-6 or smaller while the remaining factors decay
-only at rate tau, so the sums are evaluated with the ground-state term
-split off analytically; the residual brackets decay at rate x + tau.
+only at rate tau, so the sum is evaluated with the ground-state term split
+off analytically; the residual brackets decay at rate x + tau.
 
-Every l-sum (the population, and the Gaussian sum behind the density and
-the columns) follows one rule, fixed before any term is summed
+The l-sum follows one rule, fixed before any term is summed
 (``_head_length``): a head of L terms summed one by one (in slabs of
 _SLAB_ROWS terms, so memory stays flat in L), then, near saturation, a
 closed-form tail.  Each bracket is at most the l = 1 bracket,
@@ -27,7 +38,7 @@ grows like 32/x), the head stops at l_tail instead.  Past l_tail each term
 is a power series in q = e^{-tau l} <= _TAIL_Q whose powers sum
 geometrically over l, so the rest of the sum is a closed form of
 _TAIL_TERMS terms with a bound on the powers left out (``_tail_series``),
-a polynomial in s^2 that the population reads at s = 0.
+a polynomial in s^2.  A head longer than MAX_TERMS raises TruncationError.
 """
 
 from __future__ import annotations
@@ -37,6 +48,7 @@ import math
 
 import numpy as np
 
+from . import bose
 from .errors import DomainError, TruncationError
 from .models import PI_32, check_coordinates, check_tau, ground_column, occupation
 
@@ -49,9 +61,19 @@ _SLAB_ROWS = 1 << 17
 #: falls to _TAIL_Q; the series keeps _TAIL_TERMS powers of q.
 _TAIL_Q = 0.1
 _TAIL_TERMS = 60
-#: Truncation of every l-sum: relative tail bound and the cap on terms.
+#: Truncation of the density's l-sum: relative tail bound and the cap on terms.
 REL_TOL = 1e-14
 MAX_TERMS = 10_000_000
+#: The population sums the levels n < _EM_LEVELS one by one and the rest by
+#: Euler-Maclaurin with _EM_ORDER Bernoulli terms, B_2k / (2k)! below.
+_EM_LEVELS = 40
+_EM_ORDER = 5
+_BERNOULLI = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160)
+_LEVELS = np.arange(1.0, _EM_LEVELS)
+_DEGENERACY = 0.5 * (_LEVELS + 1.0) * (_LEVELS + 2.0)
+_EM_C0 = 0.5 * (_EM_LEVELS + 1) * (_EM_LEVELS + 2)  # g_K
+_EM_C1 = 0.5 * (2 * _EM_LEVELS + 3)  # dg_n/dn at n = K
+_EM_POWERS = np.arange(2.0 * _EM_ORDER + 1.0)
 
 
 def _x_from_z(z: float) -> float:
@@ -97,12 +119,12 @@ def _head_slabs(head: int):
 
 
 def excited_population_x(x: float, tau: float) -> float:
-    """sum_l e^{-lx} [(1 - e^{-tau l})^{-3} - 1]; finite for any x >= 0.
+    """sum_{n>=1} g_n / (e^{x + tau n} - 1), g_n = (n+1)(n+2)/2; finite for any x >= 0.
 
     At x = 0 this is the saturated excited-state population that defines
-    the exact transition temperature.  It is the d = 3, s = 0 case of
-    :func:`_excited_gauss_sum`, summed on its own for the solvers' many
-    scalar calls, and reads that sum's q-series tail at s = 0.
+    the exact transition temperature.  It is a level sum with a closed-form
+    Euler-Maclaurin rest (:func:`_excited_population`), at the same cost for
+    every N.
     """
     return _excited_population(x, tau, None)[0]
 
@@ -122,52 +144,86 @@ def saturated_slope_ex(tau: float) -> tuple[float, float]:
 def _excited_population(x: float, tau: float, wrt):
     """:func:`excited_population_x`, and its derivative in ``wrt`` ("x" or "tau").
 
-    The head's terms e^{-lx} b_l, b_l = (1 - e^{-tau l})^{-3} - 1, give the
-    x-slope -sum_l l e^{-lx} b_l and the tau-slope
-    -3 sum_l l e^{-lx} e^{-tau l} (1 - e^{-tau l})^{-4}; the tail adds its
-    own (``_tail_slope``).  The slope is 0.0 when wrt is None.
+    With h(n) = g_n phi(x + tau n) and phi(y) = 1/(e^y - 1), the levels
+    n = 1 .. K-1 (K = _EM_LEVELS) are summed one by one.  Euler-Maclaurin
+    (DLMF 2.10.1) gives the rest as the integral of h from K on,
+    [c0 g_1 + c1 g_2 / tau + g_3 / tau^2](y0) / tau with y0 = x + tau K,
+    c0 = g_K and c1 = (2K + 3)/2, plus the end correction
+    E = h(K)/2 - sum_{k=1}^{_EM_ORDER} B_2k / (2k)! h^(2k-1)(K)
+    (``_end_correction_coefficients``).  The poles of h lie at least K
+    from n = K, so its derivatives grow like m!/K^m, and the first term
+    left out is about 11!/(2 pi K)^12 = 6e-22 of h(K).  math.fsum adds the
+    parts with no further rounding.  The slopes follow from
+    dg_nu/dy = -g_{nu-1} (g_0 = phi), with dy0/dx = 1 and dy0/dtau = K.
+    The slope is 0.0 when wrt is None.
     """
     tau = check_tau(tau)
     if not x >= 0.0:
         raise DomainError(f"need x >= 0, got {x!r}")
-    head, tail = _head_length(x, tau)
-    total = slope = 0.0
-    for l in _head_slabs(head):
-        one_minus_q = -np.expm1(-tau * l)
-        weight = np.exp(-x * l)
-        terms = weight * (1.0 / one_minus_q**3 - 1.0)
-        total += float(terms.sum())
-        if wrt == "x":
-            slope -= float(l @ terms)
-        elif wrt == "tau":
-            slope -= 3.0 * float(l @ (weight * np.exp(-tau * l) / one_minus_q**4))
-    if tail:
-        # The Gaussian sum's d = 3 tail at s = 0 is pi^{3/2} times this one.
-        v, scale, bound, _ = _tail_series(x, tau, 3, head)
-        rest = v[0] * scale
-        _check_tail(bound, total * PI_32 + rest, x, tau, 3)
-        total += float(rest) / PI_32
-        if wrt is not None:
-            slope += _tail_slope(x, tau, head, wrt)
+    y = x + tau * _LEVELS
+    phi = np.exp(-y) / -np.expm1(-y)  # 1/(e^y - 1), without overflow
+    terms = _DEGENERACY * phi
+    slope = 0.0
+    if wrt == "x":
+        slope = -float(terms @ (1.0 + phi))
+    elif wrt == "tau":
+        slope = -float(terms @ (_LEVELS * (1.0 + phi)))
+    k, c0, c1 = _EM_LEVELS, _EM_C0, _EM_C1
+    y0 = x + tau * k
+    f = occupation(y0)
+    if f == 0.0:  # so are g_1 .. g_3 and E
+        return math.fsum(terms.tolist()), slope
+    g1, g2, g3 = bose.bose_g123_x(y0)
+    # tau^a and (tau f)^b, finite since tau < 19 where f > 0 and tau f <= 1/K
+    table = _EM_COEFFICIENTS @ (tau * f) ** _EM_POWERS @ tau**_EM_POWERS
+    e, e_x, e_tau = (f * table).tolist()
+    total = math.fsum([*terms.tolist(), c0 * g1 / tau, c1 * g2 / tau**2, g3 / tau**3, e])
+    if wrt == "x":
+        slope += (e_x - c0 * f - (c1 * g1 + g2 / tau) / tau) / tau
+    elif wrt == "tau":
+        slope += (e_tau - c0 * (g1 / tau + k * f)) / tau
+        slope -= (c1 * (2.0 * g2 / tau + k * g1) + (3.0 * g3 / tau + k * g2) / tau) / tau**2
     return total, slope
 
 
-def _tail_slope(x, tau, l_end, wrt):
-    """Derivative in x or tau of the population's tail past l_end.
+def _end_correction_coefficients() -> np.ndarray:
+    """C with f sum_ab C[r, a, b] tau^a (tau f)^b = E, tau dE/dx, tau dE/dtau (r = 0, 1, 2).
 
-    The tail is e^{-x l1} sum_m g_m T_m with T_m = q1^m / (1 - e^{-a_m}),
-    a_m = x + tau m (``_tail_series`` at s = 0); its x-derivative is
-    -e^{-x l1} sum_m g_m T_m (l1 + 1/(e^{a_m} - 1)), and its tau-derivative
-    carries one more factor m in each term.
+    f = phi(y0).  Each derivative phi^(j) = P_j(phi) is a polynomial of
+    degree j + 1, with P_0(f) = f and P_{j+1} = -P_j'(f) (f + f^2).  g_n is
+    quadratic with g, g', g'' = c0, c1, 1 at n = K, so
+    h^(m)(K) = c0 tau^m P_m + m c1 tau^(m-1) P_(m-1) + m(m-1)/2 tau^(m-2) P_(m-2)
+    and E = sum_i A_i tau^i P_i(f).  Each of the three is
+    sum_i w_i tau^i P_i(f), with w = A, (0, A) and i A + K (0, A).  A term
+    tau^i f^p is kept as tau^(i+1-p) (tau f)^(p-1) f, whose powers are all
+    nonnegative.
     """
-    l1 = l_end + 1
-    m = np.arange(1.0, _TAIL_TERMS + 1.0)
-    a = x + tau * m
-    one_minus = -np.expm1(-a)
-    terms = np.exp(-tau * l1 * m) / one_minus * (l1 + np.exp(-a) / one_minus)
-    if wrt == "tau":
-        terms *= m
-    return -math.exp(-x * l1) * float(terms @ _tail_coefficients(3)[:, 0])
+    top = 2 * _EM_ORDER + 1  # P_0 .. P_2p, with powers f^0 .. f^top
+    p = np.zeros((top, top + 1))
+    p[0, 1] = 1.0
+    for i in range(top - 1):
+        dp = p[i, 1:] * np.arange(1.0, top + 1.0)  # P_i', powers f^0 .. f^(top-1)
+        p[i + 1, 1:] -= dp
+        p[i + 1, 2:] -= dp[:-1]
+    a = np.zeros(top)  # A_0 .. A_{2p-1}, and A_2p = 0
+    a[0] = 0.5 * _EM_C0
+    for k, b in enumerate(_BERNOULLI, start=1):
+        m = 2 * k - 1
+        a[m] -= b * _EM_C0
+        a[m - 1] -= b * m * _EM_C1
+        if m >= 2:
+            a[m - 2] -= b * m * (m - 1) / 2
+    shifted = np.concatenate(([0.0], a[:-1]))
+    weights = np.stack((a, shifted, np.arange(top) * a + _EM_LEVELS * shifted))
+    c = np.zeros((3, top, top))
+    for i in range(top):
+        for q in range(1, i + 2):
+            c[:, i + 1 - q, q - 1] += weights[:, i] * p[i, q]
+    c.flags.writeable = False
+    return c
+
+
+_EM_COEFFICIENTS = _end_correction_coefficients()
 
 
 def population_ex(z: float, tau: float) -> float:
@@ -271,7 +327,7 @@ def _tail_series(x, tau, d, l_end):
     Summing e^{-(x + m tau) l} over l > l_end is geometric, so the tail is
     sum_{m=1}^{M} g_m e^{-x l1} q1^m / (1 - e^{-(x + m tau)}) with l1 = l_end + 1
     and q1 = e^{-tau l1} < _TAIL_Q.  Each g_m is a polynomial in c = 2 s^2, so
-    the tail is scale * sum_j v_j c^j e^{-s^2} (v[0] * scale at s = 0).
+    the tail is scale * sum_j v_j c^j e^{-s^2}.
 
     The powers m > M are bounded through the majorant (1-q)^{-3} exp(c q / (1-q))
     of G: Cauchy's estimate at radius rho gives

@@ -34,14 +34,21 @@ def solve_log_newton(f, x: float) -> float:
     magnitude.  A step with |du| < 1e-9 is taken, f is evaluated
     once more there and that point returned; a point with |f| < 1e-15
     whose step is longer is returned as it is, since f carries rounding
-    errors of that order and can guide x no further.  A non-finite value
-    or slope, a slope that is not negative, or no convergence in 200 steps
-    raises ConvergenceError.
+    errors of that order and can guide x no further.  f = -inf marks a
+    point past the root whose f underflowed (a population rounded to 0):
+    it becomes the f < 0 end of the bracket, and the next point bisects
+    in u towards the nearest point with f > 0.  Any other non-finite value
+    or slope, a slope that is not negative, an underflow with no point of
+    f > 0 evaluated, or no convergence in 200 steps raises ConvergenceError.
     """
     x_pos = x_neg = None  # nearest evaluated points with f > 0 and f < 0
     converged = False
     for _ in range(_MAX_ITER):
         fx, slope = f(x)
+        if fx == -math.inf and x_pos is not None and not converged:
+            x_neg = x
+            x = x_pos * math.sqrt(x_neg / x_pos)
+            continue
         if not (math.isfinite(fx) and math.isfinite(slope) and slope < 0.0):
             raise ConvergenceError(f"value {fx} or slope {slope} not usable at x={x}")
         if fx == 0.0 or converged:

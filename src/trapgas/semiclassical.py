@@ -73,11 +73,11 @@ def population_slope_sc_x(variant, x: float, tau: float) -> tuple[float, float]:
     tau = check_tau(tau)
     if not x > 0.0:
         raise DomainError(f"need x > 0, got {x!r}")
-    g2 = bose.bose_g_x(2.0, x)
-    n, slope = bose.bose_g_x(3.0, x) / tau**3, -g2 / tau**3
+    g1, g2, g3 = bose.bose_g123_x(x)
+    n, slope = g3 / tau**3, -g2 / tau**3
     if v.kind in (ModelKind.SC0, ModelKind.SC):
         n += 1.5 * v.aniso_ratio * g2 / tau**2
-        slope -= 1.5 * v.aniso_ratio * bose.bose_g_x(1.0, x) / tau**2
+        slope -= 1.5 * v.aniso_ratio * g1 / tau**2
     if v.kind == ModelKind.SC:
         n0 = occupation(x)
         n += n0

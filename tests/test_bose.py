@@ -116,6 +116,21 @@ def test_overlong_series_is_refused_before_summing():
     assert time.perf_counter() - start < 0.1
 
 
+@pytest.mark.parametrize(
+    "x", [1e-12, 1e-3, 0.0999, bose.X_SWITCH, 0.1001, 0.37, 5.0, 40.0, 800.0, math.inf]
+)
+def test_g123_equals_three_single_calls(x):
+    # Both sides of X_SWITCH, bit for bit.
+    singles = tuple(bose.bose_g_x(nu, x) for nu in (1.0, 2.0, 3.0))
+    assert bose.bose_g123_x(x) == singles
+
+
+@pytest.mark.parametrize("x", [0.0, -1.0, math.nan])
+def test_g123_needs_positive_x(x):
+    with pytest.raises(DomainError):
+        bose.bose_g123_x(x)
+
+
 @pytest.mark.parametrize("nu", ORDERS)
 def test_continuity_at_switch(nu):
     below = bose.bose_g(nu, math.exp(-(bose.X_SWITCH - 1e-9)))

@@ -314,11 +314,9 @@ def _loaded_by_import(package):
     return proc.stdout.strip()
 
 
-def test_import_loads_no_scipy():
-    # numpy is the only runtime dependency; scipy is for the tests alone.
-    assert _loaded_by_import("scipy") == "[]"
-
-
-def test_import_loads_no_numpy_polynomial():
-    # Only the moments' Gauss-Legendre rule needs it, and loads it when first used.
-    assert _loaded_by_import("numpy.polynomial") == "[]"
+@pytest.mark.parametrize("package", ["scipy", "mpmath", "numpy.polynomial"])
+def test_import_loads_no_scipy(package):
+    # numpy is the only runtime dependency; scipy and mpmath are for the tests
+    # alone.  numpy.polynomial serves only the moments' Gauss-Legendre rule,
+    # which loads it when first used.  Tables built at import use plain numpy.
+    assert _loaded_by_import(package) == "[]"

@@ -52,11 +52,6 @@ class TestPopulation:
                 oracles.mp_population_ex(z, tau), rel=1e-12
             )
 
-    def test_truncation_error(self, monkeypatch):
-        monkeypatch.setattr(exact, "MAX_TERMS", 1000)
-        with pytest.raises(TruncationError):
-            exact.excited_population_x(0.0, 1e-4)
-
     def test_nan_fugacity_raises_domain_error(self):
         # NaN fails every ordered comparison; it must not reach the sum.
         with pytest.raises(DomainError):
@@ -73,7 +68,7 @@ class TestPopulation:
     def test_against_fsum(self, atoms, ratio):
         t_star = core.transition_temperature(ModelKind.EX, atoms).temperature
         tau = 1.0 / (ratio * t_star)
-        for x in (0.0, 1e-6, 0.05, 10.0):
+        for x in (0.0, 1e-12, 1e-6, 0.05, 10.0):
             ref = oracles.fsum_population(x, tau)
             assert exact.excited_population_x(x, tau) == pytest.approx(ref, rel=5e-15)
 
@@ -102,8 +97,6 @@ class TestPopulation:
         head, with_tail = exact._head_length(x, tau)
         assert with_tail == tail and head > 100
         monkeypatch.setattr(exact, "MAX_TERMS", 100)
-        with pytest.raises(TruncationError):
-            exact.excited_population_x(x, tau)
         with pytest.raises(TruncationError):
             exact.excited_density_x(x, tau, [0.0, 1.0])
 
@@ -160,6 +153,16 @@ class TestSlopes:
         assert value == exact.excited_population_x(0.0, tau)
         ref = oracles.mp_derivative(lambda t: oracles.mp_level_sum(0, t, 1)[0], tau)
         assert slope == pytest.approx(ref, rel=1e-10)
+
+    def test_saturated_slope_beyond_old_term_cap(self):
+        # tau = 1e-8 (N ~ 1e24): an l-sum head would need 2.3e8 terms.  The level
+        # sum's rest is closed-form, and its leading terms are the SC0 capacity
+        # zeta(3)/tau^3 + 1.5 zeta(2)/tau^2; the next is O(1/tau), 1e-16 of it.
+        tau = 1e-8
+        value, slope = exact.saturated_slope_ex(tau)
+        z3, z2 = bose.zeta_const(3.0), bose.zeta_const(2.0)
+        assert value == pytest.approx(z3 / tau**3 + 1.5 * z2 / tau**2, rel=1e-13)
+        assert slope == pytest.approx(-3.0 * z3 / tau**4 - 3.0 * z2 / tau**3, rel=1e-13)
 
 
 class TestDensity:
@@ -286,8 +289,6 @@ class TestGaussKernel:
         monkeypatch.setattr(exact, "REL_TOL", 1e-300)
         with pytest.raises(TruncationError):
             exact.excited_density_x(1e-3, 0.1, 0.0)
-        with pytest.raises(TruncationError):
-            exact.excited_population_x(1e-3, 0.1)
 
     @pytest.mark.parametrize("d", [0, 1, 2, 3])
     def test_q_series_tail_against_mpmath(self, d):

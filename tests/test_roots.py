@@ -113,6 +113,25 @@ def test_log_newton_non_finite_value_raises_convergence_error():
         roots.solve_log_newton(f, 1.0)
 
 
+def test_log_newton_bisects_back_from_an_underflowed_point():
+    # The slope is so flat that Newton steps to 4x and then to 16x the
+    # start, past the root 3.7, where f reads -inf; bisection from there
+    # lands on the root.
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return (math.log(3.7 / x) if x < 5.0 else -math.inf), -0.1
+
+    assert roots.solve_log_newton(f, 3.7 / 8.0) == pytest.approx(3.7, rel=1e-15)
+    assert max(calls) > 5.0
+
+
+def test_log_newton_underflow_without_a_positive_point_raises():
+    with pytest.raises(ConvergenceError, match="not usable"):
+        roots.solve_log_newton(lambda x: (-math.inf, -1.0), 1.0)
+
+
 def test_log_newton_iteration_cap_raises_convergence_error(monkeypatch):
     monkeypatch.setattr(roots, "_MAX_ITER", 3)
     with pytest.raises(ConvergenceError, match="did not converge"):
