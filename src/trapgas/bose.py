@@ -4,18 +4,23 @@ The gas models need six orders, nu in {1/2, 1, 3/2, 2, 5/2, 3}, evaluated
 from z = 0 up to (and at, where finite) the saturation point z = 1; the
 orders 1 and 5/2 enter only through the semi-classical column densities.
 g_1(z) = -ln(1 - z) is evaluated in closed form.  The other orders take,
-below x = -ln z = ``X_SWITCH``, one expansion around saturation (Robinson
-1951), tabulated at import (``_EXPANSIONS``) and summed by Horner's rule:
+below x = -ln z = ``X_SWITCH`` = 1, one expansion around saturation
+(Robinson 1951), tabulated at import (``_EXPANSIONS``) and summed by
+Horner's rule:
 
-    g_nu(e^-x) = Gamma(1-nu) x^(nu-1) + sum_{k=0}^{8} zeta(nu-k) (-x)^k / k!
+    g_nu(e^-x) = Gamma(1-nu) x^(nu-1) + sum_{k=0}^{20} zeta(nu-k) (-x)^k / k!
 
 for half-integer nu; for nu = n = 2, 3, (-x)^(n-1)/(n-1)! (H_{n-1} - ln x),
-with H the harmonic numbers, leads in place of the zeta(1) pole.  Above it
-the direct series runs to L = ceil(ln(1/_SERIES_REL)/x) terms, fixed before
-summing, and leaves out at most z^L/((1-z) L^nu) of its first term.  Every
-order is within 2.2e-15 of 40-digit mpmath at 65 x from 1e-9 to 63.  The
-population kernels take g_1, g_2 and g_3 at one x from ``bose_g123_x``,
-whose one power loop gives the floats of three ``bose_g_x`` calls.
+with H the harmonic numbers, leads in place of the zeta(1) pole.  The
+series converges for x < 2 pi, and at x = 1 the first term left out is
+below 3e-18.  Above the switch the direct series runs to
+L = ceil(ln(1/_SERIES_REL)/x) <= 37 terms, fixed before summing, and
+leaves out at most z^L/((1-z) L^nu) of its first term.  Every order is
+within 2.2e-15 of 40-digit mpmath at 365 x from 1e-9 to 63 (1.4e-15
+measured).  The population kernels take g_1, g_2 and g_3 at one x from
+``bose_g123_x``, whose one power loop gives the floats of three
+``bose_g_x`` calls.  ``_g_array`` follows the same rules point by point
+on a numpy array, for the semi-classical profiles.
 
 All functions are pure and safe for concurrent use.
 """
@@ -24,64 +29,94 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import DomainError, TruncationError
 
 #: The only constructible Bose-function orders.
 BOSE_ORDERS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 
 #: Crossover between the direct series (above) and the x-expansion (below).
-X_SWITCH = 0.1
+X_SWITCH = 1.0
 
 # Direct series: z^L = _SERIES_REL fixes its length, at most _SERIES_MAX_TERMS.
 _SERIES_REL = 1e-16
 _SERIES_MAX_TERMS = 20_000_000
 
 _LN2 = math.log(2.0)
+#: Terms k = 0 .. _EXPANSION_TERMS - 1 of the near-saturation expansion.
+_EXPANSION_TERMS = 21
 
-# Riemann zeta at the orders the models and the expansions touch.
-# Hard-coded (16+ significant digits) rather than computed: deterministic
-# and free at import time.
+# Riemann zeta at the orders the models and the expansions touch, as
+# printed by scripts/zeta_table.py: hard-coded rather than computed, so
+# deterministic and free at import time.
 _ZETA = {
-    3.0: 1.2020569031595942854,
-    2.5: 1.3414872572509171798,
-    2.0: 1.6449340668482264365,
-    1.5: 2.6123753486854883433,
-    0.5: -1.4603545088095868129,
+    3.0: 1.2020569031595942,
+    2.5: 1.341487257250917,
+    2.0: 1.6449340668482264,
+    1.5: 2.612375348685488,
+    0.5: -1.4603545088095868,
     0.0: -0.5,
-    -0.5: -0.20788622497735456602,
+    -0.5: -0.20788622497735457,
     -1.0: -1.0 / 12.0,
-    -1.5: -0.02548520188983303595,
+    -1.5: -0.025485201889833036,
     -2.0: 0.0,
-    -2.5: 0.0085169287778503305424,
+    -2.5: 0.008516928777850331,
     -3.0: 1.0 / 120.0,
-    -3.5: 0.0044410113354794319585,
+    -3.5: 0.004441011335479432,
     -4.0: 0.0,
-    -4.5: -0.0030916692472158338448,
+    -4.5: -0.0030916692472158338,
     -5.0: -1.0 / 252.0,
-    -5.5: -0.002671458019899224599,
+    -5.5: -0.0026714580198992244,
     -6.0: 0.0,
-    -6.5: 0.0027467679395368687584,
+    -6.5: 0.0027467679395368687,
     -7.0: 1.0 / 240.0,
-    -7.5: 0.0032690395726002200217,
+    -7.5: 0.00326903957260022,
+    -8.0: 0.0,
+    -8.5: -0.00441603287300489,
+    -9.0: -1.0 / 132.0,
+    -9.5: -0.006672172296466641,
+    -10.0: 0.0,
+    -10.5: 0.011146122473942813,
+    -11.0: 691.0 / 32760.0,
+    -11.5: 0.02039697871594279,
+    -12.0: 0.0,
+    -12.5: -0.04057496748119458,
+    -13.0: -1.0 / 12.0,
+    -13.5: -0.08717525590621725,
+    -14.0: 0.0,
+    -14.5: 0.2011740493842269,
+    -15.0: 3617.0 / 8160.0,
+    -15.5: 0.4962712199120576,
+    -16.0: 0.0,
+    -16.5: -1.303229250705114,
+    -17.0: -43867.0 / 14364.0,
+    -17.5: -3.629759299774574,
+    -18.0: 0.0,
+    -18.5: 10.687327069021993,
+    -19.0: 174611.0 / 6600.0,
+    -19.5: 33.168325785694606,
 }
 
 
-def _expansion(nu: float) -> tuple[float, float | None, tuple[float, ...]]:
-    """(A, H, c) with g_nu(e^-x) = A x^(nu-1) [H - ln x] + sum_k c_k x^k.
+def _expansion(nu: float) -> tuple[float, int, float | None, tuple[float, ...]]:
+    """(A, p, H, c) with g_nu(e^-x) = A x^p B(x) + sum_k c_k x^k.
 
-    c_k = zeta(nu-k) (-1)^k / k! for k = 8 .. 0 (Horner order).  For
-    half-integer nu, A = Gamma(1-nu) and H is None (no bracket); for nu = n,
-    A = (-1)^(n-1) / (n-1)!, H = H_{n-1} and the pole coefficient c_{n-1} = 0.
+    c_k = zeta(nu-k) (-1)^k / k! for k = 20 .. 0 (Horner order).  For
+    half-integer nu, A = Gamma(1-nu), B = sqrt(x), p = nu - 3/2 and H is
+    None; for nu = n, A = (-1)^(n-1) / (n-1)!, B = H - ln x with H = H_{n-1},
+    p = n - 1, and the pole coefficient c_{n-1} = 0.  x^p is taken by
+    multiplying, so the scalar and array paths round alike.
     """
     pole = round(nu) - 1 if nu == round(nu) else None
     coeffs = tuple(
         0.0 if k == pole else _ZETA[nu - k] * (-1) ** k / math.factorial(k)
-        for k in range(8, -1, -1)
+        for k in range(_EXPANSION_TERMS - 1, -1, -1)
     )
     if pole is None:
-        return math.gamma(1.0 - nu), None, coeffs
+        return math.gamma(1.0 - nu), round(nu - 1.5), None, coeffs
     harmonic = sum(1.0 / j for j in range(1, pole + 1))
-    return (-1) ** pole / math.factorial(pole), harmonic, coeffs
+    return (-1) ** pole / math.factorial(pole), pole, harmonic, coeffs
 
 
 _EXPANSIONS = {nu: _expansion(nu) for nu in BOSE_ORDERS if nu != 1.0}
@@ -134,20 +169,28 @@ def _series(nu: float, z: float, x: float) -> float:
 def bose_g_small_x(nu: float, x: float) -> float:
     """g_nu(e^-x) from the expansion around saturation, x = -ln z > 0.
 
-    Accurate to a few ulp for 0 < x <= X_SWITCH; usable (with slowly
-    degrading truncation error) up to x of order 1.
+    Within the module's stated accuracy for 0 < x < X_SWITCH; the
+    truncation error grows beyond it, and the series diverges at x = 2 pi.
     """
     nu = _check_order(nu)
     if not x > 0.0:
         raise DomainError(f"expansion needs x > 0, got {x!r}")
     if nu == 1.0:
         return _g_one(x)
-    lead, harmonic, (c8, c7, c6, c5, c4, c3, c2, c1, c0) = _EXPANSIONS[nu]
-    upper = (((c8 * x + c7) * x + c6) * x + c5) * x + c4
-    total = (((upper * x + c3) * x + c2) * x + c1) * x + c0
-    lead *= x ** (nu - 1.0)
-    if harmonic is not None:
-        lead *= harmonic - math.log(x)
+    return _expansion_sum(nu, x, math.sqrt, math.log)
+
+
+def _expansion_sum(nu: float, x, sqrt, log):
+    """The expansion of g_nu at x, a float or an array, with these sqrt and log."""
+    lead, power, harmonic, coeffs = _EXPANSIONS[nu]
+    lead = lead * (sqrt(x) if harmonic is None else harmonic - log(x))
+    for _ in range(power):
+        lead = lead * x
+    if power < 0:
+        lead = lead / x
+    total = 0.0
+    for c in coeffs:  # Horner's rule
+        total = total * x + c
     return lead + total
 
 
@@ -187,7 +230,7 @@ def bose_g123_x(x: float) -> tuple[float, float, float]:
     """(g_1, g_2, g_3) at z = e^-x, x > 0: the floats of three :func:`bose_g_x` calls.
 
     Above ``X_SWITCH`` one loop over the powers of z sums g_2 and g_3 together,
-    to the direct series' length (at most 369 terms there).
+    to the direct series' length (at most 37 terms there).
     """
     if not x > 0.0:
         raise DomainError(f"g_1 needs x > 0, got {x!r}")
@@ -204,6 +247,42 @@ def bose_g123_x(x: float) -> tuple[float, float, float]:
         g2 += power / l**2.0
         g3 += power / l**3.0
     return g1, g2, g3
+
+
+def _g_array(nu: float, x: np.ndarray) -> np.ndarray:
+    """g_nu(e^-x) at each point of a float array x, by :func:`bose_g_x`'s rules.
+
+    Needs x >= 0, and x > 0 where nu <= 1 (x = 0 gives zeta(nu)).  Below
+    ``X_SWITCH`` a point takes the expansion; above it the direct series,
+    stopping at its own length L (later terms are masked to 0.0).  The
+    operations are the scalar path's, in its order, so a value is the
+    scalar one to within 4 ulp (numpy's exp and log are not the math
+    module's, and g_2's expansion cancels near x = 1); most are equal.
+    """
+    out = np.empty_like(x)
+    if nu == 1.0:
+        near = x <= _LN2
+        out[near] = -np.log(-np.expm1(-x[near]))
+        out[~near] = -np.log1p(-np.exp(-x[~near]))
+        return out
+    near = x < X_SWITCH
+    if near.any():
+        # x = 0 (nu > 1) takes ln 1, as x^p = 0 drops the bracket there
+        log = lambda v: np.log(np.where(v > 0.0, v, 1.0))
+        out[near] = _expansion_sum(nu, x[near], np.sqrt, log)
+    far = ~near
+    if far.any():
+        xs = x[far]
+        z = np.exp(-xs)
+        terms = np.ceil(math.log(1.0 / _SERIES_REL) / xs)
+        total, power = z.copy(), z.copy()
+        l = 1.0
+        for _ in range(int(terms.max()) - 1):
+            l += 1.0
+            power *= z
+            total += np.where(terms >= l, power / l**nu, 0.0)
+        out[far] = total
+    return out
 
 
 def bose_g(nu: float, z: float) -> float:

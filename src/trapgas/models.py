@@ -43,9 +43,17 @@ def check_positive(name: str, value) -> float:
 
 
 def check_tau(tau) -> float:
-    """``tau`` as a float; DomainError unless positive, finite, with a normal cube."""
+    """``tau`` as a float; DomainError unless positive, with a finite, normal cube.
+
+    Below that limit every multiple of tau the kernels form stays finite
+    (the exact kernels reach about 120 tau).
+    """
     tau = check_positive("tau", tau)
-    if tau < 1.0 and tau**3 < sys.float_info.min:
+    try:
+        cube = tau**3
+    except OverflowError:  # a float power that overflows raises
+        raise DomainError(f"tau^3 overflows at tau = {tau!r}") from None
+    if cube < sys.float_info.min:
         raise DomainError(f"tau^3 underflows at tau = {tau!r}")
     return tau
 

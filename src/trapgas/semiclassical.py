@@ -16,7 +16,10 @@ carries; tau is always defined through the geometric mean.
 Column densities are closed forms: integrating g_nu(z e^{-tau r^2/2})
 along one axis gives sqrt(2 pi / tau) g_{nu+1/2}, so each integrated axis
 raises both Bose orders by 1/2, and the ground-state Gaussian integrates
-to a factor sqrt(pi) per axis.
+to a factor sqrt(pi) per axis.  A profile takes each Bose order at every
+grid point x + tau s^2 / 2 in one array call (``bose._g_array``, the
+scalar path's rules point by point); a single point keeps the scalar
+``bose.bose_g_x``.
 """
 
 from __future__ import annotations
@@ -124,10 +127,16 @@ def _column_sc(v: ScVariant, x: float, tau: float, d: int, s):
     s_arr = check_coordinates(s)
     lam3 = lambda3(tau)
     x_local = x + 0.5 * tau * s_arr**2
-    rho = np.array([bose.bose_g_x(1.5 + 0.5 * d, xv) for xv in x_local]) / lam3
+
+    def g(nu: float) -> np.ndarray:
+        # A single point is cheaper on the scalar path than on the masked one.
+        if x_local.size == 1:
+            return np.array([bose.bose_g_x(nu, float(x_local[0]))])
+        return bose._g_array(nu, x_local)
+
+    rho = g(1.5 + 0.5 * d) / lam3
     if v.kind in (ModelKind.SC0, ModelKind.SC):
-        g_low = np.array([bose.bose_g_x(0.5 + 0.5 * d, xv) for xv in x_local])
-        rho = rho + 1.5 * tau * v.aniso_ratio * g_low / lam3
+        rho = rho + 1.5 * tau * v.aniso_ratio * g(0.5 + 0.5 * d) / lam3
     rho = rho * (2.0 * math.pi / tau) ** (0.5 * d)
     if v.kind == ModelKind.SC:
         rho = rho + ground_column(occupation(x), d, s_arr)

@@ -1,6 +1,8 @@
+import functools
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,7 +103,7 @@ def test_expansion_matches_lerch_reference_on_window(nu, exponent):
 
 
 @pytest.mark.parametrize("nu", ORDERS)
-@pytest.mark.parametrize("x", [0.03, 0.06, 0.09, bose.X_SWITCH])
+@pytest.mark.parametrize("x", [0.03, 0.06, 0.09, 0.1, 0.5, 0.9, bose.X_SWITCH])
 def test_expansion_agrees_with_tightened_series_on_overlap(nu, x, monkeypatch):
     monkeypatch.setattr(bose, "_SERIES_REL", 1e-17)
     series = bose.direct_series(nu, math.exp(-x))
@@ -117,7 +119,9 @@ def test_overlong_series_is_refused_before_summing():
 
 
 @pytest.mark.parametrize(
-    "x", [1e-12, 1e-3, 0.0999, bose.X_SWITCH, 0.1001, 0.37, 5.0, 40.0, 800.0, math.inf]
+    "x",
+    [1e-12, 1e-3, 0.0999, 0.1, 0.1001, 0.37, 0.9999, bose.X_SWITCH, 1.0001, 5.0, 40.0,
+     800.0, math.inf],
 )
 def test_g123_equals_three_single_calls(x):
     # Both sides of X_SWITCH, bit for bit.
@@ -159,8 +163,8 @@ def test_monotone_in_fugacity(nu, z1, z2):
 
 @pytest.mark.parametrize("nu", ORDERS)
 @pytest.mark.parametrize(
-    "x", [1e-9, 1e-4, 0.01, 0.0999, bose.X_SWITCH, 0.1001, 0.5, math.log(2.0), 0.7,
-          2.0, 10.0, 30.0]
+    "x", [1e-9, 1e-4, 0.01, 0.0999, 0.1, 0.1001, 0.5, math.log(2.0), 0.7, 0.9999,
+          bose.X_SWITCH, 1.0001, 2.0, 10.0, 30.0]
 )
 def test_new_orders_match_polylog(nu, x):
     # Both sides of X_SWITCH and deep into the Boltzmann tail, where a
@@ -170,3 +174,69 @@ def test_new_orders_match_polylog(nu, x):
     with mp.workdps(60):
         ref = float(mp.polylog(mp.mpf(nu), mp.exp(-mp.mpf(x))))
     assert bose.bose_g_x(nu, x) == pytest.approx(ref, rel=1e-13)
+
+
+# The dense sweep of the bose.py docstring: 25 x log-spaced from 1e-9 to
+# 0.0999, 40 from 0.1 to 63 and 300 evenly spaced over [0.05, 4], which
+# straddles X_SWITCH.
+SWEEP_X = np.concatenate(
+    [np.geomspace(1e-9, 0.0999, 25), np.geomspace(0.1, 63.0, 40), np.linspace(0.05, 4.0, 300)]
+)
+#: The accuracy the bose.py docstring states, relative to 40-digit mpmath.
+STATED_REL_ERROR = 2.2e-15
+
+
+@functools.cache
+def sweep_reference(nu):
+    import mpmath as mp
+
+    with mp.workdps(40):
+        return np.array(
+            [float(mp.polylog(mp.mpf(nu), mp.exp(-mp.mpf(float(x))))) for x in SWEEP_X]
+        )
+
+
+@pytest.mark.parametrize("nu", ORDERS)
+def test_dense_sweep_within_stated_accuracy(nu):
+    ref = sweep_reference(nu)
+    paths = {
+        "scalar": np.array([bose.bose_g_x(nu, float(x)) for x in SWEEP_X]),
+        "array": bose._g_array(nu, SWEEP_X),
+    }
+    if nu in (1.0, 2.0, 3.0):
+        g123 = np.array([bose.bose_g123_x(float(x)) for x in SWEEP_X])
+        paths["g123"] = g123[:, int(nu) - 1]
+    for name, values in paths.items():
+        worst = np.max(np.abs(values - ref) / np.abs(ref))
+        assert worst <= STATED_REL_ERROR, (name, worst)
+
+
+@pytest.mark.parametrize("nu", ORDERS)
+def test_array_matches_scalar(nu):
+    # Within 4 ulp: numpy's exp and log are not the math module's, and the
+    # expansion of g_2 cancels near x = 1.  x = 0 (zeta(nu) for nu > 1) and
+    # x >= 700 ride along; the suite turns any RuntimeWarning into an error.
+    rng = np.random.default_rng(13)
+    x = np.concatenate(
+        [SWEEP_X, rng.uniform(0.0, 8.0, 4000), [700.0, 745.0, 800.0, 1e300, math.inf]]
+    )
+    if nu > 1.0:
+        x = np.concatenate([[0.0], x])
+    array = bose._g_array(nu, x)
+    scalar = np.array([bose.bose_g_x(nu, float(v)) for v in x])
+    ulp = np.spacing(np.abs(scalar))
+    assert np.all(np.abs(array - scalar) <= 4.0 * ulp)
+    if nu > 1.0:
+        assert array[0] == bose.zeta_const(nu)
+
+
+def test_zeta_table_within_one_ulp_of_mpmath():
+    # scripts/zeta_table.py prints this table from mpmath.
+    import mpmath as mp
+
+    orders = [k / 2 for k in range(6, -40, -1) if k != 2]
+    assert sorted(bose._ZETA, reverse=True) == orders
+    with mp.workdps(40):
+        for order, value in bose._ZETA.items():
+            ref = float(mp.zeta(mp.mpf(order)))
+            assert abs(value - ref) <= math.ulp(ref), order

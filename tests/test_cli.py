@@ -248,6 +248,14 @@ def test_non_finite_input_exits_2(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model", ["ex", "sc", "sc0", "scinf"])
+def test_temperature_whose_tau_cube_overflows_exits_2(model, capsys):
+    # tau = 1e200: SC used to escape as an untyped OverflowError (exit 1).
+    argv = ["fugacity", "--model", model, "--atoms", "1e6", "--temp", "1e-200"]
+    assert main(argv) == 2
+    assert "tau^3 overflows" in capsys.readouterr().err
+
+
 class TestExitCodeMapping:
     def test_convergence_maps_to_3(self, monkeypatch, capsys):
         import trapgas.cli as cli

@@ -88,6 +88,23 @@ class TestPopulation:
         grid = np.array([0.0, 1.0, 40.0])
         np.testing.assert_array_equal(exact.excited_density_x(800.0, tau, grid), 0.0)
 
+    def test_tau_with_overflowing_cube_raises_domain_error(self):
+        # One rule for every kernel (models.check_tau): a tau whose cube
+        # overflows is refused before any l- or level sum.  Just below it
+        # the excited cloud is frozen out, with no overflow warning.
+        for call in (
+            lambda tau: exact.excited_population_x(0.0, tau),
+            lambda tau: exact.population_slope_ex_x(1.0, tau),
+            lambda tau: exact.excited_density_x(0.0, tau, 0.0),
+        ):
+            with pytest.raises(DomainError, match="overflows"):
+                call(1e307)
+        tau = 5.6e102
+        assert exact.excited_population_x(0.0, tau) == 0.0
+        n0 = exact.ground_population(1.0)
+        assert exact.population_slope_ex_x(1.0, tau) == (n0, -n0 * (n0 + 1.0))
+        assert exact.excited_density_x(0.0, tau, 0.0) == 0.0
+
     @pytest.mark.parametrize(
         "x,tau,tail", [(0.0, 1e-4, True), (0.1, 1e-3, False)], ids=["tail", "no-tail"]
     )

@@ -66,6 +66,8 @@ class TestPopulation:
             sc.population_sc(M.SC0, 1.2, 0.1)
         with pytest.raises(DomainError):
             sc.population_sc(M.SC, 1.0, 0.1)  # SC needs z < 1
+        with pytest.raises(DomainError, match="overflows"):  # not OverflowError
+            sc.population_sc_x(M.SC, 1.0, 1e200)
 
     @pytest.mark.parametrize("kind", [M.SC, M.SC0, M.SCINF])
     @pytest.mark.parametrize(
@@ -122,7 +124,7 @@ class TestDensity:
             lam3 = (2.0 * math.pi * tau) ** 1.5
             x_loc = -math.log(z) + 0.5 * tau * grid**2
             expected = 1.5 * tau * np.array(
-                [tg.bose_g_small_x(0.5, xv) if xv < 0.1 else tg.bose_g(0.5, math.exp(-xv)) for xv in x_loc]
+                [tg.bose_g_small_x(0.5, xv) if xv < 1.0 else tg.bose_g(0.5, math.exp(-xv)) for xv in x_loc]
             ) / lam3
             assert np.allclose(diff, expected, rtol=1e-12)
 
@@ -234,6 +236,17 @@ class TestColumns:
             2.0 * math.pi * 0.1
         ) ** 1.5
         assert value == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("dims", [0, 1, 2])
+    def test_scinf_saturated_grid_from_zero(self, dims):
+        # x = 0 on an array grid that starts at s = 0: the array Bose path
+        # meets x = 0 there (zeta(3/2 + d/2)), with no log(0) warning.
+        tau, grid = 0.1, np.linspace(0.0, 12.0, 25)
+        values = sc.column_density_sc_x(M.SCINF, 0.0, tau, dims, grid)
+        singles = [sc.column_density_sc_x(M.SCINF, 0.0, tau, dims, s) for s in grid]
+        np.testing.assert_allclose(values, singles, rtol=1e-15, atol=0.0)
+        peak = (2.0 * math.pi / tau) ** (0.5 * dims) * tg.zeta_const(1.5 + 0.5 * dims)
+        assert values[0] == pytest.approx(peak / (2.0 * math.pi * tau) ** 1.5, rel=1e-15)
 
     def test_bad_dims(self):
         with pytest.raises(DomainError):
