@@ -23,11 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import exact, semiclassical
 from .bose import zeta_const
 from .errors import ConvergenceError, DomainError
 from .models import ModelKind, check_positive, check_tau, lambda3, occupation
-from .roots import solve_log_newton
+from .roots import solve_log_newton, solve_log_newton_many
 
 __all__ = [
     "GasState",
@@ -203,22 +205,10 @@ def solve_fugacity(
     atoms = check_positive("atom number", atoms)
     tau = _as_tau(tau)
     ratio = _resolve_ratio(model, trap, aniso_ratio)
-
-    # The semi-classical model with the same finite-size term; for EX, SC.
-    variant = semiclassical.ScVariant(
-        ModelKind.SC if model == ModelKind.EX else model, ratio
-    )
+    variant = _sc_variant(model, ratio)
     capacity = semiclassical.saturated_population_sc(variant, tau)
     if not model.has_ground_state and atoms >= capacity:
-        return GasState(
-            model=model,
-            atoms=atoms,
-            tau=tau,
-            x=0.0,
-            n0=atoms - capacity,
-            condensed=True,
-            aniso_ratio=ratio,
-        )
+        return _condensed_state(model, atoms, tau, capacity, ratio)
 
     populations = {}  # the root is always one of the points evaluated
 
@@ -228,14 +218,80 @@ def solve_fugacity(
         else:
             pop, slope = semiclassical.population_slope_sc_x(variant, x, tau)
         populations[x] = pop
-        if pop == 0.0:  # past the root, see solve_log_newton
-            return -math.inf, slope
-        return math.log(pop / atoms), x * slope / pop
+        return _log_residual(pop, slope, x, atoms)
 
-    ground = 1.0 if model.has_ground_state else 0.0
-    start = _fugacity_start(atoms, tau, capacity, ground)
-    x_root = solve_log_newton(residual, start)
-    pop = populations[x_root]
+    x_root = solve_log_newton(residual, _fugacity_start(model, atoms, tau, capacity))
+    return _fugacity_state(model, atoms, tau, x_root, populations[x_root], ratio)
+
+
+# The scalar solves' float arithmetic overflows to inf, or gives nan, with
+# no warning; the batched solves' numpy arithmetic must do the same.
+_AS_FLOATS = np.errstate(over="ignore", invalid="ignore")
+
+
+@_AS_FLOATS
+def _solve_fugacity_many(model: ModelKind, atoms, taus) -> list[GasState]:
+    """:func:`solve_fugacity` at each pair of ``atoms`` and ``taus``, isotropic trap.
+
+    The unsaturated states are solved in lockstep
+    (:func:`trapgas.roots.solve_log_newton_many`), one batched population
+    kernel call per step, and each state is the one ``solve_fugacity``
+    returns, float for float, with the same typed errors.
+    """
+    model = ModelKind(model)
+    atoms = [check_positive("atom number", a) for a in atoms]
+    taus = [_as_tau(t) for t in taus]
+    variant = _sc_variant(model, 1.0)
+    capacities = semiclassical._saturated_slopes(variant, np.array(taus))[0].tolist()
+    states = [
+        _condensed_state(model, a, t, c, 1.0)
+        if not model.has_ground_state and a >= c
+        else None
+        for a, t, c in zip(atoms, taus, capacities)
+    ]
+    todo = [i for i, state in enumerate(states) if state is None]
+    todo_atoms = np.array([atoms[i] for i in todo])
+    todo_taus = np.array([taus[i] for i in todo])
+    populations = np.empty(len(todo))  # at each problem's last point, its root
+
+    def residuals(active: list[int], xs: list[float]) -> list[tuple[float, float]]:
+        x, tau = np.array(xs), todo_taus[active]
+        if model == ModelKind.EX:
+            pop, slope = exact._population_slopes(x, tau)
+        else:
+            pop, slope = semiclassical._population_slopes(variant, x, tau)
+        populations[active] = pop
+        values = zip(pop.tolist(), slope.tolist(), xs, todo_atoms[active].tolist())
+        return [_log_residual(*value) for value in values]
+
+    starts = [_fugacity_start(model, atoms[i], taus[i], capacities[i]) for i in todo]
+    roots = solve_log_newton_many(residuals, starts)
+    for i, x_root, pop in zip(todo, roots, populations.tolist()):
+        states[i] = _fugacity_state(model, atoms[i], taus[i], x_root, pop, 1.0)
+    return states
+
+
+def _sc_variant(model: ModelKind, ratio: float) -> semiclassical.ScVariant:
+    """The semi-classical model with the same finite-size term; for EX, SC."""
+    return semiclassical.ScVariant(ModelKind.SC if model == ModelKind.EX else model, ratio)
+
+
+def _condensed_state(model, atoms, tau, capacity, ratio) -> GasState:
+    """A saturating model (SC0, SCINF) pinned at z = 1 with atoms >= its capacity."""
+    return GasState(
+        model=model,
+        atoms=atoms,
+        tau=tau,
+        x=0.0,
+        n0=atoms - capacity,
+        condensed=True,
+        aniso_ratio=ratio,
+    )
+
+
+def _fugacity_state(model, atoms, tau, x_root, pop, ratio) -> GasState:
+    """The solved state at x_root, whose population is pop; ConvergenceError
+    where pop misses atoms by more than the residual bound."""
     if abs(pop - atoms) > _FUGACITY_RESIDUAL * atoms:
         raise ConvergenceError(
             f"fugacity solve left a residual of {abs(pop - atoms) / atoms:.3e} "
@@ -253,6 +309,17 @@ def solve_fugacity(
     )
 
 
+def _log_residual(value: float, slope: float, x: float, atoms) -> tuple[float, float]:
+    """ln(value / atoms) and its slope in ln x, from value and its slope in x.
+
+    A value that underflowed to 0 lies past the root: -inf tells
+    :func:`trapgas.roots.solve_log_newton` so.
+    """
+    if value == 0.0:
+        return -math.inf, slope
+    return math.log(value / atoms), x * slope / value
+
+
 def transition_temperature(
     model: ModelKind,
     atoms: float,
@@ -268,8 +335,7 @@ def transition_temperature(
     gas at tau* is not yet condensed.
     """
     model = ModelKind(model)
-    if check_positive("atom number", atoms) < 2.0:
-        raise DomainError("transition temperature needs at least two atoms")
+    _check_transition_atoms(atoms)
     ratio = _resolve_ratio(model, trap, aniso_ratio)
     tau_c = (zeta_const(3.0) / atoms) ** (1.0 / 3.0)
     if model == ModelKind.SCINF:
@@ -285,7 +351,7 @@ def transition_temperature(
         else:
             capacity, slope = semiclassical.saturated_slope_sc(variant, tau)
         capacities[tau] = capacity
-        return math.log(capacity / atoms), tau * slope / capacity
+        return _log_residual(capacity, slope, tau, atoms)
 
     # Every transition point lies within a few percent of tau_c.
     tau_star = solve_log_newton(residual, tau_c)
@@ -295,7 +361,53 @@ def transition_temperature(
     return ReducedUnits(tau_star)
 
 
-def _fugacity_start(atoms: float, tau: float, capacity: float, ground: float) -> float:
+@_AS_FLOATS
+def _transition_many(model: ModelKind, atoms) -> np.ndarray:
+    """:func:`transition_temperature`'s tau* for each of ``atoms``, isotropic trap.
+
+    The EX, SC and SC0 roots are solved in lockstep
+    (:func:`trapgas.roots.solve_log_newton_many`), one batched capacity
+    kernel call per step, and each is the float ``transition_temperature``
+    returns, nudged to the unsaturated side by the same rule, with the same
+    typed errors.
+    """
+    model = ModelKind(model)
+    for a in atoms:
+        _check_transition_atoms(a)
+    tau_c = [(zeta_const(3.0) / a) ** (1.0 / 3.0) for a in atoms]
+    if model == ModelKind.SCINF:
+        return np.array([check_tau(t) for t in tau_c])
+    variant = semiclassical.ScVariant(model) if model != ModelKind.EX else None
+    targets = np.array(atoms, dtype=float)
+    capacities = np.empty(targets.size)  # at each problem's last point, its root
+
+    def capacity_slopes(tau: np.ndarray):
+        tau = np.array([check_tau(t) for t in tau.tolist()])
+        if variant is None:
+            return exact._saturated_slopes(tau)
+        return semiclassical._saturated_slopes(variant, tau)
+
+    def residuals(active: list[int], taus: list[float]) -> list[tuple[float, float]]:
+        capacity, slope = capacity_slopes(np.array(taus))
+        capacities[active] = capacity
+        values = zip(capacity.tolist(), slope.tolist(), taus, targets[active].tolist())
+        return [_log_residual(*value) for value in values]
+
+    tau_star = np.array(solve_log_newton_many(residuals, tau_c))
+    low = capacities <= targets
+    while low.any():  # one ulp hotter, to the unsaturated side
+        tau_star[low] = np.nextafter(tau_star[low], 0.0)
+        capacities[low] = capacity_slopes(tau_star[low])[0]
+        low = capacities <= targets
+    return tau_star
+
+
+def _check_transition_atoms(atoms) -> None:
+    if check_positive("atom number", atoms) < 2.0:
+        raise DomainError("transition temperature needs at least two atoms")
+
+
+def _fugacity_start(model: ModelKind, atoms: float, tau: float, capacity: float) -> float:
     """Near-saturation start: the positive root of N = capacity - a x + ground / x.
 
     a = zeta(2)/tau^3 is the slope of g_3/tau^3 at saturation, capacity the
@@ -303,6 +415,7 @@ def _fugacity_start(atoms: float, tau: float, capacity: float, ground: float) ->
     (N0 = 1/x) or 0 for those without; each branch of the quadratic
     formula avoids cancellation on its side.
     """
+    ground = 1.0 if model.has_ground_state else 0.0
     a = zeta_const(2.0) / tau**3
     b = atoms - capacity
     root = math.hypot(b, 2.0 * math.sqrt(a * ground))  # sqrt(b^2 + 4 a ground)

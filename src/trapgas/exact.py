@@ -14,7 +14,8 @@ the rest by Euler-Maclaurin: the integral of the summand from
 n = _EM_LEVELS on, a few Bose functions g_1 .. g_3 in closed form (from
 n = 0 it is the semi-classical g_3/tau^3 + (3/2) g_2/tau^2 plus g_1/tau),
 and an end correction (``_excited_population``).  Its cost does not grow
-with N.
+with N.  ``_excited_populations`` takes a batch of states at once, for the
+batched solves, with the same floats.
 
 The density and its columns are single sums over l (one term per power
 of z):
@@ -50,7 +51,7 @@ import numpy as np
 
 from . import bose
 from .errors import DomainError, TruncationError
-from .models import PI_32, check_coordinates, check_tau, ground_column, occupation
+from .models import PI_32, check_coordinates, check_tau, ground_column, occupation, pointwise
 
 #: Element budget of one head x grid-chunk buffer (2 MB of float64).
 _CHUNK_ELEMENTS = 1 << 18
@@ -141,6 +142,18 @@ def saturated_slope_ex(tau: float) -> tuple[float, float]:
     return _excited_population(0.0, tau, "tau")
 
 
+def _population_slopes(x: np.ndarray, tau: np.ndarray):
+    """:func:`population_slope_ex_x` over arrays of states, x > 0 and checked tau."""
+    n0 = pointwise(occupation, x)
+    excited, slope = _excited_populations(x, tau, "x")
+    return n0 + excited, slope - n0 * (n0 + 1.0)
+
+
+def _saturated_slopes(tau: np.ndarray):
+    """:func:`saturated_slope_ex` over an array of checked tau."""
+    return _excited_populations(np.zeros_like(tau), tau, "tau")
+
+
 def _excited_population(x: float, tau: float, wrt):
     """:func:`excited_population_x`, and its derivative in ``wrt`` ("x" or "tau").
 
@@ -183,6 +196,43 @@ def _excited_population(x: float, tau: float, wrt):
     elif wrt == "tau":
         slope += (e_tau - c0 * (g1 / tau + k * f)) / tau
         slope -= (c1 * (2.0 * g2 / tau + k * g1) + (3.0 * g3 / tau + k * g2) / tau) / tau**2
+    return total, slope
+
+
+def _excited_populations(x: np.ndarray, tau: np.ndarray, wrt):
+    """:func:`_excited_population` over arrays of states, x >= 0 and checked tau.
+
+    The levels of all states form one (states x 39) array, and g_1 .. g_3 at
+    every y0 come from one ``bose._g123_array`` call.  The row dot products
+    (``np.vecdot``, BLAS's dot per row), the per-state powers and
+    occupations (``pointwise``) and a ``math.fsum`` per state are the
+    scalar kernel's, so every state gets its floats.
+    """
+    y = x[:, None] + tau[:, None] * _LEVELS
+    phi = np.exp(-y) / -np.expm1(-y)
+    terms = _DEGENERACY * phi
+    slope = np.zeros_like(x)
+    if wrt == "x":
+        slope = -np.vecdot(terms, 1.0 + phi)
+    elif wrt == "tau":
+        slope = -np.vecdot(terms, _LEVELS * (1.0 + phi))
+    k, c0, c1 = _EM_LEVELS, _EM_C0, _EM_C1
+    y0 = x + tau * k
+    f = pointwise(occupation, y0)
+    g1, g2, g3 = bose._g123_array(y0)
+    # Where f = 0, so are g_1 .. g_3 and E; tau = 0 there keeps E's table finite.
+    t = np.where(f > 0.0, tau, 0.0)[:, None]
+    left = (_EM_COEFFICIENTS @ ((t * f[:, None]) ** _EM_POWERS)[:, None, :, None])[..., 0]
+    table = (left @ (t**_EM_POWERS)[..., None])[..., 0]  # per state, C @ a @ b
+    e, e_x, e_tau = (f[:, None] * table).T
+    tau2, tau3 = pointwise(lambda v: v**2, tau), pointwise(lambda v: v**3, tau)
+    parts = np.column_stack((terms, c0 * g1 / tau, c1 * g2 / tau2, g3 / tau3, e))
+    total = np.array(list(map(math.fsum, parts.tolist())))
+    if wrt == "x":
+        slope += (e_x - c0 * f - (c1 * g1 + g2 / tau) / tau) / tau
+    elif wrt == "tau":
+        slope += (e_tau - c0 * (g1 / tau + k * f)) / tau
+        slope -= (c1 * (2.0 * g2 / tau + k * g1) + (3.0 * g3 / tau + k * g2) / tau) / tau2
     return total, slope
 
 
@@ -311,7 +361,8 @@ def _q_series_tail(x, tau, d, l_end, s2, total):
     for lo, hi in bounds:
         p = powers[: rows * (hi - lo)].reshape(rows, hi - lo)
         p[0] = np.exp(-s2[lo:hi])
-        p[1:] = 2.0 * s2[lo:hi]
+        # Capped so that 2 s^2 stays finite; row 0 is 0.0 long before the cap.
+        p[1:] = 2.0 * np.minimum(s2[lo:hi], 1e300)
         np.cumprod(p, axis=0, out=p)  # row j: (2 s^2)^j e^{-s^2}
         np.dot(v, p, out=tail[lo:hi])
     tail *= scale

@@ -3,7 +3,10 @@
 The recipes pin the scan parameters used throughout the package
 documentation (atom numbers, the profile temperature 93.37, the 2000-atom
 step of the profile family) as defaults; the sweep CLI exposes the same
-machinery with free parameters.
+machinery with free parameters.  The recipes over a list of atom numbers
+(2, 3, 6 and 7) solve all its T* and threshold states in lockstep
+(``core._transition_many``, ``core._solve_fugacity_many``), which give the
+floats of the scalar solves the temperature sweeps use.
 
 Columns per figure:
 
@@ -27,7 +30,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import observables
-from .core import ReducedUnits, solve_fugacity, transition_temperature
+from .core import ReducedUnits, _solve_fugacity_many, _transition_many
+from .core import solve_fugacity, transition_temperature
 from .errors import DomainError
 from .models import ModelKind
 from .tables import SweepTable, meta
@@ -64,25 +68,27 @@ def figure2(n_grid=None) -> SweepTable:
     if n_grid is None:
         n_grid = np.logspace(2, 7, 26)
     table = SweepTable(["N", "rel_shift_Tc", "rel_shift_Tsc"], meta(figure=2))
-    for atoms in n_grid:
-        t_ex = transition_temperature(ModelKind.EX, atoms).temperature
-        t_sc = transition_temperature(ModelKind.SC, atoms).temperature
-        t_c = transition_temperature(ModelKind.SCINF, atoms).temperature
-        table.add_row(atoms, (t_c - t_ex) / t_ex, (t_sc - t_ex) / t_ex)
+    t_ex, t_sc, t_c = (
+        1.0 / _transition_many(model, n_grid)
+        for model in (ModelKind.EX, ModelKind.SC, ModelKind.SCINF)
+    )
+    for row in zip(n_grid, (t_c - t_ex) / t_ex, (t_sc - t_ex) / t_ex):
+        table.add_row(*row)
     return table
+
+
+def _threshold_states(model: ModelKind, n_grid):
+    """The state of ``model`` at its own T* for each atom number."""
+    return _solve_fugacity_many(model, n_grid, _transition_many(model, n_grid))
 
 
 def figure3(n_grid=None) -> SweepTable:
     if n_grid is None:
         n_grid = np.logspace(2, 8, 25)
     table = SweepTable(["N", "deg_param_sc", "deg_param_ex"], meta(figure=3))
-    for atoms in n_grid:
-        rows = []
-        for model in (ModelKind.SC, ModelKind.EX):
-            units = transition_temperature(model, atoms)
-            state = solve_fugacity(model, atoms, units)
-            rows.append(observables.peak_report(state).degeneracy_parameter)
-        table.add_row(atoms, *rows)
+    sc, ex = (_threshold_states(model, n_grid) for model in (ModelKind.SC, ModelKind.EX))
+    for atoms, *states in zip(n_grid, sc, ex):
+        table.add_row(atoms, *(observables.peak_report(s).degeneracy_parameter for s in states))
     return table
 
 
@@ -122,10 +128,8 @@ def figure6(
     units = ReducedUnits.from_temperature(temperature)
     columns = ["r_over_sigma"] + [f"rho_N{int(n)}" for n in atom_values]
     table = SweepTable(columns, meta(figure=6, temperature=temperature))
-    profiles = []
-    for atoms in atom_values:
-        state = solve_fugacity(ModelKind.EX, atoms, units)
-        profiles.append(observables.total_density(state, grid))
+    states = _solve_fugacity_many(ModelKind.EX, atom_values, [units.tau] * atom_values.size)
+    profiles = [observables.total_density(state, grid) for state in states]
     for i, r in enumerate(grid):
         table.add_row(r, *[rho[i] for rho in profiles])
     return table
@@ -138,9 +142,7 @@ def figure7(n_grid=None) -> SweepTable:
         ["N", "peak_frac_1d_image", "peak_frac_2d_image", "peak_frac_3d"],
         meta(figure=7),
     )
-    for atoms in n_grid:
-        units = transition_temperature(ModelKind.EX, atoms)
-        state = solve_fugacity(ModelKind.EX, atoms, units)
+    for atoms, state in zip(n_grid, _threshold_states(ModelKind.EX, n_grid)):
         report = observables.peak_report(state)
         table.add_row(
             atoms,

@@ -4,7 +4,9 @@ All solver problems in this package (fugacity at fixed N and T, transition
 temperature at fixed N) are strictly monotone on (0, inf).  Both use
 :func:`solve_log_newton`, a safeguarded Newton iteration in u = ln x (the
 ``rtsafe`` scheme of Press et al., *Numerical Recipes*, section 9.4) that
-needs the slope beside each value.
+needs the slope beside each value.  :func:`solve_log_newton_many` runs
+the same iteration (``_newton``) on several problems in lockstep, so that
+one call evaluates all of them at once.
 """
 
 from __future__ import annotations
@@ -40,11 +42,54 @@ def solve_log_newton(f, x: float) -> float:
     in u towards the nearest point with f > 0.  Any other non-finite value
     or slope, a slope that is not negative, an underflow with no point of
     f > 0 evaluated, or no convergence in 200 steps raises ConvergenceError.
+    The root is always the last point evaluated.
+    """
+    iteration = _newton(x)
+    x = next(iteration)
+    while True:
+        try:
+            x = iteration.send(f(x))
+        except StopIteration as done:
+            return done.value
+
+
+def solve_log_newton_many(f, starts: list[float]) -> list[float]:
+    """Roots of several strictly decreasing functions, by :func:`solve_log_newton`'s rule.
+
+    The problems step in lockstep, each by its own iteration from its own
+    start, so each root is the one :func:`solve_log_newton` finds.
+    f(active, points) evaluates the unfinished problems (their indices,
+    ascending, and their current points) at once and returns one
+    (f, slope) pair per problem.  The first error raised by any problem is
+    raised.
+    """
+    iterations = [_newton(x) for x in starts]
+    points = [next(it) for it in iterations]
+    roots = [0.0] * len(starts)
+    active = list(range(len(starts)))
+    while active:
+        values = f(active, [points[i] for i in active])
+        unfinished = []
+        for i, value in zip(active, values):
+            try:
+                points[i] = iterations[i].send(value)
+                unfinished.append(i)
+            except StopIteration as done:
+                roots[i] = done.value
+        active = unfinished
+    return roots
+
+
+def _newton(x: float):
+    """The iteration of :func:`solve_log_newton`, as a generator.
+
+    It yields each point to evaluate, is sent (f, slope) there, and returns
+    the root.
     """
     x_pos = x_neg = None  # nearest evaluated points with f > 0 and f < 0
     converged = False
     for _ in range(_MAX_ITER):
-        fx, slope = f(x)
+        fx, slope = yield x
         if fx == -math.inf and x_pos is not None and not converged:
             x_neg = x
             x = x_pos * math.sqrt(x_neg / x_pos)

@@ -32,7 +32,7 @@ import numpy as np
 from . import bose
 from .errors import DomainError
 from .models import ModelKind, check_coordinates, check_positive, check_tau
-from .models import ground_column, lambda3, occupation
+from .models import ground_column, lambda3, occupation, pointwise
 
 
 @dataclass(frozen=True)
@@ -76,13 +76,30 @@ def population_slope_sc_x(variant, x: float, tau: float) -> tuple[float, float]:
     tau = check_tau(tau)
     if not x > 0.0:
         raise DomainError(f"need x > 0, got {x!r}")
-    g1, g2, g3 = bose.bose_g123_x(x)
-    n, slope = g3 / tau**3, -g2 / tau**3
+    n0 = occupation(x) if v.kind == ModelKind.SC else 0.0
+    return _population_slope(v, bose.bose_g123_x(x), tau**2, tau**3, n0)
+
+
+def _population_slopes(v: ScVariant, x: np.ndarray, tau: np.ndarray):
+    """:func:`population_slope_sc_x` over arrays of states, x > 0 and checked tau.
+
+    The floats of the scalar kernel, state by state: the Bose functions
+    come from ``bose._g123_array`` and the powers and occupations from
+    ``pointwise``.
+    """
+    n0 = pointwise(occupation, x) if v.kind == ModelKind.SC else 0.0
+    tau2, tau3 = pointwise(lambda t: t**2, tau), pointwise(lambda t: t**3, tau)
+    return _population_slope(v, bose._g123_array(x), tau2, tau3, n0)
+
+
+def _population_slope(v: ScVariant, g123, tau2, tau3, n0):
+    """N and dN/dx from g_1 .. g_3, tau^2, tau^3 and N0 (0 without a ground state)."""
+    g1, g2, g3 = g123
+    n, slope = g3 / tau3, -g2 / tau3
     if v.kind in (ModelKind.SC0, ModelKind.SC):
-        n += 1.5 * v.aniso_ratio * g2 / tau**2
-        slope -= 1.5 * v.aniso_ratio * g1 / tau**2
+        n += 1.5 * v.aniso_ratio * g2 / tau2
+        slope -= 1.5 * v.aniso_ratio * g1 / tau2
     if v.kind == ModelKind.SC:
-        n0 = occupation(x)
         n += n0
         slope -= n0 * (n0 + 1.0)
     return n, slope
@@ -106,10 +123,21 @@ def saturated_slope_sc(variant, tau: float) -> tuple[float, float]:
     """:func:`saturated_population_sc` and its derivative in tau."""
     v = _as_variant(variant)
     tau = check_tau(tau)
-    n = bose.zeta_const(3.0) / tau**3
+    return _saturated_slope(v, tau, tau**2, tau**3)
+
+
+def _saturated_slopes(v: ScVariant, tau: np.ndarray):
+    """:func:`saturated_slope_sc` over an array of checked tau: its floats."""
+    tau2, tau3 = pointwise(lambda t: t**2, tau), pointwise(lambda t: t**3, tau)
+    return _saturated_slope(v, tau, tau2, tau3)
+
+
+def _saturated_slope(v: ScVariant, tau, tau2, tau3):
+    """The capacity at z = 1 and its tau-derivative from tau, tau^2 and tau^3."""
+    n = bose.zeta_const(3.0) / tau3
     slope = -3.0 * n / tau
     if v.kind in (ModelKind.SC0, ModelKind.SC):
-        finite_size = 1.5 * v.aniso_ratio * bose.zeta_const(2.0) / tau**2
+        finite_size = 1.5 * v.aniso_ratio * bose.zeta_const(2.0) / tau2
         n += finite_size
         slope -= 2.0 * finite_size / tau
     return n, slope
@@ -126,13 +154,15 @@ def _column_sc(v: ScVariant, x: float, tau: float, d: int, s):
         )
     s_arr = check_coordinates(s)
     lam3 = lambda3(tau)
-    x_local = x + 0.5 * tau * s_arr**2
-
-    def g(nu: float) -> np.ndarray:
-        # A single point is cheaper on the scalar path than on the masked one.
-        if x_local.size == 1:
-            return np.array([bose.bose_g_x(nu, float(x_local[0]))])
-        return bose._g_array(nu, x_local)
+    # x + tau s^2 / 2 may pass the float range, where g_nu(inf) = 0.
+    if s_arr.size == 1:  # a single point is cheaper on the scalar path
+        s0 = float(s_arr[0])
+        x0 = x + 0.5 * tau * (s0 * s0)  # float arithmetic overflows to inf quietly
+        g = lambda nu: np.array([bose.bose_g_x(nu, x0)])
+    else:
+        with np.errstate(over="ignore"):
+            x_local = x + 0.5 * tau * s_arr**2
+        g = lambda nu: bose._g_array(nu, x_local)
 
     rho = g(1.5 + 0.5 * d) / lam3
     if v.kind in (ModelKind.SC0, ModelKind.SC):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trapgas as tg
-from trapgas import exact, semiclassical
+from trapgas import core, exact, semiclassical
 from trapgas.core import ReducedUnits, TrapSpec
-from trapgas.errors import DomainError
+from trapgas.errors import ConvergenceError, DomainError
 from trapgas.models import ModelKind as M
 
 import oracles
@@ -279,3 +280,87 @@ def test_sc0_solves_at_and_just_above_its_transition(ratio, evaluations):
             state = tg.solve_fugacity(M.SC0, atoms, tau, aniso_ratio=ratio)
             assert not state.condensed and len(evaluations) <= 10, (atoms, tau)
             tau = math.nextafter(tau, 0.0)
+
+
+# The batched solves behind the atom-number figures.  Their floats are the
+# public scalar solves', bit for bit (so within 1e-14 relative): near T*
+# the fugacity root of a large cloud moves by ~sqrt(N) ulp per ulp of its
+# population, so anything less would not hold at N = 1e12.
+_atom_lists = st.lists(
+    st.floats(min_value=math.log10(2.0), max_value=12.0).map(lambda e: 10.0**e),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(atoms=_atom_lists)
+def test_batched_transition_matches_scalar(atoms):
+    batched = {m: core._transition_many(m, atoms) for m in ALL_MODELS}
+    assert np.array_equal(batched[M.SC0], batched[M.SC])
+    for model, taus in batched.items():
+        assert taus.tolist() == [tg.transition_temperature(model, a).tau for a in atoms]
+        if model == M.SCINF:
+            continue
+        for a, tau in zip(atoms, taus.tolist()):
+            capacity = tg.saturated_population(model, tau)
+            assert a < capacity <= a * (1.0 + 1e-10), (model, a)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    atoms=_atom_lists,
+    ratios=st.lists(st.floats(min_value=0.3, max_value=3.0), min_size=8, max_size=8),
+)
+def test_batched_fugacity_matches_scalar(atoms, ratios):
+    for model in ALL_MODELS:
+        taus = [
+            tg.transition_temperature(model, a).tau / r for a, r in zip(atoms, ratios)
+        ]
+        states = core._solve_fugacity_many(model, atoms, taus)
+        assert states == [tg.solve_fugacity(model, a, t) for a, t in zip(atoms, taus)]
+        for state in states:
+            if not state.condensed:
+                pop = tg.population_total(model, state.x, state.tau)
+                assert abs(pop - state.atoms) <= 1e-10 * state.atoms, (model, state)
+
+
+@pytest.mark.parametrize("bad", [1.5, 0.0, -3.0, math.nan, math.inf])
+def test_batched_transition_raises_the_scalar_error(bad):
+    with pytest.raises(DomainError) as scalar:
+        tg.transition_temperature(M.EX, bad)
+    for model in ALL_MODELS:
+        with pytest.raises(DomainError, match=re.escape(str(scalar.value))):
+            core._transition_many(model, [1e3, bad, 1e4])
+
+
+@pytest.mark.parametrize(
+    "atoms, tau", [(0.0, 0.1), (math.nan, 0.1), (1e3, 0.0), (1e3, math.inf), (1e3, 1e200)]
+)
+def test_batched_fugacity_raises_the_scalar_error(atoms, tau):
+    with pytest.raises(DomainError) as scalar:
+        tg.solve_fugacity(M.EX, atoms, tau)
+    for model in ALL_MODELS:
+        with pytest.raises(DomainError, match=re.escape(str(scalar.value))):
+            core._solve_fugacity_many(model, [1e3, atoms], [0.1, tau])
+
+
+def _outcome(solve):
+    """A solve's result, or its error's type and message."""
+    try:
+        return solve()
+    except (DomainError, ConvergenceError) as error:
+        return type(error), str(error)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_batched_solves_at_the_edges_match_scalar(model):
+    # Hot clouds whose populations underflow, frozen ones, a tau whose cube
+    # nearly overflows, and T* where the tau-slope overflows to -inf: the
+    # same states or the same typed errors, and no RuntimeWarning.
+    for atoms, tau in [(2.0, 1e-100), (1e12, 1e-100), (2.0, 1e-30), (1e3, 300.0), (5.0, 5e102)]:
+        batched = _outcome(lambda: core._solve_fugacity_many(model, [atoms], [tau])[0])
+        assert batched == _outcome(lambda: tg.solve_fugacity(model, atoms, tau))
+    for atoms in (1e200, 1e300, 1e308):
+        batched = _outcome(lambda: core._transition_many(model, [atoms])[0])
+        assert batched == _outcome(lambda: tg.transition_temperature(model, atoms).tau)

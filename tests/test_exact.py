@@ -182,6 +182,22 @@ class TestSlopes:
         assert slope == pytest.approx(-3.0 * z3 / tau**4 - 3.0 * z2 / tau**3, rel=1e-13)
 
 
+    @pytest.mark.parametrize("wrt", [None, "x", "tau"])
+    def test_batched_kernel_equals_scalar(self, wrt):
+        # The batched solves need the scalar kernel's floats state by state:
+        # states near and far from saturation, with y0 = x + 40 tau on both
+        # sides of X_SWITCH, frozen ones whose Euler-Maclaurin rest
+        # underflows to 0, and batches of one and two states.
+        rng = np.random.default_rng(23)
+        x = np.concatenate([10.0 ** rng.uniform(-9.0, 2.5, 60), [0.0, 0.0, 800.0, 3.0]])
+        tau = np.concatenate([10.0 ** rng.uniform(-4.5, 1.5, 60), [1e-4, 50.0, 1e-3, 1e40]])
+        for lo, hi in [(0, x.size), (0, 1), (61, 63)]:
+            total, slope = exact._excited_populations(x[lo:hi], tau[lo:hi], wrt)
+            scalar = [exact._excited_population(a, b, wrt) for a, b in zip(x[lo:hi], tau[lo:hi])]
+            assert total.tolist() == [t for t, _ in scalar]
+            assert slope.tolist() == [float(s) for _, s in scalar]
+
+
 class TestDensity:
     def test_decays_to_zero(self):
         assert float(exact.density_ex(0.5, 1.0, 40.0)) < 1e-200
@@ -285,6 +301,23 @@ class TestGaussKernel:
     def test_non_finite_coordinate_raises_domain_error(self, bad, d):
         with pytest.raises(DomainError):
             exact._excited_gauss_sum(0.01, 0.1, d, [0.0, bad])
+
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            lambda s: semiclassical.density_sc_x("sc", 1.0, 10.0, s),
+            lambda s: semiclassical.column_density_sc_x("sc0", 1.0, 10.0, 1, s),
+            lambda s: exact.excited_density_x(1.0, 10.0, s),
+            lambda s: exact.excited_column_x(1.0, 10.0, 1, s),
+            lambda s: exact.excited_column_x(1.0, 10.0, 2, s),
+        ],
+        ids=["sc-density", "sc0-column-d1", "ex-density", "ex-column-d1", "ex-column-d2"],
+    )
+    def test_coordinate_whose_tau_s2_overflows_reads_zero(self, profile):
+        # s^2 = 1e308 is finite, so admitted, but tau s^2 and 2 s^2 are not:
+        # the profile there is 0.0, with no RuntimeWarning (an error here).
+        values = profile([0.0, 1e154])
+        assert values[0] > 0.0 and values[1] == 0.0
 
     def test_nan_fugacity_raises_domain_error(self):
         with pytest.raises(DomainError):

@@ -136,3 +136,29 @@ def test_log_newton_iteration_cap_raises_convergence_error(monkeypatch):
     monkeypatch.setattr(roots, "_MAX_ITER", 3)
     with pytest.raises(ConvergenceError, match="did not converge"):
         roots.solve_log_newton(lambda x: ((2.0 / x) ** 3 - 1.0, -3.0 * (2.0 / x) ** 3), 1e-3)
+
+
+def test_lockstep_newton_finds_each_single_root():
+    # Every problem starts from its own point and steps by the single
+    # solve's rule, so the roots are the single solves' floats; problems
+    # finish after different numbers of steps.
+    problems = [(f, start * root) for f, root in _log_newton_cases() for start in (1e-6, 1.0, 1e6)]
+    seen = []
+
+    def evaluate(active, points):
+        seen.append(len(active))
+        return [problems[i][0](x) for i, x in zip(active, points)]
+
+    found = roots.solve_log_newton_many(evaluate, [start for _, start in problems])
+    assert found == [roots.solve_log_newton(f, start) for f, start in problems]
+    assert seen[0] == len(problems) and seen[-1] < len(problems)
+
+
+def test_lockstep_newton_raises_a_problem_error():
+    good = lambda x: (math.log(3.7 / x), -1.0)
+    bad = lambda x: (math.nan, -1.0)
+    with pytest.raises(ConvergenceError, match="not usable"):
+        roots.solve_log_newton_many(
+            lambda active, points: [(good, bad)[i](x) for i, x in zip(active, points)],
+            [1.0, 1.0],
+        )
