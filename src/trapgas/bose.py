@@ -12,8 +12,7 @@ Horner's rule:
 
 for half-integer nu; for nu = n = 2, 3, (-x)^(n-1)/(n-1)! (H_{n-1} - ln x),
 with H the harmonic numbers, leads in place of the zeta(1) pole.  The
-series converges for x < 2 pi.  Below x = 0.1 it stops after k = 8, where
-the first term left out is below 2e-17; at x = 1, after k = 20, it is
+series converges for x < 2 pi, and at x = 1 the first term left out is
 below 3e-18.  Above the switch the direct series runs to
 L = ceil(ln(1/_SERIES_REL)/x) <= 37 terms, fixed before summing, and
 leaves out at most z^L/((1-z) L^nu) of its first term.  Every order is
@@ -21,9 +20,8 @@ within 2.2e-15 of 40-digit mpmath at 365 x from 1e-9 to 63 (1.4e-15
 measured).  The population kernels take g_1, g_2 and g_3 at one x from
 ``bose_g123_x``, whose one power loop gives the floats of three
 ``bose_g_x`` calls.  ``_g_array`` follows the same rules point by point
-on a numpy array, for the semi-classical profiles, and ``_g123_array``
-gives ``bose_g123_x``'s floats at each point of an array, for the batched
-solves.  Both sum the direct series of every point at once.
+on a numpy array, for the semi-classical profiles, and sums the direct
+series of every point at once.
 
 All functions are pure and safe for concurrent use.
 """
@@ -35,7 +33,6 @@ import math
 import numpy as np
 
 from .errors import DomainError, TruncationError
-from .models import pointwise
 
 #: The only constructible Bose-function orders.
 BOSE_ORDERS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
@@ -48,7 +45,7 @@ _SERIES_REL = 1e-16
 _SERIES_LOG = math.log(1.0 / _SERIES_REL)
 _SERIES_MAX_TERMS = 20_000_000
 #: Most terms of a direct series above X_SWITCH, and the points the array
-#: paths sum at a time (a 2.4 MB array of powers).
+#: path sums at a time (a 2.4 MB array of powers).
 _SERIES_WIDTH = math.ceil(_SERIES_LOG / X_SWITCH)
 _SERIES_CHUNK = 1 << 13
 #: l^nu for l = 1 .. _SERIES_WIDTH, by the scalar series' float power.
@@ -57,10 +54,8 @@ _ORDER_POWERS = {
 }
 
 _LN2 = math.log(2.0)
-#: Terms k = 0 .. _EXPANSION_TERMS - 1 of the near-saturation expansion, or
-#: k = 0 .. _SHORT_TERMS - 1 below x = _SHORT_X.
+#: Terms k = 0 .. _EXPANSION_TERMS - 1 of the near-saturation expansion.
 _EXPANSION_TERMS = 21
-_SHORT_TERMS, _SHORT_X = 9, 0.1
 
 # Riemann zeta at the orders the models and the expansions touch, as
 # printed by scripts/zeta_table.py: hard-coded rather than computed, so
@@ -114,26 +109,24 @@ _ZETA = {
 }
 
 
-def _expansion(nu: float):
-    """(A, p, H, c, c_short) with g_nu(e^-x) = A x^p B(x) + sum_k c_k x^k.
+def _expansion(nu: float) -> tuple[float, int, float | None, tuple[float, ...]]:
+    """(A, p, H, c) with g_nu(e^-x) = A x^p B(x) + sum_k c_k x^k.
 
-    c_k = zeta(nu-k) (-1)^k / k! in Horner order: c holds k = 20 .. 0 and
-    c_short its tail k = 8 .. 0.  For half-integer nu, A = Gamma(1-nu),
-    B = sqrt(x), p = nu - 3/2 and H is None; for nu = n,
-    A = (-1)^(n-1) / (n-1)!, B = H - ln x with H = H_{n-1}, p = n - 1, and
-    the pole coefficient c_{n-1} = 0.  x^p is taken by multiplying, so the
-    scalar and array paths round alike.
+    c_k = zeta(nu-k) (-1)^k / k! for k = 20 .. 0 (Horner order).  For
+    half-integer nu, A = Gamma(1-nu), B = sqrt(x), p = nu - 3/2 and H is
+    None; for nu = n, A = (-1)^(n-1) / (n-1)!, B = H - ln x with H = H_{n-1},
+    p = n - 1, and the pole coefficient c_{n-1} = 0.  x^p is taken by
+    multiplying, so the scalar and array paths round alike.
     """
     pole = round(nu) - 1 if nu == round(nu) else None
     coeffs = tuple(
         0.0 if k == pole else _ZETA[nu - k] * (-1) ** k / math.factorial(k)
         for k in range(_EXPANSION_TERMS - 1, -1, -1)
     )
-    coeffs = coeffs, coeffs[-_SHORT_TERMS:]
     if pole is None:
-        return math.gamma(1.0 - nu), round(nu - 1.5), None, *coeffs
+        return math.gamma(1.0 - nu), round(nu - 1.5), None, coeffs
     harmonic = sum(1.0 / j for j in range(1, pole + 1))
-    return (-1) ** pole / math.factorial(pole), pole, harmonic, *coeffs
+    return (-1) ** pole / math.factorial(pole), pole, harmonic, coeffs
 
 
 _EXPANSIONS = {nu: _expansion(nu) for nu in BOSE_ORDERS if nu != 1.0}
@@ -198,26 +191,14 @@ def bose_g_small_x(nu: float, x: float) -> float:
 
 
 def _expansion_sum(nu: float, x, sqrt, log):
-    """The expansion of g_nu at x, a float or an array, with these sqrt and log.
-
-    Horner's rule runs over k < _EXPANSION_TERMS, or over k < _SHORT_TERMS
-    where x < _SHORT_X: an array point there restarts from 0.0 before
-    k = _SHORT_TERMS - 1, which gives the short sum's floats.
-    """
-    lead, power, harmonic, coeffs, short = _EXPANSIONS[nu]
+    """The expansion of g_nu at x, a float or an array, with these sqrt and log."""
+    lead, power, harmonic, coeffs = _EXPANSIONS[nu]
     lead = lead * (sqrt(x) if harmonic is None else harmonic - log(x))
     for _ in range(power):
         lead = lead * x
     if power < 0:
         lead = lead / x
     total = 0.0
-    if isinstance(x, np.ndarray):
-        long = x >= _SHORT_X
-        for c in coeffs[: -_SHORT_TERMS] if long.any() else ():
-            total = total * x + c
-        coeffs, total = short, np.where(long, total, 0.0)
-    elif x < _SHORT_X:
-        coeffs = short
     for c in coeffs:  # Horner's rule
         total = total * x + c
     return lead + total
@@ -301,34 +282,12 @@ def _g_array(nu: float, x: np.ndarray) -> np.ndarray:
         out[near] = _expansion_sum(nu, x[near], np.sqrt, log)
     far = ~near
     if far.any():
-        out[far] = _series_array((nu,), x[far], np.exp(-x[far]))[0]
+        out[far] = _series_array(nu, x[far], np.exp(-x[far]))
     return out
 
 
-def _g123_array(x: np.ndarray) -> np.ndarray:
-    """(g_1, g_2, g_3) at each point of a float array x > 0: :func:`bose_g123_x`'s floats.
-
-    For the batched solves, a few dozen points at a time.  Below
-    ``X_SWITCH`` each point takes the scalar :func:`bose_g123_x`, which at
-    this size is quicker than Horner's rule over the array.  Above it the
-    exp, log1p and expm1 calls are the math module's, one point at a time
-    (numpy's differ from them in the last bit at a few percent of points),
-    and the series of g_2 and g_3 sum every point at once, in the scalar
-    order.
-    """
-    g = np.empty((3, x.size))
-    near = x < X_SWITCH
-    g[:, near] = pointwise(bose_g123_x, x[near]).T
-    far = ~near
-    if far.any():
-        xf = x[far]
-        g[0, far] = pointwise(_g_one, xf)
-        g[1:, far] = _series_array((2.0, 3.0), xf, pointwise(math.exp, -xf))
-    return g
-
-
-def _series_array(orders, x: np.ndarray, z: np.ndarray) -> list[np.ndarray]:
-    """The direct series of each order at z = e^-x, for points x >= X_SWITCH.
+def _series_array(nu: float, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The direct series of g_nu at z = e^-x, for points x >= X_SWITCH.
 
     Column j of a table holds z_j in its first L_j rows, L_j the point's
     own length, and 0.0 below them; np.cumprod down the columns turns it
@@ -337,16 +296,15 @@ def _series_array(orders, x: np.ndarray, z: np.ndarray) -> list[np.ndarray]:
     row, in the scalar order (a plain sum may add them pairwise), so a sum
     is the scalar one's, given the same z.
     """
-    sums = [np.empty_like(x) for _ in orders]
+    out = np.empty_like(x)
     for lo in range(0, x.size, _SERIES_CHUNK):
         chunk = slice(lo, lo + _SERIES_CHUNK)
         terms = np.ceil(_SERIES_LOG / x[chunk])
         width = max(int(terms.max()), 1)  # x = inf needs no term
         rows = np.arange(width)[:, None]
         powers = np.cumprod(np.where(rows < terms, z[chunk], 0.0), axis=0)
-        for out, nu in zip(sums, orders):
-            out[chunk] = np.cumsum(powers / _ORDER_POWERS[nu][:width, None], axis=0)[-1]
-    return sums
+        out[chunk] = np.cumsum(powers / _ORDER_POWERS[nu][:width, None], axis=0)[-1]
+    return out
 
 
 def bose_g(nu: float, z: float) -> float:

@@ -173,67 +173,80 @@ def _excited_population(x: float, tau: float, wrt):
     tau = check_tau(tau)
     if not x >= 0.0:
         raise DomainError(f"need x >= 0, got {x!r}")
-    y = x + tau * _LEVELS
-    phi = np.exp(-y) / -np.expm1(-y)  # 1/(e^y - 1), without overflow
-    terms = _DEGENERACY * phi
-    slope = 0.0
-    if wrt == "x":
-        slope = -float(terms @ (1.0 + phi))
-    elif wrt == "tau":
-        slope = -float(terms @ (_LEVELS * (1.0 + phi)))
-    k, c0, c1 = _EM_LEVELS, _EM_C0, _EM_C1
-    y0 = x + tau * k
+    terms, slope = _level_terms(x, tau, wrt)
+    slope = float(slope)
+    y0 = x + tau * _EM_LEVELS
     f = occupation(y0)
     if f == 0.0:  # so are g_1 .. g_3 and E
         return math.fsum(terms.tolist()), slope
-    g1, g2, g3 = bose.bose_g123_x(y0)
     # tau^a and (tau f)^b, finite since tau < 19 where f > 0 and tau f <= 1/K
-    table = _EM_COEFFICIENTS @ (tau * f) ** _EM_POWERS @ tau**_EM_POWERS
-    e, e_x, e_tau = (f * table).tolist()
-    total = math.fsum([*terms.tolist(), c0 * g1 / tau, c1 * g2 / tau**2, g3 / tau**3, e])
-    if wrt == "x":
-        slope += (e_x - c0 * f - (c1 * g1 + g2 / tau) / tau) / tau
-    elif wrt == "tau":
-        slope += (e_tau - c0 * (g1 / tau + k * f)) / tau
-        slope -= (c1 * (2.0 * g2 / tau + k * g1) + (3.0 * g3 / tau + k * g2) / tau) / tau**2
-    return total, slope
+    e = _end_corrections(tau, f).tolist()
+    rest, slope = _em_rest(slope, wrt, tau, tau**2, tau**3, f, bose.bose_g123_x(y0), e)
+    return math.fsum([*terms.tolist(), *rest]), slope
 
 
 def _excited_populations(x: np.ndarray, tau: np.ndarray, wrt):
     """:func:`_excited_population` over arrays of states, x >= 0 and checked tau.
 
-    The levels of all states form one (states x 39) array, and g_1 .. g_3 at
-    every y0 come from one ``bose._g123_array`` call.  The row dot products
-    (``np.vecdot``, BLAS's dot per row), the per-state powers and
-    occupations (``pointwise``) and a ``math.fsum`` per state are the
-    scalar kernel's, so every state gets its floats.
+    The levels of all states form one (states x 39) array.  The shared
+    steps (``_level_terms``, ``_end_corrections``, ``_em_rest``), the
+    scalar calls for g_1 .. g_3, powers and occupations (``pointwise``) and
+    a ``math.fsum`` per state give every state the scalar kernel's floats.
     """
-    y = x[:, None] + tau[:, None] * _LEVELS
-    phi = np.exp(-y) / -np.expm1(-y)
-    terms = _DEGENERACY * phi
-    slope = np.zeros_like(x)
-    if wrt == "x":
-        slope = -np.vecdot(terms, 1.0 + phi)
-    elif wrt == "tau":
-        slope = -np.vecdot(terms, _LEVELS * (1.0 + phi))
-    k, c0, c1 = _EM_LEVELS, _EM_C0, _EM_C1
-    y0 = x + tau * k
+    terms, slope = _level_terms(x[:, None], tau[:, None], wrt)
+    y0 = x + tau * _EM_LEVELS
     f = pointwise(occupation, y0)
-    g1, g2, g3 = bose._g123_array(y0)
-    # Where f = 0, so are g_1 .. g_3 and E; tau = 0 there keeps E's table finite.
-    t = np.where(f > 0.0, tau, 0.0)[:, None]
-    left = (_EM_COEFFICIENTS @ ((t * f[:, None]) ** _EM_POWERS)[:, None, :, None])[..., 0]
-    table = (left @ (t**_EM_POWERS)[..., None])[..., 0]  # per state, C @ a @ b
-    e, e_x, e_tau = (f[:, None] * table).T
     tau2, tau3 = pointwise(lambda v: v**2, tau), pointwise(lambda v: v**3, tau)
-    parts = np.column_stack((terms, c0 * g1 / tau, c1 * g2 / tau2, g3 / tau3, e))
-    total = np.array(list(map(math.fsum, parts.tolist())))
-    if wrt == "x":
-        slope += (e_x - c0 * f - (c1 * g1 + g2 / tau) / tau) / tau
-    elif wrt == "tau":
-        slope += (e_tau - c0 * (g1 / tau + k * f)) / tau
-        slope -= (c1 * (2.0 * g2 / tau + k * g1) + (3.0 * g3 / tau + k * g2) / tau) / tau2
+    g123 = pointwise(bose.bose_g123_x, y0).T
+    # where f = 0, E is 0; tau = 0 there keeps its powers finite
+    e = _end_corrections(np.where(f > 0.0, tau, 0.0)[:, None], f[:, None]).T
+    rest, slope = _em_rest(slope, wrt, tau, tau2, tau3, f, g123, e)
+    total = np.array(list(map(math.fsum, np.column_stack((terms, *rest)).tolist())))
     return total, slope
+
+
+def _level_terms(x, tau, wrt):
+    """The terms g_n phi(x + tau n) of the levels n = 1 .. K-1, and their sum's slope.
+
+    x and tau are floats, or columns of states whose terms fill the rows.
+    The slope in ``wrt`` takes each row's dot product from ``np.vecdot``
+    (zeros when wrt is None).
+    """
+    neg_y = -tau * _LEVELS - x  # exactly -(x + tau n)
+    phi = np.exp(neg_y) / -np.expm1(neg_y)  # 1/(e^y - 1), without overflow
+    terms = _DEGENERACY * phi
+    if wrt == "x":
+        return terms, -np.vecdot(terms, 1.0 + phi)
+    if wrt == "tau":
+        return terms, -np.vecdot(terms, _LEVELS * (1.0 + phi))
+    return terms, np.zeros(terms.shape[:-1])
+
+
+def _end_corrections(tau, f):
+    """E, tau dE/dx and tau dE/dtau (last axis) from floats tau and f, or columns of states.
+
+    f C @ (tau f)^b @ tau^a, one matmul form for one state and a stack of
+    states.
+    """
+    left = (_EM_COEFFICIENTS @ ((tau * f) ** _EM_POWERS)[..., None, :, None])[..., 0]
+    return f * (left @ (tau**_EM_POWERS)[..., None])[..., 0]
+
+
+def _em_rest(slope, wrt, tau, tau2, tau3, f, g123, e):
+    """The Euler-Maclaurin rest's parts, and ``slope`` plus the rest's slope in ``wrt``.
+
+    Floats of one state or arrays of states alike: g123 holds g_1 .. g_3
+    at y0, f = phi(y0), and e = (E, tau dE/dx, tau dE/dtau).
+    """
+    k, c0, c1 = _EM_LEVELS, _EM_C0, _EM_C1
+    g1, g2, g3 = g123
+    e, e_x, e_tau = e
+    if wrt == "x":
+        slope = slope + (e_x - c0 * f - (c1 * g1 + g2 / tau) / tau) / tau
+    elif wrt == "tau":
+        slope = slope + (e_tau - c0 * (g1 / tau + k * f)) / tau
+        slope = slope - (c1 * (2.0 * g2 / tau + k * g1) + (3.0 * g3 / tau + k * g2) / tau) / tau2
+    return [c0 * g1 / tau, c1 * g2 / tau2, g3 / tau3, e], slope
 
 
 def _end_correction_coefficients() -> np.ndarray:

@@ -83,13 +83,12 @@ def population_slope_sc_x(variant, x: float, tau: float) -> tuple[float, float]:
 def _population_slopes(v: ScVariant, x: np.ndarray, tau: np.ndarray):
     """:func:`population_slope_sc_x` over arrays of states, x > 0 and checked tau.
 
-    The floats of the scalar kernel, state by state: the Bose functions
-    come from ``bose._g123_array`` and the powers and occupations from
-    ``pointwise``.
+    The floats of the scalar kernel, state by state: the Bose functions,
+    powers and occupations come from the scalar calls (``pointwise``).
     """
     n0 = pointwise(occupation, x) if v.kind == ModelKind.SC else 0.0
     tau2, tau3 = pointwise(lambda t: t**2, tau), pointwise(lambda t: t**3, tau)
-    return _population_slope(v, bose._g123_array(x), tau2, tau3, n0)
+    return _population_slope(v, pointwise(bose.bose_g123_x, x).T, tau2, tau3, n0)
 
 
 def _population_slope(v: ScVariant, g123, tau2, tau3, n0):

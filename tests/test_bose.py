@@ -230,20 +230,6 @@ def test_array_matches_scalar(nu):
         assert array[0] == bose.zeta_const(nu)
 
 
-def test_g123_array_equals_scalar_calls():
-    # The batched solves need bose_g123_x's floats at each point, bit for
-    # bit: arrays of one and a few points (where a plain numpy sum would
-    # add the series pairwise), the sweep on both sides of X_SWITCH and of
-    # the short expansion's 0.1, and the Boltzmann tail.
-    rng = np.random.default_rng(17)
-    cases = [np.array([v]) for v in (1e-9, 0.0999, 0.1, 0.5, 1.0, 1.7, 40.0, 800.0)]
-    cases += [rng.uniform(0.01, 8.0, n) for n in (2, 3, 7, 40)]
-    cases += [SWEEP_X, np.array([700.0, 745.0, 1e300])]
-    for x in cases:
-        scalar = np.array([bose.bose_g123_x(float(v)) for v in x])
-        assert all(np.array_equal(g, scalar[:, k]) for k, g in enumerate(bose._g123_array(x)))
-
-
 def test_array_series_across_chunks():
     # More far points than one chunk of the summed power table.
     x = np.linspace(1.0, 30.0, 2 * bose._SERIES_CHUNK + 5)
