@@ -26,10 +26,7 @@ MAX_POINTS = 100_000
 
 
 def _parse_models(text: str) -> tuple[ModelKind, ...]:
-    try:
-        return tuple(ModelKind(tag.strip()) for tag in text.split(","))
-    except ValueError as exc:
-        raise DomainError(f"unknown model tag in {text!r}") from exc
+    return tuple(ModelKind(tag.strip()) for tag in text.split(","))
 
 
 def _parse_aniso(text: str | None) -> TrapSpec:

@@ -28,7 +28,7 @@ import numpy as np
 from . import exact, semiclassical
 from .bose import zeta_const
 from .errors import ConvergenceError, DomainError
-from .models import ModelKind, check_positive, check_tau, lambda3, occupation
+from .models import ModelKind, check_atoms, check_positive, check_tau, lambda3, occupation
 from .roots import solve_log_newton, solve_log_newton_many
 
 __all__ = [
@@ -335,14 +335,13 @@ def transition_temperature(
     gas at tau* is not yet condensed.
     """
     model = ModelKind(model)
-    _check_transition_atoms(atoms)
+    atoms = check_atoms(atoms)
     ratio = _resolve_ratio(model, trap, aniso_ratio)
-    tau_c = (zeta_const(3.0) / atoms) ** (1.0 / 3.0)
-    if model == ModelKind.SCINF:
-        semiclassical.ScVariant(model, ratio)  # validates the ratio it does not use
-        return ReducedUnits(tau_c)
-
+    tau_c = semiclassical.thermodynamic_tau(atoms)
+    # Built for SCINF too, since it validates the ratio SCINF does not use.
     variant = semiclassical.ScVariant(model, ratio) if model != ModelKind.EX else None
+    if model == ModelKind.SCINF:
+        return ReducedUnits(tau_c)
     capacities = {}
 
     def residual(tau: float) -> tuple[float, float]:
@@ -372,9 +371,8 @@ def _transition_many(model: ModelKind, atoms) -> np.ndarray:
     typed errors.
     """
     model = ModelKind(model)
-    for a in atoms:
-        _check_transition_atoms(a)
-    tau_c = [(zeta_const(3.0) / a) ** (1.0 / 3.0) for a in atoms]
+    atoms = [check_atoms(a) for a in atoms]
+    tau_c = [semiclassical.thermodynamic_tau(a) for a in atoms]
     if model == ModelKind.SCINF:
         return np.array([check_tau(t) for t in tau_c])
     variant = semiclassical.ScVariant(model) if model != ModelKind.EX else None
@@ -400,11 +398,6 @@ def _transition_many(model: ModelKind, atoms) -> np.ndarray:
         capacities[low] = capacity_slopes(tau_star[low])[0]
         low = capacities <= targets
     return tau_star
-
-
-def _check_transition_atoms(atoms) -> None:
-    if check_positive("atom number", atoms) < 2.0:
-        raise DomainError("transition temperature needs at least two atoms")
 
 
 def _fugacity_start(model: ModelKind, atoms: float, tau: float, capacity: float) -> float:

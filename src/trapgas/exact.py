@@ -51,7 +51,8 @@ import numpy as np
 
 from . import bose
 from .errors import DomainError, TruncationError
-from .models import PI_32, check_coordinates, check_tau, ground_column, occupation, pointwise
+from .models import PI_32, check_coordinates, check_dims, check_levels, check_tau
+from .models import ground_column, occupation, pointwise, x_from_z
 
 #: Element budget of one head x grid-chunk buffer (2 MB of float64).
 _CHUNK_ELEMENTS = 1 << 18
@@ -75,13 +76,6 @@ _DEGENERACY = 0.5 * (_LEVELS + 1.0) * (_LEVELS + 2.0)
 _EM_C0 = 0.5 * (_EM_LEVELS + 1) * (_EM_LEVELS + 2)  # g_K
 _EM_C1 = 0.5 * (2 * _EM_LEVELS + 3)  # dg_n/dn at n = K
 _EM_POWERS = np.arange(2.0 * _EM_ORDER + 1.0)
-
-
-def _x_from_z(z: float) -> float:
-    z = float(z)
-    if not 0.0 < z < 1.0:
-        raise DomainError(f"fugacity must lie in (0, 1), got {z!r}")
-    return -math.log(z)
 
 
 def ground_population(x: float) -> float:
@@ -291,14 +285,11 @@ _EM_COEFFICIENTS = _end_correction_coefficients()
 
 def population_ex(z: float, tau: float) -> float:
     """Total atom number N(z, tau), ground state included."""
-    x = _x_from_z(z)
-    return ground_population(x) + excited_population_x(x, tau)
+    return population_ex_x(x_from_z(z), tau)
 
 
 def population_ex_x(x: float, tau: float) -> float:
     """x-space variant of :func:`population_ex` used by the solvers."""
-    if not x > 0.0:
-        raise DomainError(f"total population needs x > 0, got {x!r}")
     return ground_population(x) + excited_population_x(x, tau)
 
 
@@ -313,15 +304,13 @@ def excited_density_x(x: float, tau: float, r):
 
 def density_ex(z: float, tau: float, r):
     """Total density rho_ex(r) in sigma^-3 units, ground state included."""
-    x = _x_from_z(z)
-    return density_ex_x(x, tau, r)
+    return density_ex_x(x_from_z(z), tau, r)
 
 
 def density_ex_x(x: float, tau: float, r):
-    if not x > 0.0:
-        raise DomainError(f"total density needs x > 0, got {x!r}")
-    ground = ground_column(ground_population(x), 0, np.asarray(r, dtype=float))
-    return ground + excited_density_x(x, tau, r)
+    n0 = ground_population(x)
+    excited = excited_density_x(x, tau, r)  # checks r before the ground term squares it
+    return ground_column(n0, 0, np.asarray(r, dtype=float)) + excited
 
 
 def excited_column_x(x: float, tau: float, dims_integrated: int, s):
@@ -330,11 +319,12 @@ def excited_column_x(x: float, tau: float, dims_integrated: int, s):
     Each integrated axis turns a term's Gaussian of inverse width a_l into
     a factor sqrt(pi / a_l); the remaining coordinate s is the transverse
     radius (d = 1) or the single remaining axis coordinate (d = 2).  Units
-    are sigma^(d-3); d = 3 integrates everything and returns the excited
-    atom number.
+    are sigma^(d-3); d = 3 integrates everything, so its only coordinate is
+    s = 0, and returns the excited atom number.
     """
-    if dims_integrated not in (1, 2, 3):
-        raise DomainError(f"dims_integrated must be 1, 2 or 3, got {dims_integrated!r}")
+    check_dims(dims_integrated, (1, 2, 3))
+    if dims_integrated == 3 and np.any(np.asarray(s, dtype=float) != 0.0):
+        raise DomainError("d = 3 integrates every axis; its only coordinate is s = 0")
     return _excited_gauss_sum(x, tau, dims_integrated, s)
 
 
@@ -480,18 +470,13 @@ def _gauss_head(weight, coef, a, s2, gauss):
 
 def column_density_ex(z: float, tau: float, dims_integrated: int, s):
     """Density integrated over 1, 2 or all 3 axes, ground state included."""
-    x = _x_from_z(z)
-    return column_density_ex_x(x, tau, dims_integrated, s)
+    return column_density_ex_x(x_from_z(z), tau, dims_integrated, s)
 
 
 def column_density_ex_x(x: float, tau: float, dims_integrated: int, s):
-    if not x > 0.0:
-        raise DomainError(f"column density needs x > 0, got {x!r}")
-    if dims_integrated not in (1, 2, 3):
-        raise DomainError(f"dims_integrated must be 1, 2 or 3, got {dims_integrated!r}")
-    d = dims_integrated
-    ground = ground_column(ground_population(x), d, np.asarray(s, dtype=float))
-    return ground + excited_column_x(x, tau, d, s)
+    n0 = ground_population(x)
+    excited = excited_column_x(x, tau, dims_integrated, s)  # checks d and s first
+    return ground_column(n0, dims_integrated, np.asarray(s, dtype=float)) + excited
 
 
 def level_populations_ex(
@@ -502,10 +487,9 @@ def level_populations_ex(
     N_n = g_n z e^{-tau n} / (1 - z e^{-tau n}) with g_n = (n+1)(n+2)/2;
     summed over all n this reproduces the l-sum atom number.
     """
-    x = _x_from_z(z)
+    x = x_from_z(z)
     tau = check_tau(tau)
-    if n_max < 0:
-        raise DomainError("n_max must be nonnegative")
+    n_max = check_levels(n_max)
     out = []
     for n in range(n_max + 1):
         g = (n + 1) * (n + 2) // 2
@@ -537,8 +521,9 @@ def eigenfunction_oracle(z: float, tau: float, r: float, n_max: int = 200) -> fl
     captures the occupation tail, which is enforced as tau >= 0.2 and
     z <= 0.95 for the default n_max.
     """
-    x = _x_from_z(z)
+    x = x_from_z(z)
     tau = check_tau(tau)
+    n_max = check_levels(n_max)
     if not r >= 0.0:
         raise DomainError(f"radius must be nonnegative, got {r!r}")
     if tau < 0.2 or z > 0.95 or n_max > 200:

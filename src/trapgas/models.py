@@ -1,4 +1,4 @@
-"""Model tags and the trap-unit conventions every model shares.
+"""Model tags, the trap-unit conventions every model shares, and the argument rules.
 
 Units convention: the (geometric-mean) trap frequency omega fixes
 everything.  Lengths are in sigma = sqrt(hbar / m omega), temperatures in
@@ -33,6 +33,10 @@ class ModelKind(str, Enum):
     def has_ground_state(self) -> bool:
         return self in (ModelKind.EX, ModelKind.SC)
 
+    @classmethod
+    def _missing_(cls, value):
+        raise DomainError(f"unknown model tag {value!r}; the tags are {[k.value for k in cls]}")
+
 
 def check_positive(name: str, value) -> float:
     """``value`` as a float; DomainError unless it is positive and finite."""
@@ -56,6 +60,36 @@ def check_tau(tau) -> float:
     if cube < sys.float_info.min:
         raise DomainError(f"tau^3 underflows at tau = {tau!r}")
     return tau
+
+
+def check_atoms(atoms, minimum: float = 2.0) -> float:
+    """``atoms`` as a float; DomainError unless it is finite and at least ``minimum``."""
+    atoms = check_positive("atom number", atoms)
+    if atoms < minimum:
+        raise DomainError(f"need at least {minimum:g} atoms, got {atoms!r}")
+    return atoms
+
+
+def x_from_z(z, saturated: bool = False) -> float:
+    """x = -ln z; DomainError unless z lies in (0, 1), or in (0, 1] (x = 0) if ``saturated``."""
+    z = float(z)
+    if not (0.0 < z < 1.0 or saturated and z == 1.0):
+        raise DomainError(f"fugacity must lie in (0, 1{']' if saturated else ')'}, got {z!r}")
+    return -math.log(z) if z < 1.0 else 0.0
+
+
+def check_dims(dims, allowed: tuple[int, ...]) -> int:
+    """DomainError unless ``dims`` (the number of integrated axes) is one of ``allowed``."""
+    if dims not in allowed:
+        raise DomainError(f"dims_integrated must be one of {allowed}, got {dims!r}")
+    return dims
+
+
+def check_levels(n_max) -> int:
+    """``n_max`` as an int; DomainError unless it is a nonnegative integer."""
+    if not (isinstance(n_max, (int, np.integer)) and n_max >= 0):
+        raise DomainError(f"n_max must be a nonnegative integer, got {n_max!r}")
+    return int(n_max)
 
 
 def check_coordinates(s) -> np.ndarray:

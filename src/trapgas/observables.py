@@ -28,7 +28,7 @@ import numpy as np
 from . import exact, integrate, semiclassical
 from .core import GasState
 from .errors import DomainError, QuadratureError
-from .models import ModelKind, check_coordinates, ground_column, lambda3
+from .models import ModelKind, check_dims, ground_column, lambda3, occupation
 
 #: Relative accuracy demanded of the density moments.
 _MOMENT_TOL = 1e-6
@@ -101,12 +101,10 @@ def first_excited_level_density(state: GasState, grid, dims_integrated: int = 0)
     ground-state column.
     """
     grid = np.asarray(grid, dtype=float)
-    if dims_integrated not in (0, 1, 2):
-        raise DomainError(f"dims_integrated must be 0, 1 or 2, got {dims_integrated!r}")
+    d = check_dims(dims_integrated, (0, 1, 2))
     if state.model != ModelKind.EX:
         return np.zeros_like(grid)
-    n1 = 3.0 / math.expm1(state.x + state.tau)
-    d = dims_integrated
+    n1 = 3.0 * occupation(state.x + state.tau)
     return n1 * (2.0 * grid**2 + d) * ground_column(1.0, d, grid)
 
 
@@ -127,11 +125,10 @@ def profile(state: GasState, grid, dims_integrated: int = 0) -> DensityProfile:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise DomainError("grid must be a one-dimensional array")
-    check_coordinates(grid)
-    if np.any(np.diff(grid) <= 0.0):
+    # The column kernels check the coordinates; comparisons are safe before that.
+    if np.any(grid[1:] <= grid[:-1]):
         raise DomainError("grid must be strictly ascending")
-    if dims_integrated not in (0, 1, 2):
-        raise DomainError(f"dims_integrated must be 0, 1 or 2, got {dims_integrated!r}")
+    check_dims(dims_integrated, (0, 1, 2))
     total = _column_total(state, grid, dims_integrated)
     if state.model.has_ground_state:
         ground = ground_column(state.n0, dims_integrated, grid)
@@ -171,7 +168,6 @@ def dip_height(state: GasState) -> float:
 
 def peak_report(state: GasState) -> PeakReport:
     """Peak densities, fractions and the degeneracy parameter rho(0) lambda^3."""
-    _require_density(state)
     rho_peak = float(np.asarray(total_density(state, 0.0)))
     rho0 = 0.0
     if state.model.has_ground_state:
@@ -187,8 +183,7 @@ def peak_report(state: GasState) -> PeakReport:
 
 def integrated_peak_fraction(state: GasState, dims_integrated: int) -> float:
     """Ground-state share of the on-axis integrated density."""
-    if dims_integrated not in (1, 2):
-        raise DomainError(f"dims_integrated must be 1 or 2, got {dims_integrated!r}")
+    check_dims(dims_integrated, (1, 2))
     if not state.model.has_ground_state:
         raise DomainError("integrated peak fraction needs a model with a ground state")
     _require_density(state)
@@ -202,23 +197,23 @@ def density_moment(state: GasState, p: int) -> float:
     """Integral of rho(r)^p over space (4 pi r^2 weight), p = 2 or 3.
 
     Loss-rate style moment; Gauss-Legendre quadrature on the radial panels
-    [0, 6] and [6, 8 / sqrt(tau)] (eight thermal radii, where the integrand
-    has decayed far below the tolerance), with one array call of the
-    density per panel and rule.  The finite-size term of SC0 and SC,
-    g_{1/2}(x + tau r^2 / 2), has a core of width sqrt(2x / tau) that
+    [0, 6] (six widths of the unit ground-state Gaussian) and, where eight
+    thermal radii reach further, [6, 8 / sqrt(tau)]; the integrand has
+    decayed far below the tolerance there.  One array call of
+    :func:`total_density` per panel and rule.  The finite-size term of SC0
+    and SC, g_{1/2}(x + tau r^2 / 2), has a core of width sqrt(2x / tau) that
     shrinks to 0 at saturation, so for those models [0, 6] is cut further
     at 6 / 16^j, down to the first such edge within 4 core widths.
     """
     if p not in (2, 3):
         raise DomainError(f"density moment supports p = 2 or 3, got {p!r}")
-    _require_density(state)
     r_max = 8.0 / math.sqrt(state.tau)
     graded = []
     if state.model in (ModelKind.SC0, ModelKind.SC) and state.x > 0.0:
         four_widths = 4.0 * math.sqrt(2.0 * state.x / state.tau)
         panels = max(math.ceil(math.log(6.0 / four_widths, 16.0)), 0)
         graded = [6.0 / 16.0**j for j in range(panels, 0, -1)]
-    edges = [min(r, r_max) for r in (0.0, *graded, 6.0, r_max)]
+    edges = [0.0, *graded, 6.0, r_max] if r_max > 6.0 else [0.0, *graded, 6.0]
 
     def integrand(r: np.ndarray) -> np.ndarray:
         return 4.0 * math.pi * r * r * np.asarray(total_density(state, r)) ** p

@@ -31,8 +31,8 @@ import numpy as np
 
 from . import bose
 from .errors import DomainError
-from .models import ModelKind, check_coordinates, check_positive, check_tau
-from .models import ground_column, lambda3, occupation, pointwise
+from .models import ModelKind, check_atoms, check_coordinates, check_dims, check_positive
+from .models import check_tau, ground_column, lambda3, occupation, pointwise, x_from_z
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,7 @@ class ScVariant:
     aniso_ratio: float = 1.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "kind", ModelKind(self.kind))
         if self.kind == ModelKind.EX:
             raise DomainError("EX is not a semi-classical variant")
         if not 1.0 <= self.aniso_ratio < math.inf:
@@ -53,9 +54,7 @@ class ScVariant:
 
 
 def _as_variant(variant) -> ScVariant:
-    if isinstance(variant, ScVariant):
-        return variant
-    return ScVariant(ModelKind(variant))
+    return variant if isinstance(variant, ScVariant) else ScVariant(variant)
 
 
 def population_sc_x(variant, x: float, tau: float) -> float:
@@ -106,11 +105,7 @@ def _population_slope(v: ScVariant, g123, tau2, tau3, n0):
 
 def population_sc(variant, z: float, tau: float) -> float:
     """Atom number N(z, tau) for a semi-classical variant, z in (0, 1]."""
-    z = float(z)
-    if not 0.0 < z <= 1.0:
-        raise DomainError(f"fugacity must lie in (0, 1], got {z!r}")
-    x = 0.0 if z == 1.0 else -math.log(z)
-    return population_sc_x(variant, x, tau)
+    return population_sc_x(variant, x_from_z(z, saturated=True), tau)
 
 
 def saturated_population_sc(variant, tau: float) -> float:
@@ -187,8 +182,7 @@ def column_density_sc_x(variant, x: float, tau: float, dims_integrated: int, s):
     the remaining axis coordinate (d = 2); units are sigma^(d-3).  d = 0
     is :func:`density_sc_x`.
     """
-    if dims_integrated not in (0, 1, 2):
-        raise DomainError(f"dims_integrated must be 0, 1 or 2, got {dims_integrated!r}")
+    check_dims(dims_integrated, (0, 1, 2))
     return _column_sc(_as_variant(variant), x, tau, dims_integrated, s)
 
 
@@ -199,11 +193,7 @@ def density_sc(variant, z: float, tau: float, r):
     SC0 is refused there rather than regularized, and SC needs z < 1 for
     its ground-state term.
     """
-    z = float(z)
-    if not 0.0 < z <= 1.0:
-        raise DomainError(f"fugacity must lie in (0, 1], got {z!r}")
-    x = 0.0 if z == 1.0 else -math.log(z)
-    return density_sc_x(variant, x, tau, r)
+    return density_sc_x(variant, x_from_z(z, saturated=True), tau, r)
 
 
 def condensate_fraction_sc(variant, atoms: float, temperature: float) -> float:
@@ -214,8 +204,7 @@ def condensate_fraction_sc(variant, atoms: float, temperature: float) -> float:
     and is continuous through the transition.
     """
     v = _as_variant(variant)
-    if check_positive("atom number", atoms) < 2:
-        raise DomainError("need at least two atoms")
+    atoms = check_atoms(atoms)
     tau = 1.0 / check_positive("temperature", temperature)
     if v.kind in (ModelKind.SCINF, ModelKind.SC0):
         capacity = saturated_population_sc(v, tau)
@@ -242,6 +231,11 @@ class HighNAsymptotics:
 DEGENERACY_LIMIT = bose.zeta_const(1.5) + 2.0 * math.sqrt(2.0 * bose.zeta_const(2.0))
 
 
+def thermodynamic_tau(atoms: float) -> float:
+    """SCINF's transition point tau_c = (zeta(3)/N)^{1/3}, for a checked atom number."""
+    return (bose.zeta_const(3.0) / atoms) ** (1.0 / 3.0)
+
+
 def high_n_asymptotics(atoms: float) -> HighNAsymptotics:
     """Analytic large-N threshold quantities.
 
@@ -249,10 +243,9 @@ def high_n_asymptotics(atoms: float) -> HighNAsymptotics:
     evaluates the logarithmic correction at the finite-size transition
     point of the SC family and is slightly smaller for tau* < 1.
     """
-    if atoms < 10:
-        raise DomainError("asymptotics need at least 10 atoms")
+    atoms = check_atoms(atoms, minimum=10.0)
     z2 = bose.zeta_const(2.0)
-    tau_c = (bose.zeta_const(3.0) / atoms) ** (1.0 / 3.0)
+    tau_c = thermodynamic_tau(atoms)
     x1 = tau_c**1.5 / math.sqrt(z2)
     from . import core
 

@@ -248,6 +248,28 @@ def test_non_finite_input_exits_2(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["transition", "fugacity", "degeneracy", "profile"])
+def test_unknown_model_tag_exits_2(command, tmp_path, capsys):
+    # These used to exit 1 with a ValueError traceback; sweep already exited 2.
+    out = tmp_path / "out.csv"
+    argv = [command, "--model", "foo", "--atoms", "1e3"]
+    if command in ("fugacity", "profile"):
+        argv += ["--temp", "10"]
+    if command == "profile":
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    assert "unknown model tag 'foo'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_frozen_exact_profile_exits_0(tmp_path, capsys):
+    # tau = 800: the first-excited occupation used to overflow math.expm1 (exit 1).
+    out = tmp_path / "p.csv"
+    argv = ["profile", "--model", "ex", "--atoms", "1e3", "--temp", "0.00125", "--out", str(out)]
+    assert main(argv) == 0
+    assert out.exists()
+
+
 @pytest.mark.parametrize("model", ["ex", "sc", "sc0", "scinf"])
 def test_temperature_whose_tau_cube_overflows_exits_2(model, capsys):
     # tau = 1e200: SC used to escape as an untyped OverflowError (exit 1).

@@ -218,6 +218,23 @@ def test_non_finite_aniso_ratio_raises_domain_error(call, bad):
         call(bad)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: tg.solve_fugacity("foo", 1e3, 0.1),
+        lambda: tg.transition_temperature("foo", 1e3),
+        lambda: tg.population_total("foo", 0.1, 0.1),
+        lambda: tg.condensate_fraction_sc("foo", 1e3, 10.0),
+        lambda: semiclassical.ScVariant("foo"),
+    ],
+    ids=["solve_fugacity", "transition_temperature", "population_total",
+         "condensate_fraction_sc", "ScVariant"],
+)
+def test_unknown_model_tag_raises_domain_error(call):
+    with pytest.raises(DomainError, match="unknown model tag 'foo'"):
+        call()
+
+
 @pytest.mark.parametrize("ratio", [math.nan, 0.5, math.inf])
 def test_scinf_transition_validates_aniso_ratio(ratio):
     # The SCINF closed form does not use the ratio, but it must still be valid.

@@ -288,6 +288,25 @@ class TestColumns:
         with pytest.raises(DomainError):
             exact.column_density_ex(0.5, 1.0, 4, 0.0)
 
+    @pytest.mark.parametrize(
+        "column",
+        [
+            lambda s: exact.excited_column_x(0.1, 0.1, 3, s),
+            lambda s: exact.column_density_ex_x(0.1, 0.1, 3, s),
+            lambda s: exact.column_density_ex(math.exp(-0.1), 0.1, 3, s),
+        ],
+        ids=["excited_column_x", "column_density_ex_x", "column_density_ex"],
+    )
+    def test_full_integration_admits_only_s_zero(self, column):
+        # d = 3 leaves no coordinate: s = 1 used to return 1194.36, not the
+        # excited atom number 1271.90 of s = 0.
+        for s in (1.0, [0.0, 1.0], math.nan):
+            with pytest.raises(DomainError):
+                column(s)
+        assert exact.excited_column_x(0.1, 0.1, 3, [0.0]) == pytest.approx(
+            [exact.excited_population_x(0.1, 0.1)], rel=1e-12
+        )
+
 
 def ex_state(atoms, t_ratio):
     t_star = core.transition_temperature(ModelKind.EX, atoms).temperature
@@ -301,6 +320,15 @@ class TestGaussKernel:
     def test_non_finite_coordinate_raises_domain_error(self, bad, d):
         with pytest.raises(DomainError):
             exact._excited_gauss_sum(0.01, 0.1, d, [0.0, bad])
+
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_total_checks_coordinates_before_the_ground_term(self, d):
+        # The ground-state Gaussian used to square 1e200 first: RuntimeWarning.
+        with pytest.raises(DomainError):
+            if d:
+                exact.column_density_ex_x(0.01, 0.1, d, [0.0, 1e200])
+            else:
+                exact.density_ex_x(0.01, 0.1, [0.0, 1e200])
 
     @pytest.mark.parametrize(
         "profile",
@@ -475,6 +503,12 @@ class TestLevels:
         levels = exact.level_populations_ex(0.3, 1.0, 6)
         assert [g for _, g, _ in levels] == [1, 3, 6, 10, 15, 21, 28]
 
+    @pytest.mark.parametrize("n_max", [2.5, math.nan])
+    def test_bad_level_count_raises_domain_error(self, n_max):
+        # these used to raise TypeError
+        with pytest.raises(DomainError):
+            exact.level_populations_ex(0.5, 1.0, n_max)
+
 
 class TestEigenfunctionOracle:
     def test_pure_ground_limit(self):
@@ -505,3 +539,9 @@ class TestEigenfunctionOracle:
     def test_nan_radius_raises_domain_error(self):
         with pytest.raises(DomainError):
             exact.eigenfunction_oracle(0.5, 0.3, math.nan)
+
+    @pytest.mark.parametrize("n_max", [-1, 2.5])
+    def test_bad_level_count_raises_domain_error(self, n_max):
+        # -1 used to raise IndexError, 2.5 TypeError
+        with pytest.raises(DomainError):
+            exact.eigenfunction_oracle(0.5, 1.0, 0.0, n_max=n_max)

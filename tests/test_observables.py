@@ -70,6 +70,14 @@ class TestProfile:
             integral = np.trapezoid(w * comp, grid)
             assert integral == pytest.approx(9.0 * occ1, rel=1e-4)
 
+    @pytest.mark.parametrize("dims", [0, 1, 2])
+    def test_frozen_cloud_components_are_finite(self, dims):
+        # tau = 800 puts x + tau past math.expm1's overflow at 709.78.
+        state = tg.solve_fugacity(M.EX, 1e3, 800.0)
+        prof = tg.profile(state, np.linspace(0.0, 10.0, 201), dims_integrated=dims)
+        for comp in (prof.total, prof.ground, prof.first_excited, prof.other_excited):
+            assert np.all(np.isfinite(comp)) and np.all(comp >= 0.0)
+
     def test_ground_column_shapes(self, ex_1e4):
         for dims in (0, 1, 2):
             prof = tg.profile(ex_1e4, np.array([0.0]), dims_integrated=dims)
@@ -287,3 +295,21 @@ class TestDensityMoment:
         ref, _ = integrate.quad(integrand, 0.0, r_max, epsabs=0.0, epsrel=1e-12,
                                 limit=1000, points=points)
         assert tg.density_moment(state, p) == pytest.approx(ref, rel=1e-11)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("tau", [16.0, 64.0])
+    @pytest.mark.parametrize("model", [M.EX, M.SC])
+    def test_cold_cloud_against_adaptive_quad(self, model, tau, p):
+        # The ground-state Gaussian has unit width at every tau, so the upper
+        # edge may not shrink with 8 / sqrt(tau) below it (the p = 2 moment
+        # read 1.1e-3 low at tau = 16 and 26% low at tau = 64).
+        state = tg.solve_fugacity(model, 1e3, tau)
+        width = math.sqrt(2.0 * state.x / state.tau)  # SC's g_{1/2} core
+
+        def integrand(r):
+            return 4.0 * math.pi * r * r * float(np.asarray(obs.total_density(state, r))) ** p
+
+        points = [width * 10.0**k for k in range(12) if width * 10.0**k < 10.0]
+        ref, _ = integrate.quad(integrand, 0.0, 10.0, epsabs=0.0, epsrel=1e-12,
+                                limit=1000, points=points)
+        assert tg.density_moment(state, p) == pytest.approx(ref, rel=1e-6)
