@@ -33,6 +33,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, TruncationError
+from .models import check_x
 
 #: The only constructible Bose-function orders.
 BOSE_ORDERS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
@@ -183,8 +184,7 @@ def bose_g_small_x(nu: float, x: float) -> float:
     truncation error grows beyond it, and the series diverges at x = 2 pi.
     """
     nu = _check_order(nu)
-    if not x > 0.0:
-        raise DomainError(f"expansion needs x > 0, got {x!r}")
+    check_x(x, positive=True)
     if nu == 1.0:
         return _g_one(x)
     return _expansion_sum(nu, x, math.sqrt, math.log)
@@ -223,9 +223,7 @@ def bose_g_x(nu: float, x: float) -> float:
     meaningful arbitrarily close to saturation.
     """
     nu = _check_order(nu)
-    if not x >= 0.0:
-        raise DomainError(f"need x >= 0, got {x!r}")
-    if x == 0.0:
+    if check_x(x) == 0.0:
         if nu <= 1.0:
             raise DomainError(f"g_{nu:g} diverges at z = 1")
         return _ZETA[nu]
@@ -242,9 +240,7 @@ def bose_g123_x(x: float) -> tuple[float, float, float]:
     Above ``X_SWITCH`` one loop over the powers of z sums g_2 and g_3 together,
     to the direct series' length (at most 37 terms there).
     """
-    if not x > 0.0:
-        raise DomainError(f"g_1 needs x > 0, got {x!r}")
-    g1 = _g_one(x)
+    g1 = _g_one(check_x(x, positive=True))
     if x < X_SWITCH:
         return g1, bose_g_small_x(2.0, x), bose_g_small_x(3.0, x)
     z = math.exp(-x)

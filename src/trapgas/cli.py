@@ -9,6 +9,7 @@ bad arguments, 3 convergence failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -182,15 +183,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transition", help="transition temperature T*")
     common(p)
     p.add_argument("--out", default=None, help="optional CSV output path")
-    p.set_defaults(func=cmd_transition)
 
     p = sub.add_parser("fugacity", help="solve z at fixed N and T")
     common(p, temp=True)
-    p.set_defaults(func=cmd_fugacity)
 
     p = sub.add_parser("degeneracy", help="threshold degeneracy parameter")
     common(p)
-    p.set_defaults(func=cmd_degeneracy)
 
     p = sub.add_parser("profile", help="decomposed density profile CSV")
     common(p, temp=True)
@@ -199,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=int, choices=(0, 1, 2), default=0,
                    help="number of integrated axes")
     p.add_argument("--out", required=True, help="CSV output path")
-    p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("sweep", help="temperature sweep of fractions")
     p.add_argument("--model", default="ex", help="comma list of model tags")
@@ -208,21 +205,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmax", type=float, required=True)
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--out", required=True, help="CSV output path")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("figure", help="emit a pinned figure data set")
     p.add_argument("--figure", type=int, required=True, help="figure id 1..7")
     p.add_argument("--out", default=".", help="output directory")
-    p.set_defaults(func=cmd_figure)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    command = globals()[f"cmd_{args.command}"]  # looked up per call, so it can be replaced
     try:
-        return args.func(args)
+        return command(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -43,6 +43,9 @@ __all__ = [
 ]
 
 _FUGACITY_RESIDUAL = 1e-10
+#: Largest atom number of a T* solve.  From about N = 7e230 on, the tau-slope
+#: of the capacity, -3 N / tau* = -3 N^{4/3} / zeta(3)^{1/3}, overflows.
+_MAX_TRANSITION_ATOMS = 1e200
 
 
 @dataclass(frozen=True)
@@ -332,10 +335,10 @@ def transition_temperature(
     values; SCINF has the closed form tau* = (zeta(3)/N)^{1/3}.  EX, SC and
     SC0 return tau* on the unsaturated side, where the capacity exceeds
     ``atoms`` (one ulp hotter where the root rounds the other way), so the
-    gas at tau* is not yet condensed.
+    gas at tau* is not yet condensed.  N runs from 2 to 1e200.
     """
     model = ModelKind(model)
-    atoms = check_atoms(atoms)
+    atoms = check_atoms(atoms, maximum=_MAX_TRANSITION_ATOMS)
     ratio = _resolve_ratio(model, trap, aniso_ratio)
     tau_c = semiclassical.thermodynamic_tau(atoms)
     # Built for SCINF too, since it validates the ratio SCINF does not use.
@@ -371,7 +374,7 @@ def _transition_many(model: ModelKind, atoms) -> np.ndarray:
     typed errors.
     """
     model = ModelKind(model)
-    atoms = [check_atoms(a) for a in atoms]
+    atoms = [check_atoms(a, maximum=_MAX_TRANSITION_ATOMS) for a in atoms]
     tau_c = [semiclassical.thermodynamic_tau(a) for a in atoms]
     if model == ModelKind.SCINF:
         return np.array([check_tau(t) for t in tau_c])

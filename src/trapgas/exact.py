@@ -40,6 +40,10 @@ is a power series in q = e^{-tau l} <= _TAIL_Q whose powers sum
 geometrically over l, so the rest of the sum is a closed form of
 _TAIL_TERMS terms with a bound on the powers left out (``_tail_series``),
 a polynomial in s^2.  A head longer than MAX_TERMS raises TruncationError.
+``_origin_columns`` takes the density and columns at s = 0 for a list of
+states at once, for the figures' peak reports: it builds every state's
+head rows once for all d and the tail's d-independent factors once per
+state, with the floats of the single-state kernel.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ import numpy as np
 
 from . import bose
 from .errors import DomainError, TruncationError
-from .models import PI_32, check_coordinates, check_dims, check_levels, check_tau
+from .models import PI_32, check_coordinates, check_dims, check_levels, check_tau, check_x
 from .models import ground_column, occupation, pointwise, x_from_z
 
 #: Element budget of one head x grid-chunk buffer (2 MB of float64).
@@ -80,9 +84,7 @@ _EM_POWERS = np.arange(2.0 * _EM_ORDER + 1.0)
 
 def ground_population(x: float) -> float:
     """N0 = z/(1-z) expressed through x = -ln z (exact near saturation)."""
-    if not x > 0.0:
-        raise DomainError(f"ground population needs x > 0, got {x!r}")
-    return occupation(x)
+    return occupation(check_x(x, positive=True))
 
 
 def _head_length(x: float, tau: float) -> tuple[int, bool]:
@@ -121,7 +123,7 @@ def excited_population_x(x: float, tau: float) -> float:
     Euler-Maclaurin rest (:func:`_excited_population`), at the same cost for
     every N.
     """
-    return _excited_population(x, tau, None)[0]
+    return _excited_population(check_x(x), tau, None)[0]
 
 
 def population_slope_ex_x(x: float, tau: float) -> tuple[float, float]:
@@ -162,11 +164,9 @@ def _excited_population(x: float, tau: float, wrt):
     left out is about 11!/(2 pi K)^12 = 6e-22 of h(K).  math.fsum adds the
     parts with no further rounding.  The slopes follow from
     dg_nu/dy = -g_{nu-1} (g_0 = phi), with dy0/dx = 1 and dy0/dtau = K.
-    The slope is 0.0 when wrt is None.
+    The slope is 0.0 when wrt is None; x >= 0 is checked by the caller.
     """
     tau = check_tau(tau)
-    if not x >= 0.0:
-        raise DomainError(f"need x >= 0, got {x!r}")
     terms, slope = _level_terms(x, tau, wrt)
     slope = float(slope)
     y0 = x + tau * _EM_LEVELS
@@ -290,7 +290,7 @@ def population_ex(z: float, tau: float) -> float:
 
 def population_ex_x(x: float, tau: float) -> float:
     """x-space variant of :func:`population_ex` used by the solvers."""
-    return ground_population(x) + excited_population_x(x, tau)
+    return ground_population(x) + _excited_population(x, tau, None)[0]
 
 
 def excited_density_x(x: float, tau: float, r):
@@ -299,7 +299,7 @@ def excited_density_x(x: float, tau: float, r):
     This is the full density with the ground-state Gaussian removed
     term by term, so it stays finite and accurate through saturation.
     """
-    return _excited_gauss_sum(x, tau, 0, r)
+    return _excited_gauss_sum(check_x(x), tau, 0, r)
 
 
 def density_ex(z: float, tau: float, r):
@@ -325,33 +325,122 @@ def excited_column_x(x: float, tau: float, dims_integrated: int, s):
     check_dims(dims_integrated, (1, 2, 3))
     if dims_integrated == 3 and np.any(np.asarray(s, dtype=float) != 0.0):
         raise DomainError("d = 3 integrates every axis; its only coordinate is s = 0")
-    return _excited_gauss_sum(x, tau, dims_integrated, s)
+    return _excited_gauss_sum(check_x(x), tau, dims_integrated, s)
 
 
 def _excited_gauss_sum(x: float, tau: float, d: int, s):
     """sum_l e^{-lx} [k_l (pi/a_l)^{d/2} e^{-a_l s^2} - pi^{d/2} e^{-s^2}] / pi^{3/2}.
 
     The excited column over d axes (d = 0 is the density), with
-    k_l = (1 - e^{-2 tau l})^{-3/2} and a_l = tanh(tau l / 2).  Every grid
-    column sums the same head (``_head_length``), slab by slab, then the
-    closed-form q-series tail where the head stops at ``l_tail``.
+    k_l = (1 - e^{-2 tau l})^{-3/2} and a_l = tanh(tau l / 2), at x >= 0
+    checked by the caller.  Every grid column sums the same head
+    (``_head_length``), slab by slab, then the closed-form q-series tail
+    where the head stops at ``l_tail``.
     """
     tau = check_tau(tau)
-    if not x >= 0.0:
-        raise DomainError(f"need x >= 0, got {x!r}")
     s_arr = check_coordinates(s)
     head, tail = _head_length(x, tau)
     s2 = s_arr**2
     gauss = math.pi ** (0.5 * d) * np.exp(-s2)
     total = np.zeros_like(s2)
     for l in _head_slabs(head):
-        a = np.tanh(0.5 * tau * l)
-        k32 = 1.0 / (-np.expm1(-2.0 * tau * l)) ** 1.5
-        coef = k32 * (math.pi / a) ** (0.5 * d) if d else k32
-        total += _gauss_head(np.exp(-x * l), coef, a, s2, gauss)
+        weight, k32, a = _head_rows(x, tau, l)
+        total += _gauss_head(weight, _head_coef(k32, a, d), a, s2, gauss)
     if tail:
         total += _q_series_tail(x, tau, d, head, s2, total)
     return total / PI_32 if np.ndim(s) else float(total[0]) / PI_32
+
+
+def _head_rows(x, tau, l):
+    """e^{-x l}, k_l and a_l of the head rows l; x and tau are floats, or arrays like l."""
+    a = np.tanh(0.5 * tau * l)
+    k32 = 1.0 / (-np.expm1(-2.0 * tau * l)) ** 1.5
+    return np.exp(-x * l), k32, a
+
+
+def _head_coef(k32, a, d: int):
+    """k_l (pi/a_l)^{d/2}, the height of a head row's Gaussian over d axes."""
+    return k32 * (math.pi / a) ** (0.5 * d) if d else k32
+
+
+def _origin_columns(x, tau, dims) -> np.ndarray:
+    """:func:`column_density_ex_x` at s = 0 for each d in ``dims`` (rows) and state (columns).
+
+    d = 0 is :func:`density_ex_x` at r = 0.  x and tau are sequences of
+    floats, each state checked as the scalar call checks it; the excited
+    parts of every d come from one pass of :func:`_excited_origin_sums`.
+    Every value is the scalar call's float.
+    """
+    n0, taus = [], []
+    for v, t in zip(x, tau):
+        n0.append(ground_population(v))
+        taus.append(check_tau(t))
+    n0 = np.array(n0)
+    excited = _excited_origin_sums(x, taus, dims)
+    return np.array([ground_column(n0, d, 0.0) for d in dims]) + excited
+
+
+def _excited_origin_sums(x, tau, dims) -> np.ndarray:
+    """``_excited_gauss_sum(x_i, tau_i, d, 0.0)`` for each d in ``dims`` (rows) and state.
+
+    x >= 0 and checked tau, sequences of floats.  The head rows of all
+    states lie end to end, in the scalar kernel's slabs, in chunks of at
+    most _CHUNK_ELEMENTS rows (``_head_chunks``); ``_head_rows`` builds them
+    once for every d.  At s = 0 a row's term is (coef_l - pi^{d/2}) e^{-x l},
+    and each slab is summed on its own as the scalar kernel sums it.  The
+    tail's d-independent factors (``_tail_weights``, ``_tail_factors``) are
+    built once per state, and at s = 0 the series is its first coefficient
+    times its scale.  Every value is the scalar kernel's float.
+    """
+    x_arr, tau_arr = np.array(x, dtype=float), np.array(tau, dtype=float)
+    x, tau = x_arr.tolist(), tau_arr.tolist()
+    heads = [_head_length(v, t) for v, t in zip(x, tau)]
+    sums = np.zeros((len(dims), x_arr.size))
+    for chunk in _head_chunks([head for head, _ in heads]):
+        owners = [i for i, _ in chunk]
+        sizes = [l.size for _, l in chunk]
+        weight, k32, a = _head_rows(
+            np.repeat(x_arr[owners], sizes),
+            np.repeat(tau_arr[owners], sizes),
+            np.concatenate([l for _, l in chunk]),
+        )
+        ends = np.cumsum(sizes).tolist()
+        for k, d in enumerate(dims):
+            terms = (_head_coef(k32, a, d) - math.pi ** (0.5 * d)) * weight
+            for i, lo, hi in zip(owners, [0, *ends], ends):
+                sums[k, i] += terms[lo:hi].sum()
+    tailed = [i for i, (_, tail) in enumerate(heads) if tail]
+    l1 = np.array([heads[i][0] + 1.0 for i in tailed])
+    weights = _tail_weights(x_arr[tailed, None], tau_arr[tailed, None], l1[:, None])
+    tails, bounds = np.empty((2, len(dims), len(tailed)))
+    for j, (i, w) in enumerate(zip(tailed, weights)):
+        factors = _tail_factors(x[i], tau[i], heads[i][0])
+        for k, d in enumerate(dims):
+            scale, bounds[k, j], _ = _tail_scale(factors, d)
+            # The scalar kernel's vector-matrix product; a dot product with
+            # the first column alone may round differently.
+            tails[k, j] = (w @ _tail_coefficients(d))[0] * scale
+    totals = sums[:, tailed] + tails
+    missed = np.argwhere(bounds > REL_TOL * totals)
+    if missed.size:
+        k, j = missed[0]
+        _check_tail(bounds[k, j], totals[k, j], x[tailed[j]], tau[tailed[j]], dims[k])
+    sums[:, tailed] = totals
+    return sums / PI_32
+
+
+def _head_chunks(heads):
+    """The slabs (state, l) of every head in order, in chunks of at most _CHUNK_ELEMENTS rows."""
+    chunk, rows = [], 0
+    for i, head in enumerate(heads):
+        for l in _head_slabs(head):
+            if chunk and rows + l.size > _CHUNK_ELEMENTS:
+                yield chunk
+                chunk, rows = [], 0
+            chunk.append((i, l))
+            rows += l.size
+    if chunk:
+        yield chunk
 
 
 def _q_series_tail(x, tau, d, l_end, s2, total):
@@ -390,18 +479,47 @@ def _tail_series(x, tau, d, l_end):
     e^{-s^2}, bound e^{-decay s^2}, decays in s like the l = 1 term,
     e^{-tanh(tau/2) s^2}, at every tau, and q1/rho <= 0.4.
     """
-    l1 = l_end + 1
+    v = _tail_weights(x, tau, l_end + 1) @ _tail_coefficients(d)
+    return (v, *_tail_scale(_tail_factors(x, tau, l_end), d))
+
+
+def _tail_weights(x, tau, l1):
+    """e^{-tau l1 m} / (1 - e^{-(x + m tau)}) for m = 1 .. M.
+
+    Floats give the vector of one state; columns of states a (states x M)
+    matrix, row by row the vectors of single states.
+    """
     m = np.arange(1.0, _TAIL_TERMS + 1.0)
-    v = (np.exp(-tau * l1 * m) / -np.expm1(-(x + tau * m))) @ _tail_coefficients(d)
-    scale = math.pi ** (0.5 * d) * math.exp(-x * l1)
+    return np.exp(-tau * l1 * m) / -np.expm1(-(x + tau * m))
+
+
+def _tail_factors(x: float, tau: float, l_end: int):
+    """The d-independent factors of the tail's scale and bound, and its decay.
+
+    e^{-x l1}, then (1-rho)^{-3}, (q1/rho)^{M+1} and
+    (1 - q1/rho)(1 - e^{-(x + tau)}) of the Cauchy bound
+    (:func:`_tail_series`), and decay.
+    """
+    l1 = l_end + 1
     p1 = math.exp(-tau)
     rho = min(0.25, p1 / (1.0 + 2.0 * p1))
     # q1 / rho, written so that it stays finite where p1 underflows to 0.
     ratio = max(4.0 * math.exp(-tau * l1), math.exp(-tau * l_end) * (1.0 + 2.0 * p1))
+    return (
+        math.exp(-x * l1),
+        (1.0 - rho) ** -3,
+        ratio ** (_TAIL_TERMS + 1),
+        (1.0 - ratio) * -math.expm1(-(x + tau)),
+        (1.0 - 3.0 * rho) / (1.0 - rho),
+    )
+
+
+def _tail_scale(factors, d: int):
+    """The tail's scale pi^{d/2} e^{-x l1}, bound and decay over d axes, from ``_tail_factors``."""
+    damping, majorant, power, denominator, decay = factors
+    scale = math.pi ** (0.5 * d) * damping
     # sum_{m > M} (1-rho)^{-3} (q1/rho)^m / (1 - e^{-(x + tau)}), times scale
-    bound = scale * (1.0 - rho) ** -3 * ratio ** (_TAIL_TERMS + 1)
-    bound /= (1.0 - ratio) * -math.expm1(-(x + tau))
-    return v, scale, bound, (1.0 - 3.0 * rho) / (1.0 - rho)
+    return scale, scale * majorant * power / denominator, decay
 
 
 def _check_tail(remainder, total, x, tau, d):

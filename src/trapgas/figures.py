@@ -6,7 +6,10 @@ step of the profile family) as defaults; the sweep CLI exposes the same
 machinery with free parameters.  The recipes over a list of atom numbers
 (2, 3, 6 and 7) solve all its T* and threshold states in lockstep
 (``core._transition_many``, ``core._solve_fugacity_many``), which give the
-floats of the scalar solves the temperature sweeps use.
+floats of the scalar solves the temperature sweeps use.  Figures 3 and 7
+then take the peak reports and integrated peak fractions of all their EX
+states from one batched exact sum at the origin
+(``observables._at_origin``), with the floats of the scalar calls.
 
 Columns per figure:
 
@@ -86,9 +89,12 @@ def figure3(n_grid=None) -> SweepTable:
     if n_grid is None:
         n_grid = np.logspace(2, 8, 25)
     table = SweepTable(["N", "deg_param_sc", "deg_param_ex"], meta(figure=3))
-    sc, ex = (_threshold_states(model, n_grid) for model in (ModelKind.SC, ModelKind.EX))
-    for atoms, *states in zip(n_grid, sc, ex):
-        table.add_row(atoms, *(observables.peak_report(s).degeneracy_parameter for s in states))
+    sc, ex = (
+        observables._at_origin(_threshold_states(model, n_grid))[0]
+        for model in (ModelKind.SC, ModelKind.EX)
+    )
+    for atoms, *reports in zip(n_grid, sc, ex):
+        table.add_row(atoms, *(report.degeneracy_parameter for report in reports))
     return table
 
 
@@ -142,14 +148,10 @@ def figure7(n_grid=None) -> SweepTable:
         ["N", "peak_frac_1d_image", "peak_frac_2d_image", "peak_frac_3d"],
         meta(figure=7),
     )
-    for atoms, state in zip(n_grid, _threshold_states(ModelKind.EX, n_grid)):
-        report = observables.peak_report(state)
-        table.add_row(
-            atoms,
-            observables.integrated_peak_fraction(state, 2),
-            observables.integrated_peak_fraction(state, 1),
-            report.peak_fraction,
-        )
+    # Integrating 2 axes leaves a 1D image, 1 axis a 2D image.
+    columns = observables._at_origin(_threshold_states(ModelKind.EX, n_grid), (2, 1, 0))
+    for atoms, image_1d, image_2d, report in zip(n_grid, *columns):
+        table.add_row(atoms, image_1d, image_2d, report.peak_fraction)
     return table
 
 

@@ -62,12 +62,24 @@ def check_tau(tau) -> float:
     return tau
 
 
-def check_atoms(atoms, minimum: float = 2.0) -> float:
-    """``atoms`` as a float; DomainError unless it is finite and at least ``minimum``."""
+def check_atoms(atoms, minimum: float = 2.0, maximum: float = math.inf) -> float:
+    """``atoms`` as a float; DomainError unless it lies in [``minimum``, ``maximum``]."""
     atoms = check_positive("atom number", atoms)
     if atoms < minimum:
         raise DomainError(f"need at least {minimum:g} atoms, got {atoms!r}")
+    if atoms > maximum:
+        raise DomainError(f"need at most {maximum:g} atoms, got {atoms!r}")
     return atoms
+
+
+def check_x(x, positive: bool = False):
+    """``x`` = -ln z as given; DomainError unless x >= 0, or x > 0 if ``positive``.
+
+    x = 0 is saturation (z = 1), where a ground-state population diverges.
+    """
+    if not (x > 0.0 if positive else x >= 0.0):
+        raise DomainError(f"need x {'>' if positive else '>='} 0, got {x!r}")
+    return x
 
 
 def x_from_z(z, saturated: bool = False) -> float:

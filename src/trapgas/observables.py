@@ -168,7 +168,11 @@ def dip_height(state: GasState) -> float:
 
 def peak_report(state: GasState) -> PeakReport:
     """Peak densities, fractions and the degeneracy parameter rho(0) lambda^3."""
-    rho_peak = float(np.asarray(total_density(state, 0.0)))
+    return _peak_report(state, float(np.asarray(total_density(state, 0.0))))
+
+
+def _peak_report(state: GasState, rho_peak: float) -> PeakReport:
+    """:func:`peak_report` of a state whose total density at r = 0 is rho_peak."""
     rho0 = 0.0
     if state.model.has_ground_state:
         rho0 = float(ground_column(state.n0, 0, 0.0))
@@ -183,14 +187,55 @@ def peak_report(state: GasState) -> PeakReport:
 
 def integrated_peak_fraction(state: GasState, dims_integrated: int) -> float:
     """Ground-state share of the on-axis integrated density."""
-    check_dims(dims_integrated, (1, 2))
+    _check_integrated(state, dims_integrated)
+    total = float(_column_total(state, np.zeros(1), dims_integrated)[0])
+    return _ground_share(state, dims_integrated, total)
+
+
+def _check_integrated(state: GasState, d: int) -> None:
+    check_dims(d, (1, 2))
     if not state.model.has_ground_state:
         raise DomainError("integrated peak fraction needs a model with a ground state")
     _require_density(state)
-    zero = np.zeros(1)
-    total = float(_column_total(state, zero, dims_integrated)[0])
-    ground = float(ground_column(state.n0, dims_integrated, zero)[0])
-    return ground / total
+
+
+def _ground_share(state: GasState, d: int, total: float) -> float:
+    """:func:`integrated_peak_fraction` of a state whose column at s = 0 is total."""
+    return float(ground_column(state.n0, d, np.zeros(1))[0]) / total
+
+
+def _at_origin(states, dims=(0,)) -> list[list]:
+    """Peak reports (d = 0) or integrated peak fractions (d = 1, 2), per d in ``dims``.
+
+    The floats and typed errors of :func:`peak_report` and
+    :func:`integrated_peak_fraction`, one list for each d: every
+    state and d is checked first, then the columns at the origin of the EX
+    states come from one batched exact sum for every d
+    (``exact._origin_columns``); the other models take the scalar calls.
+    """
+    ex = []
+    for state in states:
+        for d in dims:
+            if d == 0:
+                _require_density(state)
+            else:
+                _check_integrated(state, d)
+        if state.model == ModelKind.EX:
+            ex.append(state)
+    columns = exact._origin_columns([s.x for s in ex], [s.tau for s in ex], dims)
+    columns = iter(columns.T.tolist())
+    out = [[] for _ in dims]
+    for state in states:
+        totals = next(columns) if state.model == ModelKind.EX else None
+        for k, d in enumerate(dims):
+            if totals is None:
+                value = peak_report(state) if d == 0 else integrated_peak_fraction(state, d)
+            elif d == 0:
+                value = _peak_report(state, totals[k])
+            else:
+                value = _ground_share(state, d, totals[k])
+            out[k].append(value)
+    return out
 
 
 def density_moment(state: GasState, p: int) -> float:

@@ -32,7 +32,8 @@ import numpy as np
 from . import bose
 from .errors import DomainError
 from .models import ModelKind, check_atoms, check_coordinates, check_dims, check_positive
-from .models import check_tau, ground_column, lambda3, occupation, pointwise, x_from_z
+from .models import check_tau, check_x, ground_column, lambda3, occupation, pointwise
+from .models import x_from_z
 
 
 @dataclass(frozen=True)
@@ -60,21 +61,22 @@ def _as_variant(variant) -> ScVariant:
 def population_sc_x(variant, x: float, tau: float) -> float:
     """Atom number at z = e^-x.  x = 0 is the saturated (z = 1) branch."""
     v = _as_variant(variant)
-    if not x >= 0.0:
-        raise DomainError(f"need x >= 0, got {x!r}")
-    if x == 0.0:
+    if check_x(x) == 0.0:
         if v.kind == ModelKind.SC:
             raise DomainError("SC has a ground-state term; z = 1 is not admissible")
         return saturated_population_sc(v, tau)
-    return population_slope_sc_x(v, x, tau)[0]
+    return _population_slope_x(v, x, check_tau(tau))[0]
 
 
 def population_slope_sc_x(variant, x: float, tau: float) -> tuple[float, float]:
     """Atom number at z = e^-x, x > 0, and its x-derivative (dg_nu/dx = -g_{nu-1})."""
     v = _as_variant(variant)
     tau = check_tau(tau)
-    if not x > 0.0:
-        raise DomainError(f"need x > 0, got {x!r}")
+    return _population_slope_x(v, check_x(x, positive=True), tau)
+
+
+def _population_slope_x(v: ScVariant, x: float, tau: float) -> tuple[float, float]:
+    """:func:`population_slope_sc_x` at a checked x > 0 and tau."""
     n0 = occupation(x) if v.kind == ModelKind.SC else 0.0
     return _population_slope(v, bose.bose_g123_x(x), tau**2, tau**3, n0)
 
@@ -139,9 +141,7 @@ def _saturated_slope(v: ScVariant, tau, tau2, tau3):
 
 def _column_sc(v: ScVariant, x: float, tau: float, d: int, s):
     tau = check_tau(tau)
-    if not x >= 0.0:
-        raise DomainError(f"need x >= 0, got {x!r}")
-    if x == 0.0 and v.kind != ModelKind.SCINF:
+    if check_x(x) == 0.0 and v.kind != ModelKind.SCINF:
         raise DomainError(
             f"{v.kind.value} density is not defined at z = 1 "
             "(g_{1/2} diverges; the ground-state term is the cure)"

@@ -288,6 +288,14 @@ class TestExitCodeMapping:
         monkeypatch.setattr(cli, "cmd_transition", boom)
         assert cli.main(["transition", "--model", "ex", "--atoms", "10"]) == 3
 
+    def test_parser_is_built_once(self, monkeypatch, capsys, tmp_path):
+        import trapgas.cli as cli
+
+        cli._parser()
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+        assert cli.main(["transition", "--model", "sc", "--atoms", "1e3"]) == 0
+        assert cli.main(["figure", "--figure", "2", "--out", str(tmp_path)]) == 0
+
     def test_argparse_errors_use_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["transition", "--atoms"])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trapgas as tg
-from trapgas import core, exact, semiclassical
+from trapgas import bose, core, exact, models, semiclassical
 from trapgas.core import ReducedUnits, TrapSpec
 from trapgas.errors import ConvergenceError, DomainError
 from trapgas.models import ModelKind as M
@@ -232,6 +232,57 @@ def test_non_finite_aniso_ratio_raises_domain_error(call, bad):
 )
 def test_unknown_model_tag_raises_domain_error(call):
     with pytest.raises(DomainError, match="unknown model tag 'foo'"):
+        call()
+
+
+@pytest.mark.parametrize("model", [M.EX, M.SC, M.SC0])
+def test_transition_at_huge_atom_number_raises_domain_error(model):
+    # Past N of about 7e230 the capacity's tau-slope overflows, although
+    # tau* is representable; the solves refuse N > 1e200 up front.
+    for solve in (tg.transition_temperature, lambda m, n: core._transition_many(m, [n])):
+        with pytest.raises(DomainError, match="at most 1e\\+200 atoms"):
+            solve(model, 1e300)
+    assert tg.transition_temperature(model, 1e200).tau > 0.0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: semiclassical.population_sc_x(M.SC, 0.1, 0.1),
+        lambda: semiclassical.population_slope_sc_x(M.SC0, 0.1, 0.1),
+        lambda: exact.population_ex_x(0.1, 0.1),
+        lambda: exact.population_slope_ex_x(0.1, 0.1),
+        lambda: exact.excited_population_x(0.1, 0.1),
+        lambda: exact.excited_density_x(0.1, 0.1, [0.0, 1.0]),
+        lambda: exact.excited_column_x(0.1, 0.1, 2, 0.0),
+    ],
+)
+def test_x_is_checked_once_per_call(call, monkeypatch):
+    # The model layers test x once; the Bose functions check their own
+    # argument, which is often x + tau n or x + tau s^2 / 2.
+    checks = []
+
+    def counted(x, positive=False):
+        checks.append(x)
+        return models.check_x(x, positive)
+
+    for module in (exact, semiclassical):
+        monkeypatch.setattr(module, "check_x", counted)
+    call()
+    assert checks == [0.1]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: exact.ground_population(0.0),
+        lambda: semiclassical.population_slope_sc_x(M.SC, math.nan, 0.1),
+        lambda: bose.bose_g123_x(-1.0),
+        lambda: bose.bose_g_small_x(1.5, 0.0),
+    ],
+)
+def test_positive_x_rule_names_x(call):
+    with pytest.raises(DomainError, match="need x > 0"):
         call()
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import trapgas as tg
-from trapgas import figures
+from trapgas import exact, figures
 from trapgas.errors import DomainError
 from trapgas.models import ModelKind as M
 
@@ -80,6 +80,20 @@ class TestFigure7:
         assert row["peak_frac_1d_image"] == pytest.approx(0.06, abs=0.02)
         assert row["peak_frac_2d_image"] == pytest.approx(0.26, abs=0.03)
         assert row["peak_frac_3d"] > row["peak_frac_2d_image"] > row["peak_frac_1d_image"]
+
+
+@pytest.mark.parametrize("recipe", [figures.figure3, figures.figure7])
+def test_threshold_observables_are_batched(recipe, monkeypatch):
+    # Figures 3 and 7 take every EX peak report and integrated peak
+    # fraction from one batched exact sum, never one scalar sum per state.
+    scalar, batched = [], []
+    for name, calls in [("_excited_gauss_sum", scalar), ("_excited_origin_sums", batched)]:
+        kernel = getattr(exact, name)
+        monkeypatch.setattr(exact, name, lambda *a, k=kernel, c=calls: c.append(a) or k(*a))
+    recipe(n_grid=np.logspace(2, 8, 7))
+    assert scalar == []
+    sizes = [len(args[0]) for args in batched]  # fig 3's SC batch has no EX state
+    assert 7 in sizes and sum(sizes) == 7
 
 
 def test_bad_figure_id():

@@ -6,9 +6,10 @@ import pytest
 from scipy import integrate
 
 import trapgas as tg
+from trapgas import exact
 from trapgas import observables as obs
 from trapgas.core import GasState, ReducedUnits
-from trapgas.errors import DomainError, QuadratureError
+from trapgas.errors import DomainError, QuadratureError, TruncationError
 from trapgas.models import ModelKind as M
 
 import oracles
@@ -313,3 +314,121 @@ class TestDensityMoment:
         ref, _ = integrate.quad(integrand, 0.0, 10.0, epsabs=0.0, epsrel=1e-12,
                                 limit=1000, points=points)
         assert tg.density_moment(state, p) == pytest.approx(ref, rel=1e-6)
+
+
+# N x T/T*: heads of 1 to about 21,700 rows, with and without the q-series
+# tail (the hot states far above T* have none).
+STRATA_ATOMS = (2.0, 10.0, 1e3, 1e6, 1e9, 1e12)
+STRATA_T_RATIOS = (0.3, 0.99, 1.0, 1.01, 3.0)
+
+
+def strata_states(model):
+    states = []
+    for atoms in STRATA_ATOMS:
+        tau_star = tg.transition_temperature(model, atoms).tau
+        states += [tg.solve_fugacity(model, atoms, tau_star / t) for t in STRATA_T_RATIOS]
+    return states
+
+
+@pytest.fixture(scope="module")
+def ex_strata():
+    return strata_states(M.EX)
+
+
+def outcome(call):
+    """A call's value, or its error's type and message."""
+    try:
+        return call()
+    except (DomainError, TruncationError) as error:
+        return type(error), str(error)
+
+
+class TestBatchedAtOrigin:
+    """``_at_origin`` and its exact kernel give the scalar calls' floats, bit for bit."""
+
+    def test_kernel_equals_scalar_sum(self, ex_strata):
+        xs = [s.x for s in ex_strata] + [0.0, 0.0]  # saturated clouds too
+        taus = [s.tau for s in ex_strata] + [0.01, 1e-5]
+        heads = [exact._head_length(x, t) for x, t in zip(xs, taus)]
+        assert {tail for _, tail in heads} == {True, False}
+        assert max(head for head, _ in heads) > 20_000
+        got = exact._excited_origin_sums(xs, taus, (0, 1, 2, 3))
+        for k, d in enumerate((0, 1, 2, 3)):
+            assert got[k].tolist() == [
+                exact._excited_gauss_sum(x, t, d, 0.0) for x, t in zip(xs, taus)
+            ]
+
+    def test_observables_equal_scalar_calls(self, ex_strata):
+        sc = strata_states(M.SC)
+        hot = [tg.solve_fugacity(model, 1e3, 0.05) for model in (M.SC0, M.SCINF)]
+        states = ex_strata + sc
+        reports, image_1d, image_2d = obs._at_origin(states, (0, 2, 1))
+        assert reports == [tg.peak_report(s) for s in states]
+        assert image_1d == [tg.integrated_peak_fraction(s, 2) for s in states]
+        assert image_2d == [tg.integrated_peak_fraction(s, 1) for s in states]
+        mixed = [sc[0], hot[0], ex_strata[7], hot[1], ex_strata[3]]
+        assert obs._at_origin(mixed)[0] == [tg.peak_report(s) for s in mixed]
+        assert obs._at_origin([], (0, 1)) == [[], []]
+
+    def test_chunks_and_slabs_equal_scalar_sum(self, ex_strata, monkeypatch):
+        # Near T* at N = 1e12 (about 21,500 rows each), 13 copies pass the
+        # default chunk budget; the smaller budgets cut every head into slabs.
+        near = [s for s in ex_strata if s.atoms == 1e12 and s.x < 1e-3] * 13
+        for chunk, slab in [(None, None), (5_000, 4_096), (300, 7)]:
+            if chunk is not None:
+                monkeypatch.setattr(exact, "_CHUNK_ELEMENTS", chunk)
+                monkeypatch.setattr(exact, "_SLAB_ROWS", slab)
+            states = near if chunk is None else ex_strata
+            xs, taus = [s.x for s in states], [s.tau for s in states]
+            heads = [exact._head_length(x, t)[0] for x, t in zip(xs, taus)]
+            chunks = list(exact._head_chunks(heads))
+            assert len(chunks) > 1
+            assert all(sum(l.size for _, l in c) <= exact._CHUNK_ELEMENTS for c in chunks)
+            got = exact._excited_origin_sums(xs, taus, (0, 1, 2))
+            for k, d in enumerate((0, 1, 2)):
+                assert got[k].tolist() == [
+                    exact._excited_gauss_sum(x, t, d, 0.0) for x, t in zip(xs, taus)
+                ]
+
+    def test_head_chunks_cover_every_head_in_order(self, monkeypatch):
+        monkeypatch.setattr(exact, "_CHUNK_ELEMENTS", 10)
+        monkeypatch.setattr(exact, "_SLAB_ROWS", 4)
+        slabs = [(i, l.tolist()) for c in exact._head_chunks([9, 1, 4]) for i, l in c]
+        assert slabs == [
+            (0, [1.0, 2.0, 3.0, 4.0]), (0, [5.0, 6.0, 7.0, 8.0]), (0, [9.0]),
+            (1, [1.0]), (2, [1.0, 2.0, 3.0, 4.0]),
+        ]
+
+    def test_sc0_below_threshold_raises_as_scalar(self, ex_1e4):
+        sc0 = tg.solve_fugacity(M.SC0, 1e4, 2.0 * tg.transition_temperature(M.SC0, 1e4).tau)
+        assert sc0.condensed
+        expected = outcome(lambda: tg.peak_report(sc0))
+        assert expected[0] is DomainError
+        assert outcome(lambda: obs._at_origin([ex_1e4, sc0])) == expected
+
+    def test_scinf_integrated_fraction_raises_as_scalar(self, ex_1e4):
+        scinf = threshold_state(1e3, M.SCINF)
+        expected = outcome(lambda: tg.integrated_peak_fraction(scinf, 1))
+        assert expected[0] is DomainError
+        assert outcome(lambda: obs._at_origin([ex_1e4, scinf], (0, 1))) == expected
+
+    @pytest.mark.parametrize("d", [3, -1, 1.5])
+    def test_bad_dims_raise_as_scalar(self, ex_1e4, d):
+        expected = outcome(lambda: tg.integrated_peak_fraction(ex_1e4, d))
+        assert expected[0] is DomainError
+        assert outcome(lambda: obs._at_origin([ex_1e4], (0, d))) == expected
+
+    def test_missed_tail_bound_raises_as_scalar(self, ex_1e4, ex_1e6, monkeypatch):
+        # The 60-power series leaves about 1e-30 of the sum out.
+        monkeypatch.setattr(exact, "REL_TOL", 1e-300)
+        expected = outcome(lambda: tg.peak_report(ex_1e6))
+        assert expected[0] is TruncationError
+        assert outcome(lambda: obs._at_origin([ex_1e6])) == expected
+        assert outcome(lambda: obs._at_origin([ex_1e4, ex_1e6], (1,)))[0] is TruncationError
+
+    def test_head_past_max_terms_raises_as_scalar(self, monkeypatch):
+        state = tg.solve_fugacity(M.EX, 1e10, tg.transition_temperature(M.EX, 1e10).tau)
+        monkeypatch.setattr(exact, "MAX_TERMS", 1000)
+        expected = outcome(lambda: tg.peak_report(state))
+        assert expected[0] is TruncationError
+        assert outcome(lambda: obs._at_origin([state], (0, 2))) == expected
