@@ -18,10 +18,12 @@ L = ceil(ln(1/_SERIES_REL)/x) <= 37 terms, fixed before summing, and
 leaves out at most z^L/((1-z) L^nu) of its first term.  Every order is
 within 2.2e-15 of 40-digit mpmath at 365 x from 1e-9 to 63 (1.4e-15
 measured).  The population kernels take g_1, g_2 and g_3 at one x from
-``bose_g123_x``, whose one power loop gives the floats of three
-``bose_g_x`` calls.  ``_g_array`` follows the same rules point by point
-on a numpy array, for the semi-classical profiles, and sums the direct
-series of every point at once.
+``bose_g123_x``, one fused loop on each side of the switch (a Horner loop
+with two accumulators below it, a power loop over the tabulated l^2 and
+l^3 above it) that gives the floats of three ``bose_g_x`` calls.
+``_g_array`` follows the same rules point by point on a numpy array, for
+the semi-classical profiles, and sums the direct series of every point at
+once.
 
 All functions are pure and safe for concurrent use.
 """
@@ -234,24 +236,41 @@ def bose_g_x(nu: float, x: float) -> float:
     return _series(nu, math.exp(-x), x)
 
 
+#: g_2's and g_3's leading factors A and H, and their expansion coefficients
+#: side by side in Horner order.
+(_G2_LEAD, _, _G2_H, _), (_G3_LEAD, _, _G3_H, _) = _EXPANSIONS[2.0], _EXPANSIONS[3.0]
+_G23_COEFFS = tuple(zip(_EXPANSIONS[2.0][3], _EXPANSIONS[3.0][3]))
+#: l^2 and l^3 side by side for l = 1 .. _SERIES_WIDTH.
+_G23_POWERS = tuple(zip(_ORDER_POWERS[2.0].tolist(), _ORDER_POWERS[3.0].tolist()))
+
+
 def bose_g123_x(x: float) -> tuple[float, float, float]:
     """(g_1, g_2, g_3) at z = e^-x, x > 0: the floats of three :func:`bose_g_x` calls.
 
-    Above ``X_SWITCH`` one loop over the powers of z sums g_2 and g_3 together,
-    to the direct series' length (at most 37 terms there).
+    One loop serves g_2 and g_3 on either side of ``X_SWITCH``, with the
+    operations of each order's own call in their order: below it one
+    Horner loop with two accumulators, after the leading terms
+    -(1 - ln x) x and (1.5 - ln x) x^2 / 2 of ``_EXPANSIONS``; above it one
+    loop over the powers of z, to the direct series' length (at most 37
+    terms there), dividing by the tabulated l^2 and l^3.
     """
     g1 = _g_one(check_x(x, positive=True))
     if x < X_SWITCH:
-        return g1, bose_g_small_x(2.0, x), bose_g_small_x(3.0, x)
+        log = math.log(x)
+        lead2 = _G2_LEAD * (_G2_H - log) * x
+        lead3 = _G3_LEAD * (_G3_H - log) * x * x
+        t2 = t3 = 0.0
+        for c2, c3 in _G23_COEFFS:
+            t2 = t2 * x + c2
+            t3 = t3 * x + c3
+        return g1, lead2 + t2, lead3 + t3
     z = math.exp(-x)
     terms = math.ceil(_SERIES_LOG / x)
     g2 = g3 = power = z
-    l = 1.0
-    for _ in range(terms - 1):
-        l += 1.0
+    for l2, l3 in _G23_POWERS[1:terms]:
         power *= z
-        g2 += power / l**2.0
-        g3 += power / l**3.0
+        g2 += power / l2
+        g3 += power / l3
     return g1, g2, g3
 
 

@@ -214,6 +214,7 @@ def solve_fugacity(
         return _condensed_state(model, atoms, tau, capacity, ratio)
 
     populations = {}  # the root is always one of the points evaluated
+    ground = model.has_ground_state
 
     def residual(x: float) -> tuple[float, float]:
         if model == ModelKind.EX:
@@ -221,7 +222,7 @@ def solve_fugacity(
         else:
             pop, slope = semiclassical.population_slope_sc_x(variant, x, tau)
         populations[x] = pop
-        return _log_residual(pop, slope, x, atoms)
+        return _log_residual(pop, slope, x, atoms, ground)
 
     x_root = solve_log_newton(residual, _fugacity_start(model, atoms, tau, capacity))
     return _fugacity_state(model, atoms, tau, x_root, populations[x_root], ratio)
@@ -256,6 +257,7 @@ def _solve_fugacity_many(model: ModelKind, atoms, taus) -> list[GasState]:
     todo_atoms = np.array([atoms[i] for i in todo])
     todo_taus = np.array([taus[i] for i in todo])
     populations = np.empty(len(todo))  # at each problem's last point, its root
+    ground = model.has_ground_state
 
     def residuals(active: list[int], xs: list[float]) -> list[tuple[float, float]]:
         x, tau = np.array(xs), todo_taus[active]
@@ -265,7 +267,7 @@ def _solve_fugacity_many(model: ModelKind, atoms, taus) -> list[GasState]:
             pop, slope = semiclassical._population_slopes(variant, x, tau)
         populations[active] = pop
         values = zip(pop.tolist(), slope.tolist(), xs, todo_atoms[active].tolist())
-        return [_log_residual(*value) for value in values]
+        return [_log_residual(*value, ground) for value in values]
 
     starts = [_fugacity_start(model, atoms[i], taus[i], capacities[i]) for i in todo]
     roots = solve_log_newton_many(residuals, starts)
@@ -312,14 +314,25 @@ def _fugacity_state(model, atoms, tau, x_root, pop, ratio) -> GasState:
     )
 
 
-def _log_residual(value: float, slope: float, x: float, atoms) -> tuple[float, float]:
+def _log_residual(
+    value: float, slope: float, x: float, atoms, ground: bool = False
+) -> tuple[float, float]:
     """ln(value / atoms) and its slope in ln x, from value and its slope in x.
 
     A value that underflowed to 0 lies past the root: -inf tells
-    :func:`trapgas.roots.solve_log_newton` so.
+    :func:`trapgas.roots.solve_log_newton` so.  With a ground state
+    (``ground``), the x-slope -N0 (N0 + 1) of N0 = 1/(e^x - 1) overflows
+    from N0 of about 1.3e154 on; there, and only there, the slope in ln x
+    is the ground term's alone, -(x N0) (N0 + 1) / value, which stays
+    finite.  It leaves out the excited cloud's part, below 1e-150 of it at
+    such x.
     """
     if value == 0.0:
         return -math.inf, slope
+    if ground and slope == -math.inf:
+        n0 = occupation(x)
+        if n0 * (n0 + 1.0) == math.inf:
+            return math.log(value / atoms), -(x * n0) * ((n0 + 1.0) / value)
     return math.log(value / atoms), x * slope / value
 
 
@@ -415,4 +428,5 @@ def _fugacity_start(model: ModelKind, atoms: float, tau: float, capacity: float)
     a = zeta_const(2.0) / tau**3
     b = atoms - capacity
     root = math.hypot(b, 2.0 * math.sqrt(a * ground))  # sqrt(b^2 + 4 a ground)
-    return 2.0 * ground / (b + root) if b >= 0.0 else (root - b) / (2.0 * a)
+    # ground / ((b + root) / 2), halved term by term so that it cannot overflow
+    return ground / (0.5 * b + 0.5 * root) if b >= 0.0 else (root - b) / (2.0 * a)

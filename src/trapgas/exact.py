@@ -44,6 +44,11 @@ a polynomial in s^2.  A head longer than MAX_TERMS raises TruncationError.
 states at once, for the figures' peak reports: it builds every state's
 head rows once for all d and the tail's d-independent factors once per
 state, with the floats of the single-state kernel.
+``_excited_gauss_sums`` takes several states at one tau on one grid (a
+profile family): states with the same head share its buffer of Gaussians
+and the tail's power table, and each applies its own e^{-x l}, tail vector
+and bound.  The single-state kernel is its batch of one, so both give the
+same floats.
 """
 
 from __future__ import annotations
@@ -333,22 +338,49 @@ def _excited_gauss_sum(x: float, tau: float, d: int, s):
 
     The excited column over d axes (d = 0 is the density), with
     k_l = (1 - e^{-2 tau l})^{-3/2} and a_l = tanh(tau l / 2), at x >= 0
-    checked by the caller.  Every grid column sums the same head
-    (``_head_length``), slab by slab, then the closed-form q-series tail
-    where the head stops at ``l_tail``.
+    checked by the caller: :func:`_excited_gauss_sums` for one state.
+    """
+    total = _excited_gauss_sums([x], tau, d, s)[0]
+    return total if np.ndim(s) else float(total[0])
+
+
+def _excited_gauss_sums(x, tau: float, d: int, s) -> np.ndarray:
+    """:func:`_excited_gauss_sum` for each of the floats x >= 0 (rows) at one tau on one grid.
+
+    Every grid column of a state sums the same head (``_head_length``),
+    slab by slab, then the closed-form q-series tail where the head stops
+    at ``l_tail``.  States with the same head share every step that does
+    not depend on x: the head buffer k_l (pi/a_l)^{d/2} e^{-a_l s^2} -
+    pi^{d/2} e^{-s^2} of each slab and grid chunk (``_gauss_head``) and
+    the tail's power table (``_q_series_tail``).  Each state applies its
+    own e^{-x l} and row sums, its own tail vector and bound, so every
+    value is the single-state float.
     """
     tau = check_tau(tau)
-    s_arr = check_coordinates(s)
-    head, tail = _head_length(x, tau)
-    s2 = s_arr**2
+    s2 = check_coordinates(s) ** 2
     gauss = math.pi ** (0.5 * d) * np.exp(-s2)
-    total = np.zeros_like(s2)
+    groups = {}
+    for i, v in enumerate(x):
+        groups.setdefault(_head_length(v, tau), []).append(i)
+    if len(groups) == 1:
+        (head, tail), = groups
+        return _group_sum(x, tau, d, head, tail, s2, gauss) / PI_32
+    totals = np.empty((len(x), s2.size))
+    for (head, tail), members in groups.items():
+        totals[members] = _group_sum([x[i] for i in members], tau, d, head, tail, s2, gauss)
+    return totals / PI_32
+
+
+def _group_sum(x, tau, d, head, tail, s2, gauss):
+    """The sums of :func:`_excited_gauss_sums` for the floats x of one head length."""
+    x_col = np.array(x)[:, None]
+    total = np.zeros((len(x), s2.size))
     for l in _head_slabs(head):
-        weight, k32, a = _head_rows(x, tau, l)
+        weight, k32, a = _head_rows(x_col, tau, l)
         total += _gauss_head(weight, _head_coef(k32, a, d), a, s2, gauss)
     if tail:
         total += _q_series_tail(x, tau, d, head, s2, total)
-    return total / PI_32 if np.ndim(s) else float(total[0]) / PI_32
+    return total
 
 
 def _head_rows(x, tau, l):
@@ -443,11 +475,16 @@ def _head_chunks(heads):
         yield chunk
 
 
-def _q_series_tail(x, tau, d, l_end, s2, total):
-    """Terms l > l_end of :func:`_excited_gauss_sum` per column (``_tail_series``)."""
-    v, scale, bound, decay = _tail_series(x, tau, d, l_end)
+def _q_series_tail(x, tau, d, l_end, s2, totals):
+    """Terms l > l_end of :func:`_excited_gauss_sums` for each of the floats x (rows), per column.
+
+    The power table (2 s^2)^j e^{-s^2} of each grid chunk is built once;
+    each state takes its own vector-matrix product with it
+    (``_tail_series``), scale and bound.
+    """
+    series = [_tail_series(v, tau, d, l_end) for v in x]
     rows = _TAIL_TERMS + 1
-    tail = np.empty_like(s2)
+    tails = np.empty((len(x), s2.size))
     bounds = _chunk_bounds(s2.size, rows)
     powers = np.empty(rows * -(-s2.size // len(bounds)))
     for lo, hi in bounds:
@@ -456,10 +493,13 @@ def _q_series_tail(x, tau, d, l_end, s2, total):
         # Capped so that 2 s^2 stays finite; row 0 is 0.0 long before the cap.
         p[1:] = 2.0 * np.minimum(s2[lo:hi], 1e300)
         np.cumprod(p, axis=0, out=p)  # row j: (2 s^2)^j e^{-s^2}
-        np.dot(v, p, out=tail[lo:hi])
-    tail *= scale
-    _check_tail(bound * np.exp(-s2 * decay), total + tail, x, tau, d)
-    return tail
+        for j, (v, _, _, _) in enumerate(series):
+            np.dot(v, p, out=tails[j, lo:hi])
+    envelope = np.exp(-s2 * series[0][3])  # the decay depends on tau alone
+    for j, (_, scale, bound, _) in enumerate(series):
+        tails[j] *= scale
+        _check_tail(bound * envelope, totals[j] + tails[j], x[j], tau, d)
+    return tails
 
 
 def _tail_series(x, tau, d, l_end):
@@ -564,16 +604,21 @@ def _chunk_bounds(n: int, rows: int):
 
 
 def _gauss_head(weight, coef, a, s2, gauss):
-    """Column sums of weight_l (coef_l e^{-a_l s^2} - gauss) over the head rows.
+    """Column sums of weight_l (coef_l e^{-a_l s^2} - gauss) over the head rows, per row of weight.
 
     The grid is cut into even chunks that reuse one buffer, so memory stays
-    flat in the grid size.  Each grid point's terms are contiguous in the
-    buffer, so numpy sums them pairwise (rounding error O(log L), not O(L)).
+    flat in the grid size.  The buffer coef_l e^{-a_l s^2} - gauss of a
+    chunk is built once for every row of weights, each of which scales it
+    into a second buffer (the last in place).  Each grid point's terms are
+    contiguous in the buffer, so numpy sums them pairwise (rounding error
+    O(log L), not O(L)).
     """
     n, rows = s2.size, a.size
     bounds = _chunk_bounds(n, rows)
     buf = np.empty(rows * -(-n // len(bounds)))
-    sums = np.empty(n)
+    last = len(weight) - 1
+    scaled = np.empty_like(buf) if last else buf
+    sums = np.empty((last + 1, n))
     neg_a = -a
     for lo, hi in bounds:
         b = buf[: rows * (hi - lo)].reshape(hi - lo, rows)
@@ -581,8 +626,10 @@ def _gauss_head(weight, coef, a, s2, gauss):
         np.exp(b, out=b)
         np.multiply(b, coef, out=b)
         np.subtract(b, gauss[lo:hi, None], out=b)
-        np.multiply(b, weight, out=b)
-        b.sum(axis=1, out=sums[lo:hi])
+        for j, w in enumerate(weight):
+            out = b if j == last else scaled[: b.size].reshape(b.shape)
+            np.multiply(b, w, out=out)
+            out.sum(axis=1, out=sums[j, lo:hi])
     return sums
 
 

@@ -8,8 +8,11 @@ machinery with free parameters.  The recipes over a list of atom numbers
 (``core._transition_many``, ``core._solve_fugacity_many``), which give the
 floats of the scalar solves the temperature sweeps use.  Figures 3 and 7
 then take the peak reports and integrated peak fractions of all their EX
-states from one batched exact sum at the origin
-(``observables._at_origin``), with the floats of the scalar calls.
+states from one batched exact sum at the origin, and those of their SC
+states on the semi-classical float path (``observables._at_origin``).
+Figure 6's eight profiles share one tau and grid, so one shared-tau exact
+sum gives them all (``observables._densities``).  Every value is the
+scalar calls' float.
 
 Columns per figure:
 
@@ -135,9 +138,9 @@ def figure6(
     columns = ["r_over_sigma"] + [f"rho_N{int(n)}" for n in atom_values]
     table = SweepTable(columns, meta(figure=6, temperature=temperature))
     states = _solve_fugacity_many(ModelKind.EX, atom_values, [units.tau] * atom_values.size)
-    profiles = [observables.total_density(state, grid) for state in states]
-    for i, r in enumerate(grid):
-        table.add_row(r, *[rho[i] for rho in profiles])
+    profiles = observables._densities(states, grid).T.tolist()
+    for r, row in zip(grid, profiles):
+        table.add_row(r, *row)
     return table
 
 

@@ -211,7 +211,8 @@ def _at_origin(states, dims=(0,)) -> list[list]:
     :func:`integrated_peak_fraction`, one list for each d: every
     state and d is checked first, then the columns at the origin of the EX
     states come from one batched exact sum for every d
-    (``exact._origin_columns``); the other models take the scalar calls.
+    (``exact._origin_columns``), and those of the other models from the
+    semi-classical column on its float path (``semiclassical._column_sc_at``).
     """
     ex = []
     for state in states:
@@ -226,16 +227,37 @@ def _at_origin(states, dims=(0,)) -> list[list]:
     columns = iter(columns.T.tolist())
     out = [[] for _ in dims]
     for state in states:
-        totals = next(columns) if state.model == ModelKind.EX else None
+        if state.model == ModelKind.EX:
+            totals = next(columns)
+        else:
+            variant = semiclassical.ScVariant(state.model, state.aniso_ratio)
+            totals = [
+                semiclassical._column_sc_at(variant, state.x, state.tau, d, 0.0) for d in dims
+            ]
         for k, d in enumerate(dims):
-            if totals is None:
-                value = peak_report(state) if d == 0 else integrated_peak_fraction(state, d)
-            elif d == 0:
+            if d == 0:
                 value = _peak_report(state, totals[k])
             else:
                 value = _ground_share(state, d, totals[k])
             out[k].append(value)
     return out
+
+
+def _densities(states, grid) -> np.ndarray:
+    """:func:`total_density` of EX states at one tau on one grid, a row per state.
+
+    The floats and typed errors of ``exact.density_ex_x``, in its order:
+    the ground populations, the excited parts from one shared-tau sum
+    (``exact._excited_gauss_sums``), then the ground Gaussian added.
+    """
+    taus = {state.tau for state in states}
+    if len(taus) > 1 or any(state.model != ModelKind.EX for state in states):
+        raise DomainError("batched densities need EX states at one tau")
+    x = [state.x for state in states]
+    n0 = [exact.ground_population(v) for v in x]
+    excited = exact._excited_gauss_sums(x, taus.pop(), 0, grid)
+    grid = np.asarray(grid, dtype=float)
+    return np.array([ground_column(v, 0, grid) for v in n0]) + excited
 
 
 def density_moment(state: GasState, p: int) -> float:

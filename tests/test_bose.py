@@ -129,6 +129,29 @@ def test_g123_equals_three_single_calls(x):
     assert bose.bose_g123_x(x) == singles
 
 
+def _near(x, ulps):
+    """x and the ulps floats on each side of it."""
+    out = [x]
+    for direction in (0.0, math.inf):
+        y = x
+        for _ in range(ulps):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+#: 20,001 x from 1e-12 to 1e3, and X_SWITCH and 1e-3 with 4 ulp on each side.
+G123_POINTS = np.geomspace(1e-12, 1e3, 20_001).tolist() + _near(bose.X_SWITCH, 4) + _near(1e-3, 4)
+
+
+def test_fused_g123_equals_three_calls_on_a_dense_set(monkeypatch):
+    # One fused loop on each side of X_SWITCH, which never falls back to
+    # the single-order expansion.
+    singles = [tuple(bose.bose_g_x(nu, x) for nu in (1.0, 2.0, 3.0)) for x in G123_POINTS]
+    monkeypatch.setattr(bose, "bose_g_small_x", None)
+    assert [bose.bose_g123_x(x) for x in G123_POINTS] == singles
+
+
 @pytest.mark.parametrize("x", [0.0, -1.0, math.nan])
 def test_g123_needs_positive_x(x):
     with pytest.raises(DomainError):

@@ -245,6 +245,36 @@ def test_transition_at_huge_atom_number_raises_domain_error(model):
     assert tg.transition_temperature(model, 1e200).tau > 0.0
 
 
+@pytest.mark.parametrize("atoms", [1e155, 1e200, 1e300, 1e308])
+@pytest.mark.parametrize("model", [M.EX, M.SC])
+def test_condensed_cloud_at_huge_atom_number_solves(model, atoms):
+    # From N0 of about 1.3e154 on, the ground-state slope -N0 (N0 + 1)
+    # overflows; the solves take the slope in ln x from the ground term,
+    # and the scalar and batched paths agree.  At 1e308 the start's
+    # denominator b + sqrt(b^2 + 4a) would overflow too.
+    for tau in (10.0, 1e-3, 1e-60):
+        state = tg.solve_fugacity(model, atoms, tau)
+        assert core._solve_fugacity_many(model, [atoms], [tau]) == [state]
+        assert not state.condensed
+        if atoms * tau**3 > 10.0:  # far below T*, where N0 holds nearly every atom
+            assert state.n0 == pytest.approx(atoms, rel=1e-12)
+        pop = tg.population_total(model, state.x, tau)
+        assert abs(pop - atoms) <= 1e-10 * atoms
+
+
+def test_overflowing_ground_slope_is_the_ground_terms_alone():
+    # Below the overflow the plain product is kept, so every state that
+    # solved before keeps its floats.
+    x = 1e-200
+    n0 = 1.0 / math.expm1(x)
+    assert core._log_residual(2e200, -math.inf, x, 1e200, True) == (
+        math.log(2.0), -(x * n0) * ((n0 + 1.0) / 2e200)
+    )
+    assert core._log_residual(2e3, -4e6, 1e-3, 1e3, True) == (math.log(2.0), 1e-3 * -4e6 / 2e3)
+    with pytest.raises(ConvergenceError):
+        tg.roots.solve_log_newton(lambda x: core._log_residual(1.0, -math.inf, x, 1.0), 0.5)
+
+
 @pytest.mark.parametrize(
     "call",
     [

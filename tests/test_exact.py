@@ -375,9 +375,59 @@ class TestGaussKernel:
         # direct sum to be short.
         x, tau, l_end = 1e-3, 0.1, 24
         s = np.array([0.0, 1.0, 2.5, 4.0])
-        tail = exact._q_series_tail(x, tau, d, l_end, s**2, np.zeros(s.size))
+        tail = exact._q_series_tail([x], tau, d, l_end, s**2, np.zeros((1, s.size)))[0]
         ref = oracles.mp_gauss_tail(x, tau, d, l_end, s, dps=30)
         np.testing.assert_allclose(tail, ref, rtol=1e-14, atol=0.0)
+
+
+class TestSharedTauSums:
+    """``_excited_gauss_sums`` gives ``_excited_gauss_sum``'s floats, state by state."""
+
+    # At tau = 0.01 a head near saturation stops at l_tail = 231 and the
+    # tail adds the rest; from x = 0.2 on the head is shorter (170, 67, 11
+    # and 1 rows) and has no tail.  Four x share the tailed head.
+    TAU = 0.01
+    XS = [0.0, 0.5, 1e-6, 3.0, 1e-3, 0.5, 0.2, 1e-12, 40.0]
+
+    @pytest.mark.parametrize("chunk", [None, 500])
+    @pytest.mark.parametrize(
+        "grid", [[0.0], [2.5], np.linspace(0.0, 20.0, 801)], ids=["origin", "point", "801"]
+    )
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_mixed_heads_equal_single_sums(self, d, grid, chunk, monkeypatch):
+        if chunk is not None:  # several grid chunks per slab
+            monkeypatch.setattr(exact, "_CHUNK_ELEMENTS", chunk)
+        heads = {exact._head_length(x, self.TAU) for x in self.XS}
+        assert {tail for _, tail in heads} == {True, False} and len(heads) == 5
+        got = exact._excited_gauss_sums(self.XS, self.TAU, d, grid)
+        assert got.shape == (len(self.XS), len(grid))
+        for x, row in zip(self.XS, got.tolist()):
+            assert row == exact._excited_gauss_sum(x, self.TAU, d, grid).tolist()
+
+    @pytest.mark.parametrize("tau", [1e-4, 0.3, 2.5])
+    def test_other_temperatures_equal_single_sums(self, tau):
+        grid = np.linspace(0.0, 30.0, 57)
+        xs = [1e-9, 0.7 * tau, 5.0 * tau, 1e-9, 12.0]
+        for d in (0, 1, 2):
+            got = exact._excited_gauss_sums(xs, tau, d, grid).tolist()
+            assert got == [exact._excited_gauss_sum(x, tau, d, grid).tolist() for x in xs]
+
+    def test_origin_of_full_integration(self):
+        got = exact._excited_gauss_sums(self.XS, self.TAU, 3, 0.0)[:, 0].tolist()
+        assert got == [exact.excited_column_x(x, self.TAU, 3, 0.0) for x in self.XS]
+
+    def test_scalar_coordinate_gives_a_float(self):
+        value = exact._excited_gauss_sum(1e-3, self.TAU, 0, 1.0)
+        assert type(value) is float
+
+    def test_bad_coordinate_raises_domain_error(self):
+        with pytest.raises(DomainError, match="s >= 0"):
+            exact._excited_gauss_sums(self.XS, self.TAU, 0, [0.0, math.nan])
+
+    def test_missed_tail_bound_raises_truncation_error(self, monkeypatch):
+        monkeypatch.setattr(exact, "REL_TOL", 1e-300)
+        with pytest.raises(TruncationError, match="q-series tail"):
+            exact._excited_gauss_sums([3.0, 1e-3], self.TAU, 0, [0.0, 1.0])
 
 
 #: States of the differential test: N from 1e2 to 1e12, T/T* from 0.5 to 1.5,

@@ -1,14 +1,18 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import trapgas as tg
-from trapgas import exact, figures
+from trapgas import exact, figures, semiclassical
 from trapgas.errors import DomainError
 from trapgas.models import ModelKind as M
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def columns(table):
@@ -96,6 +100,32 @@ def test_threshold_observables_are_batched(recipe, monkeypatch):
     assert 7 in sizes and sum(sizes) == 7
 
 
+def counted(monkeypatch, module, name):
+    """The calls of ``module.name`` from now on, as a list of argument tuples."""
+    calls, kernel = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or kernel(*a))
+    return calls
+
+
+def test_profile_family_is_one_shared_tau_sum(monkeypatch):
+    # Figure 6's eight profiles share one tau and grid: one Gaussian sum
+    # for all of them, never one per state.
+    scalar = counted(monkeypatch, exact, "_excited_gauss_sum")
+    shared = counted(monkeypatch, exact, "_excited_gauss_sums")
+    figures.figure6(points=41)
+    assert scalar == []
+    assert [len(args[0]) for args in shared] == [8]
+
+
+def test_semiclassical_peak_reports_take_the_float_path(monkeypatch):
+    # Figure 3's SC peak reports make no grid or density call.
+    grid = [counted(monkeypatch, semiclassical, name) for name in ("density_sc_x", "_column_sc")]
+    point = counted(monkeypatch, semiclassical, "_column_sc_at")
+    figures.figure3(n_grid=np.logspace(2, 8, 7))
+    assert grid == [[], []]
+    assert len(point) == 7
+
+
 def test_bad_figure_id():
     with pytest.raises(DomainError):
         figures.make_figure(0)
@@ -108,3 +138,20 @@ def test_golden_byte_identical(figure_id):
     # 2, 3, 6 and 7 are pinned through the CLI in test_cli.py
     produced = figures.make_figure(figure_id).to_csv().encode("ascii")
     assert produced == (GOLDEN_DIR / f"fig{figure_id}.csv").read_bytes()
+
+
+def test_make_figures_script_writes_golden_bytes(tmp_path):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "make_figures.py"), "--repeat", "1", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == [f"fig{k}" for k in range(1, 8)]
+    assert all("best" in line and "median" in line for line in lines)
+    for k in (2, 3, 6, 7):  # the batched recipes; 1, 4 and 5 are pinned above
+        assert (tmp_path / f"fig{k}.csv").read_bytes() == (GOLDEN_DIR / f"fig{k}.csv").read_bytes()

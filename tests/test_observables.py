@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate
 
 import trapgas as tg
-from trapgas import exact
+from trapgas import exact, semiclassical
 from trapgas import observables as obs
 from trapgas.core import GasState, ReducedUnits
 from trapgas.errors import DomainError, QuadratureError, TruncationError
@@ -398,6 +398,61 @@ class TestBatchedAtOrigin:
             (0, [1.0, 2.0, 3.0, 4.0]), (0, [5.0, 6.0, 7.0, 8.0]), (0, [9.0]),
             (1, [1.0]), (2, [1.0, 2.0, 3.0, 4.0]),
         ]
+
+    def test_semiclassical_states_equal_scalar_calls(self):
+        # SC, SC0 and SCINF from N = 3 to 1e10 at 7 values of T/T*, isotropic
+        # and anisotropic, on the float path, with no grid call.
+        states = []
+        for model in (M.SC, M.SC0, M.SCINF):
+            for atoms in (3.0, 1e3, 1e6, 1e10):
+                for ratio in (1.0, 1.7):
+                    tau_star = tg.transition_temperature(model, atoms, aniso_ratio=ratio).tau
+                    for t in (1.0, 1.001, 1.01, 1.1, 1.5, 3.0, 30.0):
+                        states.append(
+                            tg.solve_fugacity(model, atoms, tau_star / t, aniso_ratio=ratio)
+                        )
+        with_ground = [s for s in states if s.model == M.SC]
+        reports = [tg.peak_report(s) for s in states]
+        fractions = [[tg.integrated_peak_fraction(s, d) for s in with_ground] for d in (1, 2)]
+        assert obs._at_origin(states)[0] == reports
+        assert obs._at_origin(with_ground, (2, 0, 1)) == [fractions[1], reports[:len(with_ground)], fractions[0]]
+
+    @pytest.mark.parametrize("model", [M.SC0, M.SCINF])
+    def test_saturated_boundary_states_raise_as_scalar(self, model):
+        # At their own threshold SC0 and SCINF sit at z = 1 with no
+        # condensate: SCINF's density is finite there, SC0's diverges.
+        state = GasState(model=model, atoms=1e3, tau=0.1, x=0.0, n0=0.0, condensed=True)
+        expected = outcome(lambda: tg.peak_report(state))
+        assert outcome(lambda: obs._at_origin([state])[0][0]) == expected
+        if model == M.SC0:
+            assert expected[0] is DomainError
+        else:
+            assert expected.degeneracy_parameter == pytest.approx(2.612375348685488)
+
+    def test_float_path_equals_grid_path_at_one_point(self):
+        for model in (M.SC, M.SC0, M.SCINF):
+            variant = semiclassical.ScVariant(model, 1.3)
+            for x in (1e-12, 1e-3, 0.9, 1.0, 5.0):
+                for s in (0.0, 0.3, 2.0, 40.0, 1e154):
+                    for d in (0, 1, 2):
+                        one = semiclassical._column_sc_at(variant, x, 0.02, d, s)
+                        grid = semiclassical.column_density_sc_x(variant, x, 0.02, d, [s, s])
+                        assert [one, one] == grid.tolist(), (model, x, s, d)
+
+    def test_densities_equal_scalar_calls(self, ex_1e4, ex_1e6):
+        # A family at one tau whose heads differ: with the tail and without.
+        grid = np.linspace(0.0, 5.0, 11)
+        family = [tg.solve_fugacity(M.EX, n, ex_1e4.tau) for n in (10.0, 5e3, 1e4, 2e4, 1e6)]
+        assert {exact._head_length(s.x, s.tau)[1] for s in family} == {True, False}
+        got = obs._densities(family, grid).tolist()
+        assert got == [obs.total_density(s, grid).tolist() for s in family]
+        saturated = GasState(model=M.EX, atoms=1e4, tau=ex_1e4.tau, x=0.0, n0=0.0)
+        expected = outcome(lambda: obs.total_density(saturated, grid))
+        assert expected[0] is DomainError
+        assert outcome(lambda: obs._densities([ex_1e4, saturated], grid)) == expected
+        for bad in ([ex_1e4, ex_1e6], [threshold_state(1e4, M.SC)]):
+            with pytest.raises(DomainError, match="EX states at one tau"):
+                obs._densities(bad, grid)
 
     def test_sc0_below_threshold_raises_as_scalar(self, ex_1e4):
         sc0 = tg.solve_fugacity(M.SC0, 1e4, 2.0 * tg.transition_temperature(M.SC0, 1e4).tau)
