@@ -1,0 +1,151 @@
+#!/usr/bin/env python3
+"""Compare the exact Gaussian l-sums of this tree with another copy of trapgas, float for float.
+
+Usage: python scripts/compare_floats.py PARENT_SRC
+
+PARENT_SRC is the ``src`` directory of the other copy (say, an unpacked
+``git archive`` of the parent commit).  It is imported as the package
+``trapgas_parent``, beside this tree's ``trapgas``.  Over a seeded set of EX
+states, stratified in N (3 to 1e11) and T/T* (0.3 to 3), the script
+compares:
+
+- ``exact._excited_gauss_sum`` (d = 0..3, grids of 1 to 400 points, and
+  saturated clouds, x = 0);
+- ``exact._columns`` at s = 0 (d = 0, 1, 2), in batches of mixed states,
+  against the other copy's scalar ``density_ex_x`` and
+  ``column_density_ex_x``;
+- ``exact._columns`` of families on grids: several atom numbers at one
+  tau, mixed with states at other temperatures.
+
+The other copy's side uses only functions whose signatures are stable.
+It prints, for each part, the values compared, the mismatches (values
+whose bits differ, signed zeros too) and the worst distance in ulps, and
+exits 1 on any mismatch.  The golden CSVs hold 9 digits; this is the
+check on the last bits.
+"""
+
+import argparse
+import importlib.util
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import trapgas as tg  # noqa: E402
+from trapgas import exact  # noqa: E402
+from trapgas.models import ModelKind  # noqa: E402
+
+LOG_N_STRATA = [(0.5, 2.0), (2.0, 4.0), (4.0, 6.0), (6.0, 8.0), (8.0, 10.0), (10.0, 11.0)]
+T_RATIO_STRATA = [(0.3, 0.9), (0.9, 0.99), (0.99, 1.01), (1.01, 1.1), (1.1, 3.0)]
+PER_STRATUM = 34  # states per (N, T/T*) stratum: 1,020 in all
+SEED = 2005
+
+
+def load_parent(src: Path):
+    """The package under ``src``/trapgas, imported as ``trapgas_parent``."""
+    init = src / "trapgas" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        "trapgas_parent", init, submodule_search_locations=[str(init.parent)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["trapgas_parent"] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module("trapgas_parent.exact")
+
+
+def strata_states(rng):
+    """(atoms, x, tau) of EX states drawn log-uniformly within each (N, T/T*) stratum."""
+    states = []
+    for lo, hi in LOG_N_STRATA:
+        for t_lo, t_hi in T_RATIO_STRATA:
+            for _ in range(PER_STRATUM):
+                atoms = round(10.0 ** rng.uniform(lo, hi))
+                ratio = math.exp(rng.uniform(math.log(t_lo), math.log(t_hi)))
+                tau = tg.transition_temperature(ModelKind.EX, atoms).tau / ratio
+                state = tg.solve_fugacity(ModelKind.EX, atoms, tau)
+                states.append((atoms, state.x, state.tau))
+    return states
+
+
+def grid(rng, tau: float) -> np.ndarray:
+    """An ascending grid of 1 to 400 points out to a few thermal radii."""
+    points = int(rng.integers(1, 401))
+    far = max(4.0 * math.sqrt(2.0 / tau), 8.0)
+    return np.linspace(0.0, far * rng.uniform(0.2, 1.0), points)
+
+
+def ulps(a, b) -> np.ndarray:
+    """Distance in representable floats between a and b, elementwise."""
+    ordered = []
+    for v in (a, b):
+        i = np.asarray(v, dtype=float).view(np.int64)
+        ordered.append(np.where(i < 0, np.iinfo(np.int64).min - i, i))
+    return np.abs(ordered[0] - ordered[1])
+
+
+class Tally:
+    def __init__(self):
+        self.values, self.mismatches, self.worst = 0, 0, 0
+
+    def add(self, got, ref):
+        got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+        distance = ulps(got, ref)
+        self.values += distance.size
+        # Bit patterns, so that -0.0 against +0.0 (0 ulp apart) is a mismatch too.
+        self.mismatches += int(np.count_nonzero(got.view(np.int64) != ref.view(np.int64)))
+        self.worst = max(self.worst, int(distance.max(initial=0)))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_src", type=Path, help="src directory of the other copy")
+    args = parser.parse_args(argv)
+    parent = load_parent(args.parent_src)
+    rng = np.random.default_rng(SEED)
+    states = strata_states(rng)
+    tallies = {name: Tally() for name in ("scalar grids", "origins", "families")}
+
+    for _, x, tau in states:
+        for v in (x, 0.0):
+            for d in (0, 1, 2, 3):
+                s = 0.0 if d == 3 else grid(rng, tau)
+                tallies["scalar grids"].add(
+                    exact._excited_gauss_sum(v, tau, d, s), parent._excited_gauss_sum(v, tau, d, s)
+                )
+
+    order = rng.permutation(len(states)).tolist()
+    for start in range(0, len(order), 25):
+        batch = [states[i] for i in order[start:start + 25]]
+        xs, taus = [x for _, x, _ in batch], [tau for _, _, tau in batch]
+        got = exact._columns(xs, taus, (0, 1, 2), 0.0)[:, :, 0]
+        ref = [[parent.density_ex_x(x, tau, 0.0) for x, tau in zip(xs, taus)]]
+        ref += [[parent.column_density_ex_x(x, tau, d, 0.0) for x, tau in zip(xs, taus)]
+                for d in (1, 2)]
+        tallies["origins"].add(got, ref)
+
+    for start in range(0, len(order), 40):
+        _, _, tau = states[order[start]]
+        shared = [tg.solve_fugacity(ModelKind.EX, 10.0 ** rng.uniform(0.5, 11.0), tau)
+                  for _ in range(int(rng.integers(1, 9)))]
+        others = [states[i] for i in order[start + 1:start + 1 + int(rng.integers(0, 5))]]
+        xs = [s.x for s in shared] + [x for _, x, _ in others]
+        taus = [s.tau for s in shared] + [t for _, _, t in others]
+        s = grid(rng, tau)
+        got = exact._columns(xs, taus, (0, 1, 2), s)
+        ref = [[parent.density_ex_x(x, t, s) for x, t in zip(xs, taus)]]
+        ref += [[parent.column_density_ex_x(x, t, d, s) for x, t in zip(xs, taus)]
+                for d in (1, 2)]
+        tallies["families"].add(got, ref)
+
+    print(f"{len(states)} states (seed {SEED}), against {args.parent_src}")
+    for name, tally in tallies.items():
+        print(f"{name}: {tally.values} values, {tally.mismatches} mismatches, "
+              f"worst {tally.worst} ulp")
+    return 1 if any(t.mismatches for t in tallies.values()) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -38,22 +38,23 @@ l_tail = ceil(ln(1/_TAIL_Q) / tau) (large clouds near threshold, where it
 grows like 32/x), the head stops at l_tail instead.  Past l_tail each term
 is a power series in q = e^{-tau l} <= _TAIL_Q whose powers sum
 geometrically over l, so the rest of the sum is a closed form of
-_TAIL_TERMS terms with a bound on the powers left out (``_tail_series``),
+_TAIL_TERMS terms with a bound on the powers left out (``_tail_sums``),
 a polynomial in s^2.  A head longer than MAX_TERMS raises TruncationError.
-``_origin_columns`` takes the density and columns at s = 0 for a list of
-states at once, for the figures' peak reports: it builds every state's
-head rows once for all d and the tail's d-independent factors once per
-state, with the floats of the single-state kernel.
-``_excited_gauss_sums`` takes several states at one tau on one grid (a
-profile family): states with the same head share its buffer of Gaussians
-and the tail's power table, and each applies its own e^{-x l}, tail vector
-and bound.  The single-state kernel is its batch of one, so both give the
-same floats.
+
+One kernel evaluates this l-sum, ``_excited_gauss_sums``: any list of
+states, each with its own x and tau, for several d, on one grid.  The head
+rows of all states lie end to end, and states of one tau and head share
+their buffer of Gaussians, each applying its own e^{-x l}; every state's
+tail comes from one power table per grid chunk.  Every value is the float
+of the single-state call, which is its batch of one.  ``_columns`` adds
+the ground state, for a profile family (figure 6) and the peak reports
+at s = 0 (figures 3 and 7).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -112,12 +113,6 @@ def _head_length(x: float, tau: float) -> tuple[int, bool]:
             f"excited l-sum needs {head} > {MAX_TERMS} terms (x={x}, tau={tau})"
         )
     return head, tail
-
-
-def _head_slabs(head: int):
-    """l = 1 .. head as consecutive float arrays of at most _SLAB_ROWS terms."""
-    for start in range(0, head, _SLAB_ROWS):
-        yield np.arange(start + 1.0, min(start + _SLAB_ROWS, head) + 1.0)
 
 
 def excited_population_x(x: float, tau: float) -> float:
@@ -340,54 +335,97 @@ def _excited_gauss_sum(x: float, tau: float, d: int, s):
     k_l = (1 - e^{-2 tau l})^{-3/2} and a_l = tanh(tau l / 2), at x >= 0
     checked by the caller: :func:`_excited_gauss_sums` for one state.
     """
-    total = _excited_gauss_sums([x], tau, d, s)[0]
+    total = _excited_gauss_sums([x], [check_tau(tau)], (d,), s)[0, 0]
     return total if np.ndim(s) else float(total[0])
 
 
-def _excited_gauss_sums(x, tau: float, d: int, s) -> np.ndarray:
-    """:func:`_excited_gauss_sum` for each of the floats x >= 0 (rows) at one tau on one grid.
+def _excited_gauss_sums(x, tau, dims, s) -> np.ndarray:
+    """:func:`_excited_gauss_sum` for each d in ``dims`` and state (x_i, tau_i) on one grid.
 
-    Every grid column of a state sums the same head (``_head_length``),
-    slab by slab, then the closed-form q-series tail where the head stops
-    at ``l_tail``.  States with the same head share every step that does
-    not depend on x: the head buffer k_l (pi/a_l)^{d/2} e^{-a_l s^2} -
-    pi^{d/2} e^{-s^2} of each slab and grid chunk (``_gauss_head``) and
-    the tail's power table (``_q_series_tail``).  Each state applies its
-    own e^{-x l} and row sums, its own tail vector and bound, so every
-    value is the single-state float.
+    x >= 0 and checked tau are sequences of floats; the sums fill a
+    (dims x states x grid) array.  Every grid column of a state sums the
+    same head (``_head_length``), slab by slab (``_head_sums``), then the
+    closed-form q-series tail where the head stops at ``l_tail``
+    (``_tail_sums``).  States of one tau and head form a group, and the
+    heads of all groups lie end to end in chunks of whole slabs
+    (``_head_chunks``).  A chunk holds at most _SLAB_ROWS rows and the grid
+    is cut so that a buffer holds at most _CHUNK_ELEMENTS, so memory stays
+    flat in the head length and the grid size.  Every value is the
+    single-state float.
     """
-    tau = check_tau(tau)
     s2 = check_coordinates(s) ** 2
-    gauss = math.pi ** (0.5 * d) * np.exp(-s2)
-    groups = {}
-    for i, v in enumerate(x):
-        groups.setdefault(_head_length(v, tau), []).append(i)
-    if len(groups) == 1:
-        (head, tail), = groups
-        return _group_sum(x, tau, d, head, tail, s2, gauss) / PI_32
-    totals = np.empty((len(x), s2.size))
-    for (head, tail), members in groups.items():
-        totals[members] = _group_sum([x[i] for i in members], tau, d, head, tail, s2, gauss)
-    return totals / PI_32
+    n, neg_s2 = s2.size, -s2
+    groups = {}  # (tau, head, tail): the states, and the column tau / 2, -2 tau, then their -x
+    for i, (v, t) in enumerate(zip(x, tau)):
+        states, column = groups.setdefault((t, *_head_length(v, t)), ([], [0.5 * t, -2.0 * t]))
+        states.append(i)
+        column.append(-v)
+    e = np.exp(neg_s2)
+    gauss = [math.pi ** (0.5 * d) * e if d else e for d in dims]
+    totals = np.zeros((len(dims), len(x), n))
+    for slabs, l in _head_chunks(groups):
+        _head_sums(slabs, l, dims, neg_s2, gauss, totals)
+    tailed = [
+        (i, (x[i], t, head)) for (t, head, tail), (states, _) in groups.items() if tail
+        for i in states
+    ]
+    if tailed:
+        ids, states = zip(*tailed)
+        # One group holds every state in order, and a slice spares two fancy copies.
+        part = slice(None) if len(groups) == 1 else list(ids)
+        totals[:, part] = _tail_sums(states, dims, s2, e, totals[:, part])
+    totals /= PI_32
+    return totals
 
 
-def _group_sum(x, tau, d, head, tail, s2, gauss):
-    """The sums of :func:`_excited_gauss_sums` for the floats x of one head length."""
-    x_col = np.array(x)[:, None]
-    total = np.zeros((len(x), s2.size))
-    for l in _head_slabs(head):
-        weight, k32, a = _head_rows(x_col, tau, l)
-        total += _gauss_head(weight, _head_coef(k32, a, d), a, s2, gauss)
-    if tail:
-        total += _q_series_tail(x, tau, d, head, s2, total)
-    return total
+def _head_sums(slabs, l, dims, neg_s2, gauss, totals):
+    """Write (or, past a head's first slab, add) the sums of one chunk's slabs into ``totals``.
 
-
-def _head_rows(x, tau, l):
-    """e^{-x l}, k_l and a_l of the head rows l; x and tau are floats, or arrays like l."""
-    a = np.tanh(0.5 * tau * l)
-    k32 = 1.0 / (-np.expm1(-2.0 * tau * l)) ** 1.5
-    return np.exp(-x * l), k32, a
+    ``slabs`` and the rows l come from ``_head_chunks``; neg_s2 is -s^2 on
+    the grid and gauss[k] = pi^{d/2} e^{-s^2} for the k-th d.  For each
+    grid chunk and d the buffer k_l (pi/a_l)^{d/2} e^{-a_l s^2} - gauss of
+    the chunk's rows is built once.  Pass m scales it by e^{-x l} of each
+    group's m-th state (into a second buffer, the last pass in place), and
+    each slab is summed on its own.  Each grid point's terms are contiguous
+    in the buffer, so numpy sums them pairwise (rounding error O(log L),
+    not O(L)).
+    """
+    # Row m + 2 holds -x of each group's m-th state (pass m), per slab.
+    if len(slabs) == 1:  # one slab broadcasts
+        rows = np.array(slabs[0][1])[:, None]
+    else:
+        rows = itertools.zip_longest(*(c for _, c, *_ in slabs), fillvalue=0.0)
+        rows = np.array(list(rows)).repeat([r1 - r0 for *_, r0, r1 in slabs], axis=1)
+    a = np.tanh(rows[0] * l)
+    k32 = 1.0 / (-np.expm1(rows[1] * l)) ** 1.5
+    coefs = [_head_coef(k32, a, d) for d in dims]
+    weights = rows[2:] * l
+    np.exp(weights, out=weights)
+    n, size, last = neg_s2.size, l.size, len(weights) - 1
+    bounds = _chunk_bounds(n, size)
+    buf = np.empty(size * -(-n // len(bounds)))
+    scaled = np.empty_like(buf) if last else buf
+    for lo, hi in bounds:
+        for k, (coef, g_k) in enumerate(zip(coefs, gauss)):
+            b = buf[: size * (hi - lo)].reshape(hi - lo, size)
+            np.multiply(neg_s2[lo:hi, None], a, out=b)
+            np.exp(b, out=b)
+            np.multiply(b, coef, out=b)
+            np.subtract(b, g_k[lo:hi, None], out=b)
+            for m, w in enumerate(weights):
+                out = b if m == last else scaled[: b.size].reshape(b.shape)
+                np.multiply(b, w, out=out)
+                for states, _, start, r0, r1 in slabs:
+                    if m < len(states):
+                        # _head_chunks yields a head's slabs in order.  Its first
+                        # writes, as cheap as a sum and the same float as 0.0 + sum
+                        # (numpy's sums start from +0.0); adding it costs about a
+                        # microsecond per slab, d and state.
+                        total = totals[k, states[m], lo:hi]
+                        if start:
+                            total += np.add.reduce(out[:, r0:r1], 1)
+                        else:
+                            np.add.reduce(out[:, r0:r1], 1, out=total)
 
 
 def _head_coef(k32, a, d: int):
@@ -395,115 +433,34 @@ def _head_coef(k32, a, d: int):
     return k32 * (math.pi / a) ** (0.5 * d) if d else k32
 
 
-def _origin_columns(x, tau, dims) -> np.ndarray:
-    """:func:`column_density_ex_x` at s = 0 for each d in ``dims`` (rows) and state (columns).
+def _head_chunks(groups):
+    """The head rows l = 1 .. head of every group in order, in chunks of whole slabs.
 
-    d = 0 is :func:`density_ex_x` at r = 0.  x and tau are sequences of
-    floats, each state checked as the scalar call checks it; the excited
-    parts of every d come from one pass of :func:`_excited_origin_sums`.
-    Every value is the scalar call's float.
+    ``groups`` maps (tau, head, tail) to its states and its column of
+    values.  A slab has at most _SLAB_ROWS rows, and so has a chunk.
+    Yields each chunk's slabs, as (states, column, first l - 1, first row,
+    end row in the chunk), and its rows l.
     """
-    n0, taus = [], []
-    for v, t in zip(x, tau):
-        n0.append(ground_population(v))
-        taus.append(check_tau(t))
-    n0 = np.array(n0)
-    excited = _excited_origin_sums(x, taus, dims)
-    return np.array([ground_column(n0, d, 0.0) for d in dims]) + excited
+    slabs, rows = [], []
+    end = 0
+    for (_, head, _), (states, column) in groups.items():
+        for start in range(0, head, _SLAB_ROWS):
+            size = min(_SLAB_ROWS, head - start)
+            if end + size > _SLAB_ROWS:
+                yield slabs, np.concatenate(rows)
+                slabs, rows, end = [], [], 0
+            slabs.append((states, column, start, end, end + size))
+            rows.append(np.arange(start + 1.0, start + size + 1.0))
+            end += size
+    if slabs:
+        yield slabs, rows[0] if len(rows) == 1 else np.concatenate(rows)
 
 
-def _excited_origin_sums(x, tau, dims) -> np.ndarray:
-    """``_excited_gauss_sum(x_i, tau_i, d, 0.0)`` for each d in ``dims`` (rows) and state.
+def _tail_sums(states, dims, s2, e, heads) -> np.ndarray:
+    """``heads`` plus the terms l > l_end of :func:`_excited_gauss_sums` for states (x, tau, l_end).
 
-    x >= 0 and checked tau, sequences of floats.  The head rows of all
-    states lie end to end, in the scalar kernel's slabs, in chunks of at
-    most _CHUNK_ELEMENTS rows (``_head_chunks``); ``_head_rows`` builds them
-    once for every d.  At s = 0 a row's term is (coef_l - pi^{d/2}) e^{-x l},
-    and each slab is summed on its own as the scalar kernel sums it.  The
-    tail's d-independent factors (``_tail_weights``, ``_tail_factors``) are
-    built once per state, and at s = 0 the series is its first coefficient
-    times its scale.  Every value is the scalar kernel's float.
-    """
-    x_arr, tau_arr = np.array(x, dtype=float), np.array(tau, dtype=float)
-    x, tau = x_arr.tolist(), tau_arr.tolist()
-    heads = [_head_length(v, t) for v, t in zip(x, tau)]
-    sums = np.zeros((len(dims), x_arr.size))
-    for chunk in _head_chunks([head for head, _ in heads]):
-        owners = [i for i, _ in chunk]
-        sizes = [l.size for _, l in chunk]
-        weight, k32, a = _head_rows(
-            np.repeat(x_arr[owners], sizes),
-            np.repeat(tau_arr[owners], sizes),
-            np.concatenate([l for _, l in chunk]),
-        )
-        ends = np.cumsum(sizes).tolist()
-        for k, d in enumerate(dims):
-            terms = (_head_coef(k32, a, d) - math.pi ** (0.5 * d)) * weight
-            for i, lo, hi in zip(owners, [0, *ends], ends):
-                sums[k, i] += terms[lo:hi].sum()
-    tailed = [i for i, (_, tail) in enumerate(heads) if tail]
-    l1 = np.array([heads[i][0] + 1.0 for i in tailed])
-    weights = _tail_weights(x_arr[tailed, None], tau_arr[tailed, None], l1[:, None])
-    tails, bounds = np.empty((2, len(dims), len(tailed)))
-    for j, (i, w) in enumerate(zip(tailed, weights)):
-        factors = _tail_factors(x[i], tau[i], heads[i][0])
-        for k, d in enumerate(dims):
-            scale, bounds[k, j], _ = _tail_scale(factors, d)
-            # The scalar kernel's vector-matrix product; a dot product with
-            # the first column alone may round differently.
-            tails[k, j] = (w @ _tail_coefficients(d))[0] * scale
-    totals = sums[:, tailed] + tails
-    missed = np.argwhere(bounds > REL_TOL * totals)
-    if missed.size:
-        k, j = missed[0]
-        _check_tail(bounds[k, j], totals[k, j], x[tailed[j]], tau[tailed[j]], dims[k])
-    sums[:, tailed] = totals
-    return sums / PI_32
-
-
-def _head_chunks(heads):
-    """The slabs (state, l) of every head in order, in chunks of at most _CHUNK_ELEMENTS rows."""
-    chunk, rows = [], 0
-    for i, head in enumerate(heads):
-        for l in _head_slabs(head):
-            if chunk and rows + l.size > _CHUNK_ELEMENTS:
-                yield chunk
-                chunk, rows = [], 0
-            chunk.append((i, l))
-            rows += l.size
-    if chunk:
-        yield chunk
-
-
-def _q_series_tail(x, tau, d, l_end, s2, totals):
-    """Terms l > l_end of :func:`_excited_gauss_sums` for each of the floats x (rows), per column.
-
-    The power table (2 s^2)^j e^{-s^2} of each grid chunk is built once;
-    each state takes its own vector-matrix product with it
-    (``_tail_series``), scale and bound.
-    """
-    series = [_tail_series(v, tau, d, l_end) for v in x]
-    rows = _TAIL_TERMS + 1
-    tails = np.empty((len(x), s2.size))
-    bounds = _chunk_bounds(s2.size, rows)
-    powers = np.empty(rows * -(-s2.size // len(bounds)))
-    for lo, hi in bounds:
-        p = powers[: rows * (hi - lo)].reshape(rows, hi - lo)
-        p[0] = np.exp(-s2[lo:hi])
-        # Capped so that 2 s^2 stays finite; row 0 is 0.0 long before the cap.
-        p[1:] = 2.0 * np.minimum(s2[lo:hi], 1e300)
-        np.cumprod(p, axis=0, out=p)  # row j: (2 s^2)^j e^{-s^2}
-        for j, (v, _, _, _) in enumerate(series):
-            np.dot(v, p, out=tails[j, lo:hi])
-    envelope = np.exp(-s2 * series[0][3])  # the decay depends on tau alone
-    for j, (_, scale, bound, _) in enumerate(series):
-        tails[j] *= scale
-        _check_tail(bound * envelope, totals[j] + tails[j], x[j], tau, d)
-    return tails
-
-
-def _tail_series(x, tau, d, l_end):
-    """The s-independent parts (v, scale, bound, decay) of the tail past l_end.
+    ``heads`` holds the (dims x states x grid) sums of the terms up to
+    l_end, on a grid given as s^2 and e = e^{-s^2}.
 
     With q = e^{-tau l} each term is pi^{d/2} e^{-s^2} e^{-xl} [G(q) - 1], where
     G(q) = (1-q)^{-(3+d)/2} (1+q)^{-(3-d)/2} exp(2 s^2 q / (1+q)) = sum_m g_m q^m.
@@ -517,20 +474,57 @@ def _tail_series(x, tau, d, l_end):
     |g_m| <= (1-rho)^{-3} e^{c rho/(1-rho)} rho^{-m}.  With
     rho = min(1/4, p1/(1 + 2 p1)), p1 = e^{-tau}, the remainder bound times
     e^{-s^2}, bound e^{-decay s^2}, decays in s like the l = 1 term,
-    e^{-tanh(tau/2) s^2}, at every tau, and q1/rho <= 0.4.
+    e^{-tanh(tau/2) s^2}, at every tau, and q1/rho <= 0.4.  TruncationError
+    where it passes REL_TOL of the completed sum.
+
+    The weights of all states form one matrix (``_tail_weights``), and each
+    state takes its own vector-matrix products, with
+    ``_tail_coefficients(d)`` and with the power table (2 s^2)^j e^{-s^2},
+    which is built once per grid chunk for every state and d.  A matrix
+    product would round differently.
     """
-    v = _tail_weights(x, tau, l_end + 1) @ _tail_coefficients(d)
-    return (v, *_tail_scale(_tail_factors(x, tau, l_end), d))
+    n = s2.size
+    # One state's floats give a vector, several states columns of a matrix.
+    args = states[0] if len(states) == 1 else np.array(list(zip(*states)))[..., None]
+    # A stack of 1 x M rows: matmul takes each state's vector-matrix product.
+    weights = _tail_weights(*args).reshape(len(states), 1, -1)
+    series = [weights @ _tail_coefficients(d) for d in dims]
+    factors = [_tail_factors(*state) for state in states]
+    parts = np.array([[_tail_scale(f, d) for f in factors] for d in dims])
+    scale, bound, decay = parts[..., 0:1], parts[..., 1:2], parts[0, :, 2:3]
+    tails = np.empty_like(heads)
+    rows = _TAIL_TERMS + 1
+    bounds = _chunk_bounds(n, rows)
+    powers = np.empty(rows * -(-n // len(bounds)))
+    for lo, hi in bounds:
+        p = powers[: rows * (hi - lo)].reshape(rows, hi - lo)
+        p[0] = e[lo:hi]
+        # Capped so that 2 s^2 stays finite; row 0 is 0.0 long before the cap.
+        p[1:] = 2.0 * np.minimum(s2[lo:hi], 1e300)
+        p.cumprod(axis=0, out=p)  # row j: (2 s^2)^j e^{-s^2}
+        for k, v in enumerate(series):
+            tails[k, :, lo:hi] = (v @ p)[:, 0]
+    tails *= scale
+    totals = heads + tails
+    missed = bound * np.exp(-s2 * decay) > REL_TOL * totals
+    if missed.any():
+        k, j, _ = np.argwhere(missed)[0]
+        x, tau, _ = states[j]
+        raise TruncationError(
+            f"q-series tail of the excited l-sum missed rel_tol {REL_TOL} "
+            f"(x={x}, tau={tau}, d={dims[k]})"
+        )
+    return totals
 
 
-def _tail_weights(x, tau, l1):
-    """e^{-tau l1 m} / (1 - e^{-(x + m tau)}) for m = 1 .. M.
+def _tail_weights(x, tau, l_end):
+    """e^{-tau l1 m} / (1 - e^{-(x + m tau)}) for m = 1 .. M, with l1 = l_end + 1.
 
     Floats give the vector of one state; columns of states a (states x M)
     matrix, row by row the vectors of single states.
     """
     m = np.arange(1.0, _TAIL_TERMS + 1.0)
-    return np.exp(-tau * l1 * m) / -np.expm1(-(x + tau * m))
+    return np.exp(-tau * (l_end + 1) * m) / -np.expm1(-(x + tau * m))
 
 
 def _tail_factors(x: float, tau: float, l_end: int):
@@ -538,7 +532,7 @@ def _tail_factors(x: float, tau: float, l_end: int):
 
     e^{-x l1}, then (1-rho)^{-3}, (q1/rho)^{M+1} and
     (1 - q1/rho)(1 - e^{-(x + tau)}) of the Cauchy bound
-    (:func:`_tail_series`), and decay.
+    (:func:`_tail_sums`), and decay.
     """
     l1 = l_end + 1
     p1 = math.exp(-tau)
@@ -560,15 +554,6 @@ def _tail_scale(factors, d: int):
     scale = math.pi ** (0.5 * d) * damping
     # sum_{m > M} (1-rho)^{-3} (q1/rho)^m / (1 - e^{-(x + tau)}), times scale
     return scale, scale * majorant * power / denominator, decay
-
-
-def _check_tail(remainder, total, x, tau, d):
-    """TruncationError where a tail's remainder bound passes REL_TOL * total."""
-    if np.any(remainder > REL_TOL * total):
-        raise TruncationError(
-            f"q-series tail of the excited l-sum missed rel_tol {REL_TOL} "
-            f"(x={x}, tau={tau}, d={d})"
-        )
 
 
 @functools.cache
@@ -603,34 +588,21 @@ def _chunk_bounds(n: int, rows: int):
     return [(i * n // chunks, (i + 1) * n // chunks) for i in range(chunks)]
 
 
-def _gauss_head(weight, coef, a, s2, gauss):
-    """Column sums of weight_l (coef_l e^{-a_l s^2} - gauss) over the head rows, per row of weight.
+def _columns(x, tau, dims, s) -> np.ndarray:
+    """:func:`column_density_ex_x` for each d in ``dims`` and state (x_i, tau_i) on one grid.
 
-    The grid is cut into even chunks that reuse one buffer, so memory stays
-    flat in the grid size.  The buffer coef_l e^{-a_l s^2} - gauss of a
-    chunk is built once for every row of weights, each of which scales it
-    into a second buffer (the last in place).  Each grid point's terms are
-    contiguous in the buffer, so numpy sums them pairwise (rounding error
-    O(log L), not O(L)).
+    A (dims x states x grid) array; d = 0 is :func:`density_ex_x`.  x and
+    tau are sequences of floats, each state checked as the scalar call
+    checks it, and every value is the scalar call's float.
     """
-    n, rows = s2.size, a.size
-    bounds = _chunk_bounds(n, rows)
-    buf = np.empty(rows * -(-n // len(bounds)))
-    last = len(weight) - 1
-    scaled = np.empty_like(buf) if last else buf
-    sums = np.empty((last + 1, n))
-    neg_a = -a
-    for lo, hi in bounds:
-        b = buf[: rows * (hi - lo)].reshape(hi - lo, rows)
-        np.multiply(s2[lo:hi, None], neg_a, out=b)
-        np.exp(b, out=b)
-        np.multiply(b, coef, out=b)
-        np.subtract(b, gauss[lo:hi, None], out=b)
-        for j, w in enumerate(weight):
-            out = b if j == last else scaled[: b.size].reshape(b.shape)
-            np.multiply(b, w, out=out)
-            out.sum(axis=1, out=sums[j, lo:hi])
-    return sums
+    n0, taus = [], []
+    for v, t in zip(x, tau):
+        n0.append(ground_population(v))
+        taus.append(check_tau(t))
+    excited = _excited_gauss_sums(x, taus, dims, s)
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    n0 = np.array(n0)[:, None]
+    return np.array([ground_column(n0, d, s) for d in dims]) + excited
 
 
 def column_density_ex(z: float, tau: float, dims_integrated: int, s):

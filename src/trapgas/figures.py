@@ -10,9 +10,8 @@ floats of the scalar solves the temperature sweeps use.  Figures 3 and 7
 then take the peak reports and integrated peak fractions of all their EX
 states from one batched exact sum at the origin, and those of their SC
 states on the semi-classical float path (``observables._at_origin``).
-Figure 6's eight profiles share one tau and grid, so one shared-tau exact
-sum gives them all (``observables._densities``).  Every value is the
-scalar calls' float.
+Figure 6's eight profiles share one tau and grid, so one exact sum gives
+them all (``exact._columns``).  Every value is the scalar calls' float.
 
 Columns per figure:
 
@@ -35,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import observables
+from . import exact, observables
 from .core import ReducedUnits, _solve_fugacity_many, _transition_many
 from .core import solve_fugacity, transition_temperature
 from .errors import DomainError
@@ -138,7 +137,8 @@ def figure6(
     columns = ["r_over_sigma"] + [f"rho_N{int(n)}" for n in atom_values]
     table = SweepTable(columns, meta(figure=6, temperature=temperature))
     states = _solve_fugacity_many(ModelKind.EX, atom_values, [units.tau] * atom_values.size)
-    profiles = observables._densities(states, grid).T.tolist()
+    profiles = exact._columns([s.x for s in states], [s.tau for s in states], (0,), grid)
+    profiles = profiles[0].T.tolist()
     for r, row in zip(grid, profiles):
         table.add_row(r, *row)
     return table

@@ -210,9 +210,9 @@ def _at_origin(states, dims=(0,)) -> list[list]:
     The floats and typed errors of :func:`peak_report` and
     :func:`integrated_peak_fraction`, one list for each d: every
     state and d is checked first, then the columns at the origin of the EX
-    states come from one batched exact sum for every d
-    (``exact._origin_columns``), and those of the other models from the
-    semi-classical column on its float path (``semiclassical._column_sc_at``).
+    states come from one batched exact sum for every d (``exact._columns``
+    at s = 0), and those of the other models from the semi-classical
+    column on its float path (``semiclassical._column_sc_at``).
     """
     ex = []
     for state in states:
@@ -223,8 +223,8 @@ def _at_origin(states, dims=(0,)) -> list[list]:
                 _check_integrated(state, d)
         if state.model == ModelKind.EX:
             ex.append(state)
-    columns = exact._origin_columns([s.x for s in ex], [s.tau for s in ex], dims)
-    columns = iter(columns.T.tolist())
+    columns = exact._columns([s.x for s in ex], [s.tau for s in ex], dims, 0.0)
+    columns = iter(columns[:, :, 0].T.tolist())
     out = [[] for _ in dims]
     for state in states:
         if state.model == ModelKind.EX:
@@ -241,23 +241,6 @@ def _at_origin(states, dims=(0,)) -> list[list]:
                 value = _ground_share(state, d, totals[k])
             out[k].append(value)
     return out
-
-
-def _densities(states, grid) -> np.ndarray:
-    """:func:`total_density` of EX states at one tau on one grid, a row per state.
-
-    The floats and typed errors of ``exact.density_ex_x``, in its order:
-    the ground populations, the excited parts from one shared-tau sum
-    (``exact._excited_gauss_sums``), then the ground Gaussian added.
-    """
-    taus = {state.tau for state in states}
-    if len(taus) > 1 or any(state.model != ModelKind.EX for state in states):
-        raise DomainError("batched densities need EX states at one tau")
-    x = [state.x for state in states]
-    n0 = [exact.ground_population(v) for v in x]
-    excited = exact._excited_gauss_sums(x, taus.pop(), 0, grid)
-    grid = np.asarray(grid, dtype=float)
-    return np.array([ground_column(v, 0, grid) for v in n0]) + excited
 
 
 def density_moment(state: GasState, p: int) -> float:

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 import subprocess
@@ -119,16 +120,27 @@ class TestPopulation:
 
     def test_head_near_ten_million_rows_in_flat_memory(self):
         # tau = 2.33e-7 (N ~ 1e20) needs a 9.9e6-row head; summed in slabs it
-        # peaks at a few MB instead of several arrays of that length.
+        # peaks at a few MB instead of several arrays of that length.  So do
+        # three states that share that head, and 13 states of N = 1e12 near
+        # T* (about 21,500 rows each) at the origin.
         tau = 2.33e-7
+        near = ex_state(1e12, 0.995)
         tracemalloc.start()
         try:
             n_sat = exact.excited_population_x(0.0, tau)
             rho_0 = exact.excited_density_x(0.0, tau, 0.0)
+            shared = exact._excited_gauss_sums([0.0, 1e-7, 1e-6], [tau] * 3, (0,), 0.0)
+            copies = exact._columns([near.x] * 13, [near.tau] * 13, (0, 1, 2), 0.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 << 20
+        assert shared[0, 0, 0] == rho_0
+        assert exact._head_length(near.x, near.tau)[0] > 20_000
+        assert copies[:, :, 0].tolist() == [
+            [exact.column_density_ex_x(near.x, near.tau, d, 0.0)] * 13 if d else
+            [exact.density_ex_x(near.x, near.tau, 0.0)] * 13 for d in (0, 1, 2)
+        ]
         assert n_sat == pytest.approx(
             semiclassical.saturated_population_sc(ModelKind.SC0, tau), rel=1e-9
         )
@@ -375,7 +387,8 @@ class TestGaussKernel:
         # direct sum to be short.
         x, tau, l_end = 1e-3, 0.1, 24
         s = np.array([0.0, 1.0, 2.5, 4.0])
-        tail = exact._q_series_tail([x], tau, d, l_end, s**2, np.zeros((1, s.size)))[0]
+        heads = np.zeros((1, 1, s.size))
+        tail = exact._tail_sums([(x, tau, l_end)], (d,), s**2, np.exp(-(s**2)), heads)[0, 0]
         ref = oracles.mp_gauss_tail(x, tau, d, l_end, s, dps=30)
         np.testing.assert_allclose(tail, ref, rtol=1e-14, atol=0.0)
 
@@ -388,6 +401,21 @@ class TestSharedTauSums:
     # and 1 rows) and has no tail.  Four x share the tailed head.
     TAU = 0.01
     XS = [0.0, 0.5, 1e-6, 3.0, 1e-3, 0.5, 0.2, 1e-12, 40.0]
+    # States (x, tau) at three tau on one grid, in six groups of one tau and
+    # head: at 0.01, 231 rows and the tail (three states) or 67 rows (two);
+    # at 0.05, 47 rows and the tail (two) or 17; at 0.3, 8 rows and the
+    # tail or 7.
+    MIXED = [(1e-6, 0.01), (0.3, 0.05), (1e-3, 0.01), (1e-6, 0.05), (0.5, 0.01),
+             (2.0, 0.05), (5.0, 0.3), (1e-9, 0.01), (0.5, 0.01), (1e-3, 0.3)]
+
+    @staticmethod
+    def assert_single_sums(xs, taus, dims, grid):
+        got = exact._excited_gauss_sums(xs, taus, dims, grid)
+        assert got.shape == (len(dims), len(xs), len(grid))
+        for d, rows in zip(dims, got.tolist()):
+            assert rows == [
+                exact._excited_gauss_sum(x, t, d, grid).tolist() for x, t in zip(xs, taus)
+            ]
 
     @pytest.mark.parametrize("chunk", [None, 500])
     @pytest.mark.parametrize(
@@ -399,22 +427,23 @@ class TestSharedTauSums:
             monkeypatch.setattr(exact, "_CHUNK_ELEMENTS", chunk)
         heads = {exact._head_length(x, self.TAU) for x in self.XS}
         assert {tail for _, tail in heads} == {True, False} and len(heads) == 5
-        got = exact._excited_gauss_sums(self.XS, self.TAU, d, grid)
-        assert got.shape == (len(self.XS), len(grid))
-        for x, row in zip(self.XS, got.tolist()):
-            assert row == exact._excited_gauss_sum(x, self.TAU, d, grid).tolist()
+        self.assert_single_sums(self.XS, [self.TAU] * len(self.XS), (d,), grid)
+        xs, taus = zip(*self.MIXED)
+        rules = {(t, *exact._head_length(x, t)) for x, t in self.MIXED}
+        assert len(rules) == 6 and {tail for *_, tail in rules} == {True, False}
+        self.assert_single_sums(xs, taus, (d, *{0, 1, 2} - {d}), grid)
 
     @pytest.mark.parametrize("tau", [1e-4, 0.3, 2.5])
     def test_other_temperatures_equal_single_sums(self, tau):
         grid = np.linspace(0.0, 30.0, 57)
         xs = [1e-9, 0.7 * tau, 5.0 * tau, 1e-9, 12.0]
-        for d in (0, 1, 2):
-            got = exact._excited_gauss_sums(xs, tau, d, grid).tolist()
-            assert got == [exact._excited_gauss_sum(x, tau, d, grid).tolist() for x in xs]
+        self.assert_single_sums(xs, [tau] * len(xs), (0, 1, 2), grid)
 
     def test_origin_of_full_integration(self):
-        got = exact._excited_gauss_sums(self.XS, self.TAU, 3, 0.0)[:, 0].tolist()
-        assert got == [exact.excited_column_x(x, self.TAU, 3, 0.0) for x in self.XS]
+        got = exact._excited_gauss_sums(self.XS, [self.TAU] * len(self.XS), (3,), 0.0)
+        assert got[0, :, 0].tolist() == [
+            exact.excited_column_x(x, self.TAU, 3, 0.0) for x in self.XS
+        ]
 
     def test_scalar_coordinate_gives_a_float(self):
         value = exact._excited_gauss_sum(1e-3, self.TAU, 0, 1.0)
@@ -422,12 +451,39 @@ class TestSharedTauSums:
 
     def test_bad_coordinate_raises_domain_error(self):
         with pytest.raises(DomainError, match="s >= 0"):
-            exact._excited_gauss_sums(self.XS, self.TAU, 0, [0.0, math.nan])
+            exact._excited_gauss_sums(self.XS, [self.TAU] * len(self.XS), (0,), [0.0, math.nan])
 
     def test_missed_tail_bound_raises_truncation_error(self, monkeypatch):
         monkeypatch.setattr(exact, "REL_TOL", 1e-300)
         with pytest.raises(TruncationError, match="q-series tail"):
-            exact._excited_gauss_sums([3.0, 1e-3], self.TAU, 0, [0.0, 1.0])
+            exact._excited_gauss_sums([3.0, 1e-3], [self.TAU] * 2, (0,), [0.0, 1.0])
+
+    def test_slab_sum_of_negative_zeros_is_positive_zero(self):
+        # _head_sums writes a head's first slab sum where 0.0 + sum was added
+        # before; the two differ only if numpy's sum could give -0.0.
+        terms = np.full((3, 40), -0.0)
+        for width in (1, 7, 8, 40):
+            sums = np.add.reduce(terms[:, :width], 1)
+            assert np.all(np.signbit(sums) == np.signbit(0.0 + sums))
+
+    def test_compare_floats_script_reads_this_tree_as_its_own_parent(self, monkeypatch, capsys):
+        # scripts/compare_floats.py with one state per stratum, against this
+        # tree's own src: every part runs and reads 0 mismatches.
+        path = SRC.parent / "scripts" / "compare_floats.py"
+        spec = importlib.util.spec_from_file_location("compare_floats", path)
+        script = importlib.util.module_from_spec(spec)
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(script, "PER_STRATUM", 1)
+        try:
+            assert script.main([str(SRC)]) == 0
+        finally:
+            for name in [m for m in sys.modules if m.split(".")[0] == "trapgas_parent"]:
+                del sys.modules[name]
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("30 states (seed 2005)")
+        assert [line.split(":")[0] for line in lines[1:]] == ["scalar grids", "origins", "families"]
+        assert all(", 0 mismatches, worst 0 ulp" in line for line in lines[1:])
 
 
 #: States of the differential test: N from 1e2 to 1e12, T/T* from 0.5 to 1.5,

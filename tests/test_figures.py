@@ -86,25 +86,23 @@ class TestFigure7:
         assert row["peak_frac_3d"] > row["peak_frac_2d_image"] > row["peak_frac_1d_image"]
 
 
-@pytest.mark.parametrize("recipe", [figures.figure3, figures.figure7])
-def test_threshold_observables_are_batched(recipe, monkeypatch):
-    # Figures 3 and 7 take every EX peak report and integrated peak
-    # fraction from one batched exact sum, never one scalar sum per state.
-    scalar, batched = [], []
-    for name, calls in [("_excited_gauss_sum", scalar), ("_excited_origin_sums", batched)]:
-        kernel = getattr(exact, name)
-        monkeypatch.setattr(exact, name, lambda *a, k=kernel, c=calls: c.append(a) or k(*a))
-    recipe(n_grid=np.logspace(2, 8, 7))
-    assert scalar == []
-    sizes = [len(args[0]) for args in batched]  # fig 3's SC batch has no EX state
-    assert 7 in sizes and sum(sizes) == 7
-
-
 def counted(monkeypatch, module, name):
     """The calls of ``module.name`` from now on, as a list of argument tuples."""
     calls, kernel = [], getattr(module, name)
     monkeypatch.setattr(module, name, lambda *a: calls.append(a) or kernel(*a))
     return calls
+
+
+@pytest.mark.parametrize("recipe", [figures.figure3, figures.figure7])
+def test_threshold_observables_are_batched(recipe, monkeypatch):
+    # Figures 3 and 7 take every EX peak report and integrated peak
+    # fraction from one batched exact sum, never one scalar sum per state.
+    scalar = counted(monkeypatch, exact, "_excited_gauss_sum")
+    batched = counted(monkeypatch, exact, "_excited_gauss_sums")
+    recipe(n_grid=np.logspace(2, 8, 7))
+    assert scalar == []
+    sizes = [len(args[0]) for args in batched]  # fig 3's SC batch has no EX state
+    assert 7 in sizes and sum(sizes) == 7
 
 
 def test_profile_family_is_one_shared_tau_sum(monkeypatch):

@@ -352,9 +352,9 @@ class TestBatchedAtOrigin:
         heads = [exact._head_length(x, t) for x, t in zip(xs, taus)]
         assert {tail for _, tail in heads} == {True, False}
         assert max(head for head, _ in heads) > 20_000
-        got = exact._excited_origin_sums(xs, taus, (0, 1, 2, 3))
+        got = exact._excited_gauss_sums(xs, taus, (0, 1, 2, 3), 0.0)
         for k, d in enumerate((0, 1, 2, 3)):
-            assert got[k].tolist() == [
+            assert got[k, :, 0].tolist() == [
                 exact._excited_gauss_sum(x, t, d, 0.0) for x, t in zip(xs, taus)
             ]
 
@@ -371,8 +371,8 @@ class TestBatchedAtOrigin:
         assert obs._at_origin([], (0, 1)) == [[], []]
 
     def test_chunks_and_slabs_equal_scalar_sum(self, ex_strata, monkeypatch):
-        # Near T* at N = 1e12 (about 21,500 rows each), 13 copies pass the
-        # default chunk budget; the smaller budgets cut every head into slabs.
+        # Near T* at N = 1e12 (about 21,500 rows each), 13 copies of one
+        # state; the smaller budgets cut every head into slabs and chunks.
         near = [s for s in ex_strata if s.atoms == 1e12 and s.x < 1e-3] * 13
         for chunk, slab in [(None, None), (5_000, 4_096), (300, 7)]:
             if chunk is not None:
@@ -380,23 +380,33 @@ class TestBatchedAtOrigin:
                 monkeypatch.setattr(exact, "_SLAB_ROWS", slab)
             states = near if chunk is None else ex_strata
             xs, taus = [s.x for s in states], [s.tau for s in states]
-            heads = [exact._head_length(x, t)[0] for x, t in zip(xs, taus)]
-            chunks = list(exact._head_chunks(heads))
-            assert len(chunks) > 1
-            assert all(sum(l.size for _, l in c) <= exact._CHUNK_ELEMENTS for c in chunks)
-            got = exact._excited_origin_sums(xs, taus, (0, 1, 2))
+            groups = {}
+            for x, t in zip(xs, taus):
+                groups.setdefault((t, *exact._head_length(x, t)), ([], [t]))
+            chunks = list(exact._head_chunks(groups))
+            # The 13 copies form one group, whose head is one slab summed in 13 passes.
+            assert len(chunks) == 1 if chunk is None else len(chunks) > 1
+            assert all(l.size <= exact._SLAB_ROWS for _, l in chunks)
+            got = exact._excited_gauss_sums(xs, taus, (0, 1, 2), 0.0)
             for k, d in enumerate((0, 1, 2)):
-                assert got[k].tolist() == [
+                assert got[k, :, 0].tolist() == [
                     exact._excited_gauss_sum(x, t, d, 0.0) for x, t in zip(xs, taus)
                 ]
 
     def test_head_chunks_cover_every_head_in_order(self, monkeypatch):
-        monkeypatch.setattr(exact, "_CHUNK_ELEMENTS", 10)
+        # Heads of 9, 1 and 4 rows in slabs of at most 4, and in chunks of
+        # whole slabs of at most 4 rows.
         monkeypatch.setattr(exact, "_SLAB_ROWS", 4)
-        slabs = [(i, l.tolist()) for c in exact._head_chunks([9, 1, 4]) for i, l in c]
-        assert slabs == [
-            (0, [1.0, 2.0, 3.0, 4.0]), (0, [5.0, 6.0, 7.0, 8.0]), (0, [9.0]),
-            (1, [1.0]), (2, [1.0, 2.0, 3.0, 4.0]),
+        groups = {(0.1, head, True): ([i], [i]) for i, head in enumerate([9, 1, 4])}
+        chunks = [
+            ([(states, start, r0, r1) for states, _, start, r0, r1 in slabs], l.tolist())
+            for slabs, l in exact._head_chunks(groups)
+        ]
+        assert chunks == [
+            ([([0], 0, 0, 4)], [1.0, 2.0, 3.0, 4.0]),
+            ([([0], 4, 0, 4)], [5.0, 6.0, 7.0, 8.0]),
+            ([([0], 8, 0, 1), ([1], 0, 1, 2)], [9.0, 1.0]),
+            ([([2], 0, 0, 4)], [1.0, 2.0, 3.0, 4.0]),
         ]
 
     def test_semiclassical_states_equal_scalar_calls(self):
@@ -440,19 +450,27 @@ class TestBatchedAtOrigin:
                         assert [one, one] == grid.tolist(), (model, x, s, d)
 
     def test_densities_equal_scalar_calls(self, ex_1e4, ex_1e6):
-        # A family at one tau whose heads differ: with the tail and without.
+        # A family at one tau whose heads differ (with the tail and without),
+        # with a state at another tau among it: exact._columns gives the
+        # scalar densities and columns, and the scalar calls' errors.
         grid = np.linspace(0.0, 5.0, 11)
         family = [tg.solve_fugacity(M.EX, n, ex_1e4.tau) for n in (10.0, 5e3, 1e4, 2e4, 1e6)]
+        family.insert(2, ex_1e6)
         assert {exact._head_length(s.x, s.tau)[1] for s in family} == {True, False}
-        got = obs._densities(family, grid).tolist()
-        assert got == [obs.total_density(s, grid).tolist() for s in family]
-        saturated = GasState(model=M.EX, atoms=1e4, tau=ex_1e4.tau, x=0.0, n0=0.0)
-        expected = outcome(lambda: obs.total_density(saturated, grid))
-        assert expected[0] is DomainError
-        assert outcome(lambda: obs._densities([ex_1e4, saturated], grid)) == expected
-        for bad in ([ex_1e4, ex_1e6], [threshold_state(1e4, M.SC)]):
-            with pytest.raises(DomainError, match="EX states at one tau"):
-                obs._densities(bad, grid)
+        xs, taus = [s.x for s in family], [s.tau for s in family]
+        got = exact._columns(xs, taus, (0, 1, 2), grid).tolist()
+        assert got[0] == [obs.total_density(s, grid).tolist() for s in family]
+        for d in (1, 2):
+            assert got[d] == [
+                exact.column_density_ex_x(s.x, s.tau, d, grid).tolist() for s in family
+            ]
+        for x, tau in [(0.0, ex_1e4.tau), (ex_1e4.x, 0.0), (ex_1e4.x, math.nan)]:
+            expected = outcome(lambda: exact.density_ex_x(x, tau, grid))
+            assert expected[0] is DomainError
+            got = outcome(lambda: exact._columns([ex_1e6.x, x], [ex_1e6.tau, tau], (0,), grid))
+            assert got == expected
+        expected = outcome(lambda: exact.density_ex_x(ex_1e4.x, ex_1e4.tau, [0.0, -1.0]))
+        assert outcome(lambda: exact._columns(xs, taus, (0,), [0.0, -1.0])) == expected
 
     def test_sc0_below_threshold_raises_as_scalar(self, ex_1e4):
         sc0 = tg.solve_fugacity(M.SC0, 1e4, 2.0 * tg.transition_temperature(M.SC0, 1e4).tau)
