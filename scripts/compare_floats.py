@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare the exact Gaussian l-sums of this tree with another copy of trapgas, float for float.
+"""Compare the exact l-sums and EX observables of this tree with another copy, float for float.
 
 Usage: python scripts/compare_floats.py PARENT_SRC
 
@@ -15,7 +15,11 @@ compares:
   against the other copy's scalar ``density_ex_x`` and
   ``column_density_ex_x``;
 - ``exact._columns`` of families on grids: several atom numbers at one
-  tau, mixed with states at other temperatures.
+  tau, mixed with states at other temperatures;
+- the public EX observables of every state: ``observables.profile`` at
+  d = 0, 1, 2 on a grid of 1 to 201 points out to 3 sqrt(2T) (all four
+  components), ``dip_height``, ``density_moment`` at p = 2 and 3 and every
+  field of ``peak_report``.  Both sides take this tree's solved states.
 
 The other copy's side uses only functions whose signatures are stable.
 It prints, for each part, the values compared, the mismatches (values
@@ -35,17 +39,22 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import trapgas as tg  # noqa: E402
-from trapgas import exact  # noqa: E402
+from trapgas import exact, observables  # noqa: E402
 from trapgas.models import ModelKind  # noqa: E402
 
 LOG_N_STRATA = [(0.5, 2.0), (2.0, 4.0), (4.0, 6.0), (6.0, 8.0), (8.0, 10.0), (10.0, 11.0)]
 T_RATIO_STRATA = [(0.3, 0.9), (0.9, 0.99), (0.99, 1.01), (1.01, 1.1), (1.1, 3.0)]
 PER_STRATUM = 34  # states per (N, T/T*) stratum: 1,020 in all
 SEED = 2005
+PEAK_FIELDS = ("rho0_peak", "rho_total_peak", "degeneracy_parameter", "n0_fraction",
+               "peak_fraction")
 
 
 def load_parent(src: Path):
-    """The package under ``src``/trapgas, imported as ``trapgas_parent``."""
+    """The exact and observables modules of the package under ``src``/trapgas.
+
+    The package is imported as ``trapgas_parent``.
+    """
     init = src / "trapgas" / "__init__.py"
     spec = importlib.util.spec_from_file_location(
         "trapgas_parent", init, submodule_search_locations=[str(init.parent)]
@@ -53,11 +62,11 @@ def load_parent(src: Path):
     module = importlib.util.module_from_spec(spec)
     sys.modules["trapgas_parent"] = module
     spec.loader.exec_module(module)
-    return importlib.import_module("trapgas_parent.exact")
+    return tuple(importlib.import_module(f"trapgas_parent.{m}") for m in ("exact", "observables"))
 
 
 def strata_states(rng):
-    """(atoms, x, tau) of EX states drawn log-uniformly within each (N, T/T*) stratum."""
+    """Solved EX states drawn log-uniformly within each (N, T/T*) stratum."""
     states = []
     for lo, hi in LOG_N_STRATA:
         for t_lo, t_hi in T_RATIO_STRATA:
@@ -65,8 +74,7 @@ def strata_states(rng):
                 atoms = round(10.0 ** rng.uniform(lo, hi))
                 ratio = math.exp(rng.uniform(math.log(t_lo), math.log(t_hi)))
                 tau = tg.transition_temperature(ModelKind.EX, atoms).tau / ratio
-                state = tg.solve_fugacity(ModelKind.EX, atoms, tau)
-                states.append((atoms, state.x, state.tau))
+                states.append(tg.solve_fugacity(ModelKind.EX, atoms, tau))
     return states
 
 
@@ -75,6 +83,18 @@ def grid(rng, tau: float) -> np.ndarray:
     points = int(rng.integers(1, 401))
     far = max(4.0 * math.sqrt(2.0 / tau), 8.0)
     return np.linspace(0.0, far * rng.uniform(0.2, 1.0), points)
+
+
+def observed(module, state, grid) -> list:
+    """The EX observables of ``state`` from one copy's ``observables`` module."""
+    values = []
+    for d in (0, 1, 2):
+        prof = module.profile(state, grid, d)
+        values += [prof.total, prof.ground, prof.first_excited, prof.other_excited]
+    values.append([module.dip_height(state), *(module.density_moment(state, p) for p in (2, 3))])
+    report = module.peak_report(state)
+    values.append([getattr(report, name) for name in PEAK_FIELDS])
+    return values
 
 
 def ulps(a, b) -> np.ndarray:
@@ -103,12 +123,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src", type=Path, help="src directory of the other copy")
     args = parser.parse_args(argv)
-    parent = load_parent(args.parent_src)
+    parent, parent_observables = load_parent(args.parent_src)
     rng = np.random.default_rng(SEED)
     states = strata_states(rng)
-    tallies = {name: Tally() for name in ("scalar grids", "origins", "families")}
+    tallies = {name: Tally() for name in ("scalar grids", "origins", "families", "observables")}
 
-    for _, x, tau in states:
+    for state in states:
+        x, tau = state.x, state.tau
         for v in (x, 0.0):
             for d in (0, 1, 2, 3):
                 s = 0.0 if d == 3 else grid(rng, tau)
@@ -119,7 +140,7 @@ def main(argv=None) -> int:
     order = rng.permutation(len(states)).tolist()
     for start in range(0, len(order), 25):
         batch = [states[i] for i in order[start:start + 25]]
-        xs, taus = [x for _, x, _ in batch], [tau for _, _, tau in batch]
+        xs, taus = [s.x for s in batch], [s.tau for s in batch]
         got = exact._columns(xs, taus, (0, 1, 2), 0.0)[:, :, 0]
         ref = [[parent.density_ex_x(x, tau, 0.0) for x, tau in zip(xs, taus)]]
         ref += [[parent.column_density_ex_x(x, tau, d, 0.0) for x, tau in zip(xs, taus)]
@@ -127,18 +148,25 @@ def main(argv=None) -> int:
         tallies["origins"].add(got, ref)
 
     for start in range(0, len(order), 40):
-        _, _, tau = states[order[start]]
+        tau = states[order[start]].tau
         shared = [tg.solve_fugacity(ModelKind.EX, 10.0 ** rng.uniform(0.5, 11.0), tau)
                   for _ in range(int(rng.integers(1, 9)))]
         others = [states[i] for i in order[start + 1:start + 1 + int(rng.integers(0, 5))]]
-        xs = [s.x for s in shared] + [x for _, x, _ in others]
-        taus = [s.tau for s in shared] + [t for _, _, t in others]
+        xs = [s.x for s in shared + others]
+        taus = [s.tau for s in shared + others]
         s = grid(rng, tau)
         got = exact._columns(xs, taus, (0, 1, 2), s)
         ref = [[parent.density_ex_x(x, t, s) for x, t in zip(xs, taus)]]
         ref += [[parent.column_density_ex_x(x, t, d, s) for x, t in zip(xs, taus)]
                 for d in (1, 2)]
         tallies["families"].add(got, ref)
+
+    for state in states:
+        cloud = np.linspace(0.0, 3.0 * math.sqrt(2.0 / state.tau), int(rng.integers(1, 202)))
+        got = observed(observables, state, cloud)
+        ref = observed(parent_observables, state, cloud)
+        for a, b in zip(got, ref):
+            tallies["observables"].add(a, b)
 
     print(f"{len(states)} states (seed {SEED}), against {args.parent_src}")
     for name, tally in tallies.items():

@@ -45,16 +45,18 @@ One kernel evaluates this l-sum, ``_excited_gauss_sums``: any list of
 states, each with its own x and tau, for several d, on one grid.  The head
 rows of all states lie end to end, and states of one tau and head share
 their buffer of Gaussians, each applying its own e^{-x l}; every state's
-tail comes from one power table per grid chunk.  Every value is the float
-of the single-state call, which is its batch of one.  ``_columns`` adds
-the ground state, for a profile family (figure 6) and the peak reports
-at s = 0 (figures 3 and 7).
+tail comes from one power table per grid chunk, for all d at once.  Every
+value is a function of its own state and point alone: the float of the
+single-state call, which is its batch of one, and of any grid holding the
+point.  A call's fixed cost is its numpy operations on the head rows and
+the tail's 60 powers, with little bookkeeping around them.  ``_columns``
+adds the ground state, for a profile family (figure 6) and the peak
+reports at s = 0 (figures 3 and 7).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -73,6 +75,7 @@ _SLAB_ROWS = 1 << 17
 #: falls to _TAIL_Q; the series keeps _TAIL_TERMS powers of q.
 _TAIL_Q = 0.1
 _TAIL_TERMS = 60
+_TAIL_POWERS = np.arange(1.0, _TAIL_TERMS + 1.0)  # m = 1 .. M
 #: Truncation of the density's l-sum: relative tail bound and the cap on terms.
 REL_TOL = 1e-14
 MAX_TERMS = 10_000_000
@@ -333,134 +336,132 @@ def _excited_gauss_sum(x: float, tau: float, d: int, s):
 
     The excited column over d axes (d = 0 is the density), with
     k_l = (1 - e^{-2 tau l})^{-3/2} and a_l = tanh(tau l / 2), at x >= 0
-    checked by the caller: :func:`_excited_gauss_sums` for one state.
+    checked by the caller: :func:`_excited_gauss_sums` for one state.  An
+    array s gives an array of its shape, a scalar s a float.
     """
-    total = _excited_gauss_sums([x], [check_tau(tau)], (d,), s)[0, 0]
-    return total if np.ndim(s) else float(total[0])
+    tau = check_tau(tau)
+    s = np.asarray(s, dtype=float)
+    total = _excited_gauss_sums([x], [tau], (d,), s)[0, 0]
+    return total if s.ndim else float(total[0])
 
 
 def _excited_gauss_sums(x, tau, dims, s) -> np.ndarray:
     """:func:`_excited_gauss_sum` for each d in ``dims`` and state (x_i, tau_i) on one grid.
 
     x >= 0 and checked tau are sequences of floats; the sums fill a
-    (dims x states x grid) array.  Every grid column of a state sums the
-    same head (``_head_length``), slab by slab (``_head_sums``), then the
-    closed-form q-series tail where the head stops at ``l_tail``
-    (``_tail_sums``).  States of one tau and head form a group, and the
-    heads of all groups lie end to end in chunks of whole slabs
-    (``_head_chunks``).  A chunk holds at most _SLAB_ROWS rows and the grid
-    is cut so that a buffer holds at most _CHUNK_ELEMENTS, so memory stays
-    flat in the head length and the grid size.  Every value is the
-    single-state float.
+    (dims x states x grid) array, the grid shaped as s (at least 1-d).
+    Every grid point of a state sums the same head (``_head_length``), in
+    slabs of at most _SLAB_ROWS rows (``_head_sums``), then the closed-form
+    q-series tail where the head stops at ``l_tail`` (``_tail_sums``).
+    States of one tau and head share their head rows, and the slabs of all
+    states lie end to end in chunks of at most _SLAB_ROWS rows; the grid is
+    cut so that a buffer holds at most _CHUNK_ELEMENTS, so memory stays flat
+    in the head length and the grid size.  Each value depends on its own
+    state and coordinate only: it is the float of a one-state, one-point
+    call.
     """
-    s2 = check_coordinates(s) ** 2
-    n, neg_s2 = s2.size, -s2
-    groups = {}  # (tau, head, tail): the states, and the column tau / 2, -2 tau, then their -x
-    for i, (v, t) in enumerate(zip(x, tau)):
-        states, column = groups.setdefault((t, *_head_length(v, t)), ([], [0.5 * t, -2.0 * t]))
-        states.append(i)
-        column.append(-v)
+    s_arr = check_coordinates(s)
+    flat = s_arr.reshape(-1)
+    neg_s2 = -(flat * flat)
     e = np.exp(neg_s2)
-    gauss = [math.pi ** (0.5 * d) * e if d else e for d in dims]
-    totals = np.zeros((len(dims), len(x), n))
-    for slabs, l in _head_chunks(groups):
-        _head_sums(slabs, l, dims, neg_s2, gauss, totals)
-    tailed = [
-        (i, (x[i], t, head)) for (t, head, tail), (states, _) in groups.items() if tail
-        for i in states
-    ]
+    groups, ids, tailed = {}, [], []  # groups: the states of each (tau, head)
+    for i, (v, t) in enumerate(zip(x, tau)):
+        head, tail = _head_length(v, t)
+        groups.setdefault((t, head), []).append(i)
+        if tail:
+            ids.append(i)
+            tailed.append((v, t, head))
+    totals = np.zeros((len(dims), len(x), flat.size))
+    for chunk in _head_chunks(groups):
+        _head_sums(chunk, x, dims, neg_s2, e, totals)
     if tailed:
-        ids, states = zip(*tailed)
-        # One group holds every state in order, and a slice spares two fancy copies.
-        part = slice(None) if len(groups) == 1 else list(ids)
-        totals[:, part] = _tail_sums(states, dims, s2, e, totals[:, part])
+        # Every state: a slice spares two fancy copies.
+        _tail_sums(tailed, slice(None) if len(ids) == len(x) else ids, dims, neg_s2, e, totals)
     totals /= PI_32
-    return totals
+    return totals.reshape(totals.shape[:2] + s_arr.shape)
 
 
-def _head_sums(slabs, l, dims, neg_s2, gauss, totals):
+def _head_chunks(groups) -> list:
+    """The head rows l = 1 .. head of every group in order, in chunks of whole slabs.
+
+    ``groups`` maps (tau, head) to its states.  A slab has at most
+    _SLAB_ROWS rows, and so has a chunk.  Each chunk lists its slabs as
+    (tau, states, first l - 1, first row, end row in the chunk).
+    """
+    chunks, chunk, end = [], [], 0
+    for (t, head), states in groups.items():
+        for start in range(0, head, _SLAB_ROWS):
+            size = min(_SLAB_ROWS, head - start)
+            if end + size > _SLAB_ROWS:
+                chunks.append(chunk)
+                chunk, end = [], 0
+            chunk.append((t, states, start, end, end + size))
+            end += size
+    return chunks + [chunk] if chunk else chunks
+
+
+def _head_sums(chunk, x, dims, neg_s2, e, totals):
     """Write (or, past a head's first slab, add) the sums of one chunk's slabs into ``totals``.
 
-    ``slabs`` and the rows l come from ``_head_chunks``; neg_s2 is -s^2 on
-    the grid and gauss[k] = pi^{d/2} e^{-s^2} for the k-th d.  For each
-    grid chunk and d the buffer k_l (pi/a_l)^{d/2} e^{-a_l s^2} - gauss of
-    the chunk's rows is built once.  Pass m scales it by e^{-x l} of each
-    group's m-th state (into a second buffer, the last pass in place), and
-    each slab is summed on its own.  Each grid point's terms are contiguous
-    in the buffer, so numpy sums them pairwise (rounding error O(log L),
-    not O(L)).
+    ``chunk`` lists its slabs as ``_head_chunks`` does; neg_s2 is -s^2 on
+    the grid and e = e^{-s^2}.  For each grid chunk and d the buffer
+    k_l (pi/a_l)^{d/2} e^{-a_l s^2} - pi^{d/2} e^{-s^2} of the chunk's rows
+    is built once in place; pass m scales it by e^{-x l} of each slab's
+    m-th state (into a second buffer, the last pass in place), and each
+    slab is summed on its own.  Each grid point's terms are contiguous, so
+    numpy sums them pairwise (rounding error O(log L), not O(L)).
     """
-    # Row m + 2 holds -x of each group's m-th state (pass m), per slab.
-    if len(slabs) == 1:  # one slab broadcasts
-        rows = np.array(slabs[0][1])[:, None]
-    else:
-        rows = itertools.zip_longest(*(c for _, c, *_ in slabs), fillvalue=0.0)
-        rows = np.array(list(rows)).repeat([r1 - r0 for *_, r0, r1 in slabs], axis=1)
-    a = np.tanh(rows[0] * l)
-    k32 = 1.0 / (-np.expm1(rows[1] * l)) ** 1.5
-    coefs = [_head_coef(k32, a, d) for d in dims]
-    weights = rows[2:] * l
-    np.exp(weights, out=weights)
-    n, size, last = neg_s2.size, l.size, len(weights) - 1
-    bounds = _chunk_bounds(n, size)
-    buf = np.empty(size * -(-n // len(bounds)))
-    scaled = np.empty_like(buf) if last else buf
-    for lo, hi in bounds:
-        for k, (coef, g_k) in enumerate(zip(coefs, gauss)):
-            b = buf[: size * (hi - lo)].reshape(hi - lo, size)
-            np.multiply(neg_s2[lo:hi, None], a, out=b)
+    if len(chunk) == 1:  # one slab: its tau and -x broadcast over its rows
+        t, states, start, _, size = chunk[0]
+        passes = len(states)
+        l = np.arange(start + 1.0, start + size + 1.0)
+        half, neg_2tau = 0.5 * t, -2.0 * t
+        neg_x = [[-x[i]] for i in states]  # a column
+    else:  # each slab's tau / 2, -2 tau and -x (0.0 past its states) over its rows
+        passes = max(len(states) for _, states, *_ in chunk)
+        l = np.concatenate([np.arange(start + 1.0, start + r1 - r0 + 1.0)
+                            for _, _, start, r0, r1 in chunk])
+        columns = [[0.5 * t, -2.0 * t, *(-x[i] for i in states), *[0.0] * (passes - len(states))]
+                   for t, states, *_ in chunk]
+        rows = np.array(columns).T.repeat([r1 - r0 for *_, r0, r1 in chunk], axis=1)
+        half, neg_2tau, neg_x = rows[0], rows[1], rows[2:]
+    a = np.tanh(half * l)
+    k32 = 1.0 / (-np.expm1(neg_2tau * l)) ** 1.5
+    weights = np.exp(np.multiply(neg_x, l))
+    n, size = neg_s2.size, l.size
+    step = _chunk_width(n, size)
+    buf = np.empty(size * min(step, n))
+    scaled = np.empty_like(buf) if passes > 1 else buf
+    for k, d in enumerate(dims):
+        coef = k32 * (math.pi / a) ** (0.5 * d) if d else k32
+        gauss = math.pi ** (0.5 * d) * e if d else e
+        for lo in range(0, n, step):
+            grid = slice(lo, lo + step)
+            b = buf[: size * min(step, n - lo)].reshape(-1, size)
+            np.multiply(neg_s2[grid, None], a, out=b)
             np.exp(b, out=b)
             np.multiply(b, coef, out=b)
-            np.subtract(b, g_k[lo:hi, None], out=b)
-            for m, w in enumerate(weights):
-                out = b if m == last else scaled[: b.size].reshape(b.shape)
-                np.multiply(b, w, out=out)
-                for states, _, start, r0, r1 in slabs:
+            np.subtract(b, gauss[grid, None], out=b)
+            for m in range(passes):
+                out = b if m == passes - 1 else scaled[: b.size].reshape(b.shape)
+                np.multiply(b, weights[m], out=out)
+                for _, states, start, r0, r1 in chunk:
                     if m < len(states):
-                        # _head_chunks yields a head's slabs in order.  Its first
-                        # writes, as cheap as a sum and the same float as 0.0 + sum
-                        # (numpy's sums start from +0.0); adding it costs about a
-                        # microsecond per slab, d and state.
-                        total = totals[k, states[m], lo:hi]
+                        # A head's slabs come in order.  Its first writes, the
+                        # float of 0.0 + sum (numpy's sums start from +0.0).
+                        total = totals[k, states[m], grid]
                         if start:
                             total += np.add.reduce(out[:, r0:r1], 1)
                         else:
                             np.add.reduce(out[:, r0:r1], 1, out=total)
 
 
-def _head_coef(k32, a, d: int):
-    """k_l (pi/a_l)^{d/2}, the height of a head row's Gaussian over d axes."""
-    return k32 * (math.pi / a) ** (0.5 * d) if d else k32
+def _tail_sums(states, part, dims, neg_s2, e, totals):
+    """Add the terms l > l_end of :func:`_excited_gauss_sums` for states (x, tau, l_end).
 
-
-def _head_chunks(groups):
-    """The head rows l = 1 .. head of every group in order, in chunks of whole slabs.
-
-    ``groups`` maps (tau, head, tail) to its states and its column of
-    values.  A slab has at most _SLAB_ROWS rows, and so has a chunk.
-    Yields each chunk's slabs, as (states, column, first l - 1, first row,
-    end row in the chunk), and its rows l.
-    """
-    slabs, rows = [], []
-    end = 0
-    for (_, head, _), (states, column) in groups.items():
-        for start in range(0, head, _SLAB_ROWS):
-            size = min(_SLAB_ROWS, head - start)
-            if end + size > _SLAB_ROWS:
-                yield slabs, np.concatenate(rows)
-                slabs, rows, end = [], [], 0
-            slabs.append((states, column, start, end, end + size))
-            rows.append(np.arange(start + 1.0, start + size + 1.0))
-            end += size
-    if slabs:
-        yield slabs, rows[0] if len(rows) == 1 else np.concatenate(rows)
-
-
-def _tail_sums(states, dims, s2, e, heads) -> np.ndarray:
-    """``heads`` plus the terms l > l_end of :func:`_excited_gauss_sums` for states (x, tau, l_end).
-
-    ``heads`` holds the (dims x states x grid) sums of the terms up to
-    l_end, on a grid given as s^2 and e = e^{-s^2}.
+    ``totals[:, part]`` holds the (dims x states x grid) sums of the terms
+    up to l_end, on a grid given as -s^2 and e = e^{-s^2}; the tails are
+    added to them in place.
 
     With q = e^{-tau l} each term is pi^{d/2} e^{-s^2} e^{-xl} [G(q) - 1], where
     G(q) = (1-q)^{-(3+d)/2} (1+q)^{-(3-d)/2} exp(2 s^2 q / (1+q)) = sum_m g_m q^m.
@@ -477,44 +478,47 @@ def _tail_sums(states, dims, s2, e, heads) -> np.ndarray:
     e^{-tanh(tau/2) s^2}, at every tau, and q1/rho <= 0.4.  TruncationError
     where it passes REL_TOL of the completed sum.
 
-    The weights of all states form one matrix (``_tail_weights``), and each
-    state takes its own vector-matrix products, with
-    ``_tail_coefficients(d)`` and with the power table (2 s^2)^j e^{-s^2},
-    which is built once per grid chunk for every state and d.  A matrix
-    product would round differently.
+    One state's parameters are floats, several states' columns.  The
+    weights of all states form one matrix (``_tail_weights``), and each
+    state takes its own vector-matrix products, with the stack
+    ``_tail_coefficients(dims)`` and with the power table
+    (2 s^2)^j e^{-s^2}, which is built once per grid chunk for every state
+    and d.  A matrix product would round differently.
     """
-    n = s2.size
-    # One state's floats give a vector, several states columns of a matrix.
-    args = states[0] if len(states) == 1 else np.array(list(zip(*states)))[..., None]
-    # A stack of 1 x M rows: matmul takes each state's vector-matrix product.
-    weights = _tail_weights(*args).reshape(len(states), 1, -1)
-    series = [weights @ _tail_coefficients(d) for d in dims]
-    factors = [_tail_factors(*state) for state in states]
-    parts = np.array([[_tail_scale(f, d) for f in factors] for d in dims])
-    scale, bound, decay = parts[..., 0:1], parts[..., 1:2], parts[0, :, 2:3]
-    tails = np.empty_like(heads)
-    rows = _TAIL_TERMS + 1
-    bounds = _chunk_bounds(n, rows)
-    powers = np.empty(rows * -(-n // len(bounds)))
-    for lo, hi in bounds:
-        p = powers[: rows * (hi - lo)].reshape(rows, hi - lo)
-        p[0] = e[lo:hi]
-        # Capped so that 2 s^2 stays finite; row 0 is 0.0 long before the cap.
-        p[1:] = 2.0 * np.minimum(s2[lo:hi], 1e300)
+    if len(states) == 1:
+        x, tau, l_end = states[0]
+        damping, reach, decay = _tail_factors(x, tau, l_end)
+    else:
+        x, tau, l_end = np.array(states).T[..., None]
+        damping, reach, decay = np.array([_tail_factors(*state) for state in states]).T[..., None]
+    coefficients, heights = _tail_coefficients(tuple(dims))
+    # Stacks of 1 x M rows: matmul takes each state's vector-matrix products.
+    series = _tail_weights(x, tau, l_end).reshape(len(states), 1, -1) @ coefficients
+    scale = heights * damping  # pi^{d/2} e^{-x l1}, (dims x states x 1)
+    # 2 s^2, capped so that it stays finite; e^{-s^2} is 0.0 long before the cap.
+    c = -2.0 * np.maximum(neg_s2, -1e300)
+    step = _chunk_width(c.size, _TAIL_TERMS + 1)
+    for lo in range(0, c.size, step):
+        grid = slice(lo, lo + step)
+        p = np.empty((_TAIL_TERMS + 1, c[grid].size))
+        p[0] = e[grid]
+        p[1:] = c[grid]
         p.cumprod(axis=0, out=p)  # row j: (2 s^2)^j e^{-s^2}
-        for k, v in enumerate(series):
-            tails[k, :, lo:hi] = (v @ p)[:, 0]
-    tails *= scale
-    totals = heads + tails
-    missed = bound * np.exp(-s2 * decay) > REL_TOL * totals
-    if missed.any():
+        totals[:, part, grid] += (series @ p)[:, :, 0] * scale
+    missed = scale * reach * np.exp(neg_s2 * decay) > REL_TOL * totals[:, part]
+    if np.count_nonzero(missed):  # cheaper than .any() on small grids
         k, j, _ = np.argwhere(missed)[0]
         x, tau, _ = states[j]
         raise TruncationError(
             f"q-series tail of the excited l-sum missed rel_tol {REL_TOL} "
             f"(x={x}, tau={tau}, d={dims[k]})"
         )
-    return totals
+
+
+def _chunk_width(n: int, rows: int) -> int:
+    """The width of even cuts of n grid points into chunks of rows x width <= _CHUNK_ELEMENTS."""
+    cuts = -(-n // max(_CHUNK_ELEMENTS // rows, 1))
+    return -(-n // cuts) if cuts else 1
 
 
 def _tail_weights(x, tau, l_end):
@@ -523,41 +527,44 @@ def _tail_weights(x, tau, l_end):
     Floats give the vector of one state; columns of states a (states x M)
     matrix, row by row the vectors of single states.
     """
-    m = np.arange(1.0, _TAIL_TERMS + 1.0)
-    return np.exp(-tau * (l_end + 1) * m) / -np.expm1(-(x + tau * m))
+    m = _TAIL_POWERS
+    # -x - tau m is exactly -(x + tau m)
+    return np.exp(-tau * (l_end + 1) * m) / -np.expm1(-x - tau * m)
 
 
 def _tail_factors(x: float, tau: float, l_end: int):
-    """The d-independent factors of the tail's scale and bound, and its decay.
+    """e^{-x l1}, and the reach and decay of the Cauchy bound (:func:`_tail_sums`).
 
-    e^{-x l1}, then (1-rho)^{-3}, (q1/rho)^{M+1} and
-    (1 - q1/rho)(1 - e^{-(x + tau)}) of the Cauchy bound
-    (:func:`_tail_sums`), and decay.
+    The reach sum_{m > M} (1-rho)^{-3} (q1/rho)^m / (1 - e^{-(x + tau)})
+    bounds the powers left out, in units of the tail's scale.
     """
     l1 = l_end + 1
     p1 = math.exp(-tau)
     rho = min(0.25, p1 / (1.0 + 2.0 * p1))
     # q1 / rho, written so that it stays finite where p1 underflows to 0.
     ratio = max(4.0 * math.exp(-tau * l1), math.exp(-tau * l_end) * (1.0 + 2.0 * p1))
+    reach = (1.0 - rho) ** -3 * ratio ** (_TAIL_TERMS + 1)
     return (
         math.exp(-x * l1),
-        (1.0 - rho) ** -3,
-        ratio ** (_TAIL_TERMS + 1),
-        (1.0 - ratio) * -math.expm1(-(x + tau)),
+        reach / ((1.0 - ratio) * -math.expm1(-(x + tau))),
         (1.0 - 3.0 * rho) / (1.0 - rho),
     )
 
 
-def _tail_scale(factors, d: int):
-    """The tail's scale pi^{d/2} e^{-x l1}, bound and decay over d axes, from ``_tail_factors``."""
-    damping, majorant, power, denominator, decay = factors
-    scale = math.pi ** (0.5 * d) * damping
-    # sum_{m > M} (1-rho)^{-3} (q1/rho)^m / (1 - e^{-(x + tau)}), times scale
-    return scale, scale * majorant * power / denominator, decay
-
-
 @functools.cache
-def _tail_coefficients(d: int) -> np.ndarray:
+def _tail_coefficients(dims: tuple[int, ...]):
+    """The q-series coefficients of each d in ``dims``, and pi^{d/2}.
+
+    A (dims x 1 x M x (M+1)) stack of :func:`_tail_polynomials` and a
+    (dims x 1 x 1) column of pi^{d/2}.
+    """
+    coefficients = np.stack([_tail_polynomials(d) for d in dims])[:, None]
+    heights = np.array([math.pi ** (0.5 * d) for d in dims])[:, None, None]
+    coefficients.flags.writeable = heights.flags.writeable = False
+    return coefficients, heights
+
+
+def _tail_polynomials(d: int) -> np.ndarray:
     """C[m-1, j] with g_m = sum_j C[m-1, j] (2 s^2)^j for m = 1 .. M.
 
     From (1-q)(1+q)^2 G' = [alpha (1+q)^2 - beta (1-q^2) + c (1-q)] G with
@@ -577,15 +584,7 @@ def _tail_coefficients(d: int) -> np.ndarray:
         )
         g_next[1:] += g_m[:-1] - g_m1[:-1]
         g[m + 3] = g_next / (m + 1)
-    g = g[3:]
-    g.flags.writeable = False
-    return g
-
-
-def _chunk_bounds(n: int, rows: int):
-    """Even cuts of n grid columns so that rows x chunk stays under the budget."""
-    chunks = -(-n // max(_CHUNK_ELEMENTS // rows, 1))
-    return [(i * n // chunks, (i + 1) * n // chunks) for i in range(chunks)]
+    return g[3:]
 
 
 def _columns(x, tau, dims, s) -> np.ndarray:
@@ -600,8 +599,8 @@ def _columns(x, tau, dims, s) -> np.ndarray:
         n0.append(ground_population(v))
         taus.append(check_tau(t))
     excited = _excited_gauss_sums(x, taus, dims, s)
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    n0 = np.array(n0)[:, None]
+    s = np.asarray(s, dtype=float).reshape(excited.shape[2:])
+    n0 = np.array(n0).reshape(-1, *(1,) * s.ndim)
     return np.array([ground_column(n0, d, s) for d in dims]) + excited
 
 

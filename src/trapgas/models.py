@@ -104,12 +104,20 @@ def check_levels(n_max) -> int:
     return int(n_max)
 
 
+#: The largest float whose square is finite.
+_S_MAX = math.sqrt(sys.float_info.max)
+
+
 def check_coordinates(s) -> np.ndarray:
-    """``s`` as a float array, at least 1-d; DomainError unless s >= 0, s^2 < inf."""
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    with np.errstate(over="ignore"):
-        if not ((s_arr >= 0.0) & np.isfinite(s_arr**2)).all():
-            raise DomainError("radius or column coordinate needs s >= 0, s^2 < inf")
+    """``s`` as a float array, at least 1-d; DomainError unless s >= 0, s^2 < inf.
+
+    s^2 < inf is tested as s <= _S_MAX, without forming s^2.
+    """
+    s_arr = np.asarray(s, dtype=float)
+    if not s_arr.ndim:
+        s_arr = s_arr.reshape(1)
+    if not (s_arr.min(initial=0.0) >= 0.0 and s_arr.max(initial=0.0) <= _S_MAX):
+        raise DomainError("radius or column coordinate needs s >= 0, s^2 < inf")
     return s_arr
 
 
@@ -139,4 +147,9 @@ def ground_column(n0: float, d: int, s):
 
     Each integrated axis contributes a factor sqrt(pi); units are sigma^(d-3).
     """
-    return n0 * math.pi ** (0.5 * d) * np.exp(-(s**2)) / PI_32
+    return ground_column_from(n0, d, np.exp(-(s**2)))
+
+
+def ground_column_from(n0: float, d: int, e):
+    """:func:`ground_column` from the Gaussian e = e^{-s^2}, for callers that share it."""
+    return n0 * math.pi ** (0.5 * d) * e / PI_32

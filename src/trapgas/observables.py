@@ -28,7 +28,8 @@ import numpy as np
 from . import exact, integrate, semiclassical
 from .core import GasState
 from .errors import DomainError, QuadratureError
-from .models import ModelKind, check_dims, ground_column, lambda3, occupation
+from .models import ModelKind, check_dims, ground_column, ground_column_from, lambda3
+from .models import occupation
 
 #: Relative accuracy demanded of the density moments.
 _MOMENT_TOL = 1e-6
@@ -100,12 +101,16 @@ def first_excited_level_density(state: GasState, grid, dims_integrated: int = 0)
     sqrt(pi), so the shape over d axes is (2 s^2 + d) times the unit
     ground-state column.
     """
-    grid = np.asarray(grid, dtype=float)
-    d = check_dims(dims_integrated, (0, 1, 2))
+    s2 = np.asarray(grid, dtype=float) ** 2
+    return _first_excited(state, check_dims(dims_integrated, (0, 1, 2)), s2, np.exp(-s2))
+
+
+def _first_excited(state: GasState, d: int, s2, e):
+    """:func:`first_excited_level_density` on a grid given as s^2 and e = e^{-s^2}."""
     if state.model != ModelKind.EX:
-        return np.zeros_like(grid)
+        return np.zeros_like(s2)
     n1 = 3.0 * occupation(state.x + state.tau)
-    return n1 * (2.0 * grid**2 + d) * ground_column(1.0, d, grid)
+    return n1 * (2.0 * s2 + d) * ground_column_from(1.0, d, e)
 
 
 def _column_total(state: GasState, grid: np.ndarray, d: int):
@@ -120,21 +125,27 @@ def _column_total(state: GasState, grid: np.ndarray, d: int):
 
 
 def profile(state: GasState, grid, dims_integrated: int = 0) -> DensityProfile:
-    """Decomposed (column) density profile on an ascending nonneg grid."""
+    """Decomposed (column) density profile on an ascending nonneg grid.
+
+    One Gaussian e^{-s^2} serves the ground-state and first-excited terms;
+    an EX total is one call of the exact kernel.
+    """
     _require_density(state)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise DomainError("grid must be a one-dimensional array")
     # The column kernels check the coordinates; comparisons are safe before that.
-    if np.any(grid[1:] <= grid[:-1]):
+    if (grid[1:] <= grid[:-1]).any():
         raise DomainError("grid must be strictly ascending")
-    check_dims(dims_integrated, (0, 1, 2))
-    total = _column_total(state, grid, dims_integrated)
+    d = check_dims(dims_integrated, (0, 1, 2))
+    total = _column_total(state, grid, d)
+    s2 = grid**2
+    e = np.exp(-s2)
     if state.model.has_ground_state:
-        ground = ground_column(state.n0, dims_integrated, grid)
+        ground = ground_column_from(state.n0, d, e)
     else:
         ground = np.zeros_like(grid)
-    first = first_excited_level_density(state, grid, dims_integrated)
+    first = _first_excited(state, d, s2, e)
     other = total - ground - first
     return DensityProfile(
         grid=grid,
@@ -142,7 +153,7 @@ def profile(state: GasState, grid, dims_integrated: int = 0) -> DensityProfile:
         ground=ground,
         first_excited=first,
         other_excited=other,
-        dims_integrated=dims_integrated,
+        dims_integrated=d,
         state=state,
     )
 
@@ -250,10 +261,11 @@ def density_moment(state: GasState, p: int) -> float:
     [0, 6] (six widths of the unit ground-state Gaussian) and, where eight
     thermal radii reach further, [6, 8 / sqrt(tau)]; the integrand has
     decayed far below the tolerance there.  One array call of
-    :func:`total_density` per panel and rule.  The finite-size term of SC0
-    and SC, g_{1/2}(x + tau r^2 / 2), has a core of width sqrt(2x / tau) that
-    shrinks to 0 at saturation, so for those models [0, 6] is cut further
-    at 6 / 16^j, down to the first such edge within 4 core widths.
+    :func:`total_density` takes the nodes of every panel and both rules.
+    The finite-size term of SC0 and SC, g_{1/2}(x + tau r^2 / 2), has a
+    core of width sqrt(2x / tau) that shrinks to 0 at saturation, so for
+    those models [0, 6] is cut further at 6 / 16^j, down to the first such
+    edge within 4 core widths.
     """
     if p not in (2, 3):
         raise DomainError(f"density moment supports p = 2 or 3, got {p!r}")

@@ -51,8 +51,13 @@ class SweepTable:
     def to_csv(self) -> str:
         lines = [f"# {key}={value}" for key, value in self.metadata.items()]
         lines.append(",".join(self.columns))
+        # A row without empty cells takes one % operation, with format_cell's bytes.
+        row_format = ",".join([FLOAT_FMT] * len(self.columns))
         for row in self.rows:
-            lines.append(",".join(format_cell(v) for v in row))
+            if None not in row:
+                lines.append(row_format % tuple(map(float, row)))
+            else:
+                lines.append(",".join(format_cell(v) for v in row))
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> Path:

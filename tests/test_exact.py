@@ -359,6 +359,53 @@ class TestGaussKernel:
         values = profile([0.0, 1e154])
         assert values[0] > 0.0 and values[1] == 0.0
 
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            lambda s: semiclassical.density_sc_x("sc", 1e-3, 0.1, s),
+            lambda s: semiclassical.column_density_sc_x("sc0", 1e-3, 0.1, 1, s),
+            lambda s: exact.density_ex_x(1e-3, 0.1, s),
+            lambda s: exact.column_density_ex_x(1e-3, 0.1, 1, s),
+            lambda s: exact.excited_density_x(1e-3, 0.1, s),
+            lambda s: exact.excited_column_x(1e-3, 0.1, 2, s),
+        ],
+        ids=["sc-density", "sc0-column-d1", "ex-density", "ex-column-d1", "ex-excited",
+             "ex-excited-column-d2"],
+    )
+    def test_empty_and_two_dimensional_grids_keep_their_shape(self, profile):
+        # As the semi-classical twins do: an empty grid gives an empty array,
+        # and a 2-D grid the flat grid's values in its own shape.
+        assert profile([]).shape == (0,)
+        assert profile([[0.0, 1.0]]).tolist() == [profile([0.0, 1.0]).tolist()]
+        square = profile([[0.0, 1.0], [2.0, 3.0]])
+        assert square.shape == (2, 2)
+        assert square.ravel().tolist() == profile([0.0, 1.0, 2.0, 3.0]).tolist()
+
+    @pytest.mark.parametrize("chunk", [None, 3_000], ids=["budget", "small-chunks"])
+    def test_values_are_pointwise(self, chunk, monkeypatch):
+        # A value depends on its own state and coordinate only: a grid, its
+        # one-point calls and any sub-grid agree bit for bit, on grids of 1
+        # to 2,000 points cut into chunks (the small budget cuts every grid).
+        # Heads of 1 to 792 rows, with the q-series tail and without it.
+        if chunk is not None:
+            monkeypatch.setattr(exact, "_CHUNK_ELEMENTS", chunk)
+        rng = np.random.default_rng(11)
+        states = [(s.x, s.tau) for s in (ex_state(1e3, 1.005), ex_state(1e6, 0.99),
+                                         ex_state(1e8, 1.02))]
+        states += [(0.0, 0.01), (2.0, 0.3), (1e-3, 2.5)]
+        for (x, tau), n in zip(states, [1, 2000, 400, 37, 2000, 2]):
+            grid = np.sort(rng.uniform(0.0, 6.0 / math.sqrt(tau), n))
+            for d in (0, 1, 2):
+                full = exact._excited_gauss_sum(x, tau, d, grid).tolist()
+                for i in rng.choice(n, min(n, 4), replace=False).tolist():
+                    assert exact._excited_gauss_sum(x, tau, d, float(grid[i])) == full[i]
+                lo = int(rng.integers(0, n))
+                hi = int(rng.integers(lo + 1, n + 1))
+                assert exact._excited_gauss_sum(x, tau, d, grid[lo:hi]).tolist() == full[lo:hi]
+                picks = np.sort(rng.choice(n, min(n, 50), replace=False))
+                got = exact._excited_gauss_sum(x, tau, d, grid[picks]).tolist()
+                assert got == [full[i] for i in picks.tolist()]
+
     def test_nan_fugacity_raises_domain_error(self):
         with pytest.raises(DomainError):
             exact.excited_density_x(math.nan, 0.1, 0.0)
@@ -387,8 +434,9 @@ class TestGaussKernel:
         # direct sum to be short.
         x, tau, l_end = 1e-3, 0.1, 24
         s = np.array([0.0, 1.0, 2.5, 4.0])
-        heads = np.zeros((1, 1, s.size))
-        tail = exact._tail_sums([(x, tau, l_end)], (d,), s**2, np.exp(-(s**2)), heads)[0, 0]
+        totals = np.zeros((1, 1, s.size))
+        exact._tail_sums([(x, tau, l_end)], slice(None), (d,), -(s**2), np.exp(-(s**2)), totals)
+        tail = totals[0, 0]
         ref = oracles.mp_gauss_tail(x, tau, d, l_end, s, dps=30)
         np.testing.assert_allclose(tail, ref, rtol=1e-14, atol=0.0)
 
@@ -482,7 +530,9 @@ class TestSharedTauSums:
                 del sys.modules[name]
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("30 states (seed 2005)")
-        assert [line.split(":")[0] for line in lines[1:]] == ["scalar grids", "origins", "families"]
+        assert [line.split(":")[0] for line in lines[1:]] == [
+            "scalar grids", "origins", "families", "observables"
+        ]
         assert all(", 0 mismatches, worst 0 ulp" in line for line in lines[1:])
 
 

@@ -10,6 +10,7 @@ from trapgas import exact, semiclassical
 from trapgas import observables as obs
 from trapgas.core import GasState, ReducedUnits
 from trapgas.errors import DomainError, QuadratureError, TruncationError
+from trapgas.integrate import quad
 from trapgas.models import ModelKind as M
 
 import oracles
@@ -322,6 +323,34 @@ STRATA_ATOMS = (2.0, 10.0, 1e3, 1e6, 1e9, 1e12)
 STRATA_T_RATIOS = (0.3, 0.99, 1.0, 1.01, 3.0)
 
 
+class TestOneKernelCall:
+    """The quadrature and the EX observables call their kernel once."""
+
+    def test_quad_calls_f_once_on_every_node(self):
+        sizes = []
+
+        def f(r):
+            sizes.append(r.size)
+            return np.exp(-r * r)
+
+        value, _ = quad(f, [0.0, 1.0, 3.0])
+        assert sizes == [2 * (48 + 96)]
+        assert value == pytest.approx(0.5 * math.sqrt(math.pi) * math.erf(3.0), rel=1e-14)
+
+    def test_moment_and_profiles_make_one_kernel_call(self, ex_1e6, monkeypatch):
+        calls = []
+        kernel = exact._excited_gauss_sums
+        monkeypatch.setattr(exact, "_excited_gauss_sums", lambda *a: calls.append(a) or kernel(*a))
+        # [0, 6] and [6, 8 / sqrt(tau)]: four panel rules, one call.
+        assert 8.0 / math.sqrt(ex_1e6.tau) > 6.0
+        obs.density_moment(ex_1e6, 2)
+        assert len(calls) == 1
+        for d in (0, 1, 2):
+            calls.clear()
+            obs.profile(ex_1e6, np.linspace(0.0, 5.0, 11), d)
+            assert len(calls) == 1
+
+
 def strata_states(model):
     states = []
     for atoms in STRATA_ATOMS:
@@ -381,12 +410,12 @@ class TestBatchedAtOrigin:
             states = near if chunk is None else ex_strata
             xs, taus = [s.x for s in states], [s.tau for s in states]
             groups = {}
-            for x, t in zip(xs, taus):
-                groups.setdefault((t, *exact._head_length(x, t)), ([], [t]))
-            chunks = list(exact._head_chunks(groups))
+            for i, (x, t) in enumerate(zip(xs, taus)):
+                groups.setdefault((t, exact._head_length(x, t)[0]), []).append(i)
+            chunks = exact._head_chunks(groups)
             # The 13 copies form one group, whose head is one slab summed in 13 passes.
             assert len(chunks) == 1 if chunk is None else len(chunks) > 1
-            assert all(l.size <= exact._SLAB_ROWS for _, l in chunks)
+            assert all(slabs[-1][-1] <= exact._SLAB_ROWS for slabs in chunks)
             got = exact._excited_gauss_sums(xs, taus, (0, 1, 2), 0.0)
             for k, d in enumerate((0, 1, 2)):
                 assert got[k, :, 0].tolist() == [
@@ -397,16 +426,12 @@ class TestBatchedAtOrigin:
         # Heads of 9, 1 and 4 rows in slabs of at most 4, and in chunks of
         # whole slabs of at most 4 rows.
         monkeypatch.setattr(exact, "_SLAB_ROWS", 4)
-        groups = {(0.1, head, True): ([i], [i]) for i, head in enumerate([9, 1, 4])}
-        chunks = [
-            ([(states, start, r0, r1) for states, _, start, r0, r1 in slabs], l.tolist())
-            for slabs, l in exact._head_chunks(groups)
-        ]
-        assert chunks == [
-            ([([0], 0, 0, 4)], [1.0, 2.0, 3.0, 4.0]),
-            ([([0], 4, 0, 4)], [5.0, 6.0, 7.0, 8.0]),
-            ([([0], 8, 0, 1), ([1], 0, 1, 2)], [9.0, 1.0]),
-            ([([2], 0, 0, 4)], [1.0, 2.0, 3.0, 4.0]),
+        groups = {(0.1, head): [i] for i, head in enumerate([9, 1, 4])}
+        assert exact._head_chunks(groups) == [
+            [(0.1, [0], 0, 0, 4)],
+            [(0.1, [0], 4, 0, 4)],
+            [(0.1, [0], 8, 0, 1), (0.1, [1], 0, 1, 2)],
+            [(0.1, [2], 0, 0, 4)],
         ]
 
     def test_semiclassical_states_equal_scalar_calls(self):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from trapgas.errors import DomainError
@@ -32,3 +33,22 @@ def test_validation():
     table = SweepTable(["a", "b"])
     with pytest.raises(DomainError):
         table.add_row(1.0)
+
+
+def test_rows_take_format_cell_bytes():
+    # Full float rows take one % operation; rows with a None cell take the
+    # cell-by-cell path; both give format_cell's bytes.
+    rows = [
+        [1, np.float64(2.5), -0.0],
+        [None, np.float32(0.1), 10**20],
+        [np.int64(-7), None, None],
+        [np.float64(np.nan), np.inf, 1e-320],
+        [True, 3.0, np.float64(6.02214076e23)],
+    ]
+    table = SweepTable(["a", "b", "c"])
+    for row in rows:
+        table.add_row(*row)
+    lines = table.to_csv().splitlines()[1:]
+    assert lines == [",".join(format_cell(v) for v in row) for row in rows]
+    assert lines[0] == "1.00000000e+00,2.50000000e+00,-0.00000000e+00"
+    assert lines[2] == "-7.00000000e+00,,"
