@@ -19,7 +19,10 @@ compares:
 - the public EX observables of every state: ``observables.profile`` at
   d = 0, 1, 2 on a grid of 1 to 201 points out to 3 sqrt(2T) (all four
   components), ``dip_height``, ``density_moment`` at p = 2 and 3 and every
-  field of ``peak_report``.  Both sides take this tree's solved states.
+  field of ``peak_report``.  Both sides take this tree's solved states;
+- ``exact._excited_gauss_sum`` (d = 0, 1, 2) on far grids of 2 to 400
+  points, out to about 40 sqrt(T) near threshold, whose far ends lie
+  where every head Gaussian e^{-a_l s^2} and e^{-s^2} underflow.
 
 The other copy's side uses only functions whose signatures are stable.
 It prints, for each part, the values compared, the mismatches (values
@@ -85,6 +88,16 @@ def grid(rng, tau: float) -> np.ndarray:
     return np.linspace(0.0, far * rng.uniform(0.2, 1.0), points)
 
 
+def far_grid(rng, tau: float) -> np.ndarray:
+    """An ascending grid of 2 to 400 points past where a_1 s^2 = 800 (a_1 = tanh(tau/2)).
+
+    Every head row has a_l >= a_1 and a_1 <= 1, so there e^{-a_l s^2} and
+    e^{-s^2} underflow; for small tau the grid ends near 40 sqrt(T).
+    """
+    far = math.sqrt(800.0 / math.tanh(0.5 * tau)) * rng.uniform(1.0, 1.2)
+    return np.linspace(0.0, far, int(rng.integers(2, 401)))
+
+
 def observed(module, state, grid) -> list:
     """The EX observables of ``state`` from one copy's ``observables`` module."""
     values = []
@@ -126,7 +139,8 @@ def main(argv=None) -> int:
     parent, parent_observables = load_parent(args.parent_src)
     rng = np.random.default_rng(SEED)
     states = strata_states(rng)
-    tallies = {name: Tally() for name in ("scalar grids", "origins", "families", "observables")}
+    tallies = {name: Tally() for name in ("scalar grids", "origins", "families", "observables",
+                                        "far grids")}
 
     for state in states:
         x, tau = state.x, state.tau
@@ -167,6 +181,12 @@ def main(argv=None) -> int:
         ref = observed(parent_observables, state, cloud)
         for a, b in zip(got, ref):
             tallies["observables"].add(a, b)
+
+    for state in states:
+        for d in (0, 1, 2):
+            s = far_grid(rng, state.tau)
+            tallies["far grids"].add(exact._excited_gauss_sum(state.x, state.tau, d, s),
+                                     parent._excited_gauss_sum(state.x, state.tau, d, s))
 
     print(f"{len(states)} states (seed {SEED}), against {args.parent_src}")
     for name, tally in tallies.items():

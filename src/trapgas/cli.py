@@ -117,8 +117,8 @@ def cmd_profile(args) -> int:
 def cmd_sweep(args) -> int:
     models = _parse_models(args.model)
     check_positive("atom number", args.atoms)
-    if args.steps < 2:
-        raise DomainError("a sweep needs at least 2 steps")
+    if not 2 <= args.steps <= MAX_POINTS:
+        raise DomainError(f"--steps must lie in [2, {MAX_POINTS}]")
     t_min = check_positive("--tmin", args.tmin)
     t_max = check_positive("--tmax", args.tmax)
     if not t_min < t_max:

@@ -48,10 +48,13 @@ their buffer of Gaussians, each applying its own e^{-x l}; every state's
 tail comes from one power table per grid chunk, for all d at once.  Every
 value is a function of its own state and point alone: the float of the
 single-state call, which is its batch of one, and of any grid holding the
-point.  A call's fixed cost is its numpy operations on the head rows and
-the tail's 60 powers, with little bookkeeping around them.  ``_columns``
-adds the ground state, for a profile family (figure 6) and the peak
-reports at s = 0 (figures 3 and 7).
+point.  Far out on the grid many head Gaussians e^{-a_l s^2} underflow,
+where numpy's exp is slow; the head takes exp only where -a_l s^2 >
+_EXP_UNDERFLOW and writes +0.0, exp's own float, elsewhere.  A call's
+fixed cost is its numpy operations on the head rows and the tail's 60
+powers, with little bookkeeping around them.  ``_columns`` adds the ground
+state, for a profile family (figure 6) and the peak reports at s = 0
+(figures 3 and 7).
 """
 
 from __future__ import annotations
@@ -76,6 +79,8 @@ _SLAB_ROWS = 1 << 17
 _TAIL_Q = 0.1
 _TAIL_TERMS = 60
 _TAIL_POWERS = np.arange(1.0, _TAIL_TERMS + 1.0)  # m = 1 .. M
+#: Just below exp's underflow edge: exp(t) is +0.0 for every t < -745.1332.
+_EXP_UNDERFLOW = -745.2
 #: Truncation of the density's l-sum: relative tail bound and the cap on terms.
 REL_TOL = 1e-14
 MAX_TERMS = 10_000_000
@@ -410,6 +415,12 @@ def _head_sums(chunk, x, dims, neg_s2, e, totals):
     m-th state (into a second buffer, the last pass in place), and each
     slab is summed on its own.  Each grid point's terms are contiguous, so
     numpy sums them pairwise (rounding error O(log L), not O(L)).
+
+    exp is taken only where -a_l s^2 > _EXP_UNDERFLOW, and the other terms
+    are set to +0.0: exp gives +0.0 there, and a masked exp gives the
+    unmasked bits where it computes, so every sum keeps its floats while
+    the underflowing terms (up to about a third of a long head near T*)
+    skip exp's slow path.
     """
     if len(chunk) == 1:  # one slab: its tau and -x broadcast over its rows
         t, states, start, _, size = chunk[0]
@@ -439,7 +450,8 @@ def _head_sums(chunk, x, dims, neg_s2, e, totals):
             grid = slice(lo, lo + step)
             b = buf[: size * min(step, n - lo)].reshape(-1, size)
             np.multiply(neg_s2[grid, None], a, out=b)
-            np.exp(b, out=b)
+            np.exp(b, out=b, where=b > _EXP_UNDERFLOW)
+            np.maximum(b, 0.0, out=b)  # the skipped terms: +0.0
             np.multiply(b, coef, out=b)
             np.subtract(b, gauss[grid, None], out=b)
             for m in range(passes):

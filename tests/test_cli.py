@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import trapgas as tg
+from trapgas import cli
 from trapgas.cli import build_parser, main
 from trapgas.errors import ConvergenceError
 from trapgas.models import ModelKind as M
@@ -202,6 +203,19 @@ class TestSweepCommand:
         )
         assert code == 2
 
+    def test_steps_above_admissible_maximum_exit_2(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(cli, "solve_fugacity", lambda *a, **k: pytest.fail("state solved"))
+        out = tmp_path / "s.csv"
+        code = main(
+            [
+                "sweep", "--model", "ex", "--atoms", "1e3", "--tmin", "6", "--tmax", "11",
+                "--steps", str(cli.MAX_POINTS + 1), "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert str(cli.MAX_POINTS) in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFigureCommand:
     def test_bad_id_exits_2(self, tmp_path, capsys):
@@ -280,8 +294,6 @@ def test_temperature_whose_tau_cube_overflows_exits_2(model, capsys):
 
 class TestExitCodeMapping:
     def test_convergence_maps_to_3(self, monkeypatch, capsys):
-        import trapgas.cli as cli
-
         def boom(args):
             raise ConvergenceError("synthetic bracket failure")
 
@@ -289,8 +301,6 @@ class TestExitCodeMapping:
         assert cli.main(["transition", "--model", "ex", "--atoms", "10"]) == 3
 
     def test_parser_is_built_once(self, monkeypatch, capsys, tmp_path):
-        import trapgas.cli as cli
-
         cli._parser()
         monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
         assert cli.main(["transition", "--model", "sc", "--atoms", "1e3"]) == 0

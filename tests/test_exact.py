@@ -406,6 +406,27 @@ class TestGaussKernel:
                 got = exact._excited_gauss_sum(x, tau, d, grid[picks]).tolist()
                 assert got == [full[i] for i in picks.tolist()]
 
+    def test_underflow_skip_keeps_exp_bits(self):
+        # _head_sums takes exp only above _EXP_UNDERFLOW and writes +0.0
+        # elsewhere.  That keeps every float because exp is +0.0 below the
+        # edge and the masked loop gives the plain loop's bits where it runs.
+        edge = exact._EXP_UNDERFLOW
+        below = np.append(np.linspace(-1e4, edge, 200_001), -np.inf)
+        assert not np.exp(below).view(np.int64).any()
+        rng = np.random.default_rng(5)
+        t = np.concatenate([
+            rng.uniform(-800.0, 0.0, 600_000),
+            rng.uniform(edge - 0.5, edge + 0.5, 200_000),  # mixed runs at the edge
+            rng.uniform(-745.13, -708.4, 200_000),  # subnormal results
+        ])
+        # Mixed order, then descending rows as in a head buffer; both
+        # contiguous, as the buffers are (strided, exp may round otherwise).
+        for args in (t, -np.sort(-t).reshape(1000, -1)):
+            b = args.copy()
+            np.exp(b, out=b, where=b > edge)
+            np.maximum(b, 0.0, out=b)
+            assert np.array_equal(b.view(np.int64), np.exp(args).view(np.int64))
+
     def test_nan_fugacity_raises_domain_error(self):
         with pytest.raises(DomainError):
             exact.excited_density_x(math.nan, 0.1, 0.0)
@@ -531,7 +552,7 @@ class TestSharedTauSums:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("30 states (seed 2005)")
         assert [line.split(":")[0] for line in lines[1:]] == [
-            "scalar grids", "origins", "families", "observables"
+            "scalar grids", "origins", "families", "observables", "far grids"
         ]
         assert all(", 0 mismatches, worst 0 ulp" in line for line in lines[1:])
 
