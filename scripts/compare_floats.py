@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare the exact l-sums and EX observables of this tree with another copy, float for float.
+"""Compare this tree's exact l-sums, EX observables and solves with another copy's, bit for bit.
 
 Usage: python scripts/compare_floats.py PARENT_SRC
 
@@ -22,7 +22,13 @@ compares:
   field of ``peak_report``.  Both sides take this tree's solved states;
 - ``exact._excited_gauss_sum`` (d = 0, 1, 2) on far grids of 2 to 400
   points, out to about 40 sqrt(T) near threshold, whose far ends lie
-  where every head Gaussian e^{-a_l s^2} and e^{-s^2} underflow.
+  where every head Gaussian e^{-a_l s^2} and e^{-s^2} underflow;
+- the solves, each side solving for itself: ``transition_temperature``
+  and ``solve_fugacity`` of all four models at each state's N and T/T*
+  (SC and SC0 also in the traps (1, 1, 2) and (1, 2, 3)), and
+  ``core._transition_many`` and ``core._solve_fugacity_many`` over
+  batches of mixed N and T/T*, condensed SC0 and SCINF states among them:
+  tau*, x, n0 and ``condensed`` of every state.
 
 The other copy's side uses only functions whose signatures are stable.
 It prints, for each part, the values compared, the mismatches (values
@@ -42,7 +48,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import trapgas as tg  # noqa: E402
-from trapgas import exact, observables  # noqa: E402
+from trapgas import core, exact, observables  # noqa: E402
 from trapgas.models import ModelKind  # noqa: E402
 
 LOG_N_STRATA = [(0.5, 2.0), (2.0, 4.0), (4.0, 6.0), (6.0, 8.0), (8.0, 10.0), (10.0, 11.0)]
@@ -54,7 +60,7 @@ PEAK_FIELDS = ("rho0_peak", "rho_total_peak", "degeneracy_parameter", "n0_fracti
 
 
 def load_parent(src: Path):
-    """The exact and observables modules of the package under ``src``/trapgas.
+    """The exact, observables and core modules of the package under ``src``/trapgas.
 
     The package is imported as ``trapgas_parent``.
     """
@@ -65,20 +71,55 @@ def load_parent(src: Path):
     module = importlib.util.module_from_spec(spec)
     sys.modules["trapgas_parent"] = module
     spec.loader.exec_module(module)
-    return tuple(importlib.import_module(f"trapgas_parent.{m}") for m in ("exact", "observables"))
+    return tuple(
+        importlib.import_module(f"trapgas_parent.{m}") for m in ("exact", "observables", "core")
+    )
 
 
-def strata_states(rng):
-    """Solved EX states drawn log-uniformly within each (N, T/T*) stratum."""
-    states = []
+def strata_draws(rng):
+    """(N, T/T*) pairs drawn log-uniformly within each stratum."""
+    draws = []
     for lo, hi in LOG_N_STRATA:
         for t_lo, t_hi in T_RATIO_STRATA:
             for _ in range(PER_STRATUM):
                 atoms = round(10.0 ** rng.uniform(lo, hi))
-                ratio = math.exp(rng.uniform(math.log(t_lo), math.log(t_hi)))
-                tau = tg.transition_temperature(ModelKind.EX, atoms).tau / ratio
-                states.append(tg.solve_fugacity(ModelKind.EX, atoms, tau))
+                draws.append((atoms, math.exp(rng.uniform(math.log(t_lo), math.log(t_hi)))))
+    return draws
+
+
+def strata_states(draws):
+    """The solved EX state at each (N, T/T*) pair."""
+    states = []
+    for atoms, ratio in draws:
+        tau = tg.transition_temperature(ModelKind.EX, atoms).tau / ratio
+        states.append(tg.solve_fugacity(ModelKind.EX, atoms, tau))
     return states
+
+
+def solved(module, model, draws, trap=None) -> list:
+    """One copy's T* and fugacity solves of ``model`` at each (N, T/T*) pair.
+
+    ``module`` is that copy's ``core``.  The temperatures come from this
+    tree's T*, so both copies solve at the same tau; each returns tau*, x,
+    n0 and ``condensed`` per pair.
+    """
+    own_trap = None if trap is None else module.TrapSpec(trap.frequencies)
+    values = []
+    for atoms, ratio in draws:
+        tau = tg.transition_temperature(model, atoms, trap).tau / ratio
+        state = module.solve_fugacity(model.value, atoms, tau, own_trap)
+        tau_star = module.transition_temperature(model.value, atoms, own_trap).tau
+        values.append([tau_star, state.x, state.n0, float(state.condensed)])
+    return values
+
+
+def batch_solved(module, model, batch) -> list:
+    """One copy's batched T* and fugacity solves of ``model`` over ``batch``'s pairs."""
+    atoms = [a for a, _ in batch]
+    taus = [tg.transition_temperature(model, a).tau / r for a, r in batch]
+    states = module._solve_fugacity_many(model.value, atoms, taus)
+    tau_star = module._transition_many(model.value, atoms).tolist()
+    return [[t, s.x, s.n0, float(s.condensed)] for t, s in zip(tau_star, states)]
 
 
 def grid(rng, tau: float) -> np.ndarray:
@@ -136,11 +177,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src", type=Path, help="src directory of the other copy")
     args = parser.parse_args(argv)
-    parent, parent_observables = load_parent(args.parent_src)
+    parent, parent_observables, parent_core = load_parent(args.parent_src)
     rng = np.random.default_rng(SEED)
-    states = strata_states(rng)
+    draws = strata_draws(rng)
+    states = strata_states(draws)
     tallies = {name: Tally() for name in ("scalar grids", "origins", "families", "observables",
-                                        "far grids")}
+                                        "far grids", "solves")}
 
     for state in states:
         x, tau = state.x, state.tau
@@ -187,6 +229,19 @@ def main(argv=None) -> int:
             s = far_grid(rng, state.tau)
             tallies["far grids"].add(exact._excited_gauss_sum(state.x, state.tau, d, s),
                                      parent._excited_gauss_sum(state.x, state.tau, d, s))
+
+    for model in ModelKind:
+        traps = [None]
+        if model in (ModelKind.SC, ModelKind.SC0):
+            traps += [tg.TrapSpec((1.0, 1.0, 2.0)), tg.TrapSpec((1.0, 2.0, 3.0))]
+        for trap in traps:
+            tallies["solves"].add(solved(core, model, draws, trap),
+                                  solved(parent_core, model, draws, trap))
+        pairs = [draws[i] for i in rng.permutation(len(draws)).tolist()]
+        for start in range(0, len(pairs), 25):
+            batch = pairs[start:start + 25]
+            tallies["solves"].add(batch_solved(core, model, batch),
+                                  batch_solved(parent_core, model, batch))
 
     print(f"{len(states)} states (seed {SEED}), against {args.parent_src}")
     for name, tally in tallies.items():

@@ -7,15 +7,20 @@ so z is always in (0, 1) and the ground-state population is exactly
 z/(1-z).  Solvers work in x = -ln z, which keeps N0 = 1/(e^x - 1) accurate
 arbitrarily close to saturation where z itself would round to 1.
 
-Both solvers run Newton's method in ln x (ln tau for T*) on ln N
-(:func:`trapgas.roots.solve_log_newton`), with the slope of each
-population kernel from the same pass as its value.  The fugacity solve
-starts from the near-saturation quadratic N = cap - zeta(2) x / tau^3 + 1/x
-and evaluates only near its root.  No population kernel costs more at
-larger N (the exact one sums 39 levels and an Euler-Maclaurin rest), so
-both solvers work at any N.  A population that underflows to 0 (where
-e^-x does, past x = 745) marks a point beyond the root, and the solve
-bisects back from it.
+Each solve is written once, as a generator coroutine (``_fugacity``,
+``_transition``): Newton's method in ln x (ln tau for T*) on ln N, with the
+slope of each population kernel from the same pass as its value.
+:func:`trapgas.roots.solve` runs it on the scalar kernels for
+:func:`solve_fugacity` and :func:`transition_temperature`, and
+:func:`trapgas.roots.solve_lockstep` runs a list of them on the batched
+kernels for ``_solve_fugacity_many`` and ``_transition_many``, so a
+batched solve evaluates the single solve's points and returns its floats.
+The fugacity solve starts from the near-saturation quadratic
+N = cap - zeta(2) x / tau^3 + 1/x and evaluates only near its root.  No
+population kernel costs more at larger N (the exact one sums 39 levels and
+an Euler-Maclaurin rest), so both solvers work at any N.  A population
+that underflows to 0 (where e^-x does, past x = 745) marks a point beyond
+the root, and the solve bisects back from it.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from . import exact, semiclassical
 from .bose import zeta_const
 from .errors import ConvergenceError, DomainError
 from .models import ModelKind, check_atoms, check_positive, check_tau, lambda3, occupation
-from .roots import solve_log_newton, solve_log_newton_many
+from .roots import _newton, solve, solve_lockstep
 
 __all__ = [
     "GasState",
@@ -210,22 +215,11 @@ def solve_fugacity(
     ratio = _resolve_ratio(model, trap, aniso_ratio)
     variant = _sc_variant(model, ratio)
     capacity = semiclassical.saturated_population_sc(variant, tau)
-    if not model.has_ground_state and atoms >= capacity:
-        return _condensed_state(model, atoms, tau, capacity, ratio)
-
-    populations = {}  # the root is always one of the points evaluated
-    ground = model.has_ground_state
-
-    def residual(x: float) -> tuple[float, float]:
-        if model == ModelKind.EX:
-            pop, slope = exact.population_slope_ex_x(x, tau)
-        else:
-            pop, slope = semiclassical.population_slope_sc_x(variant, x, tau)
-        populations[x] = pop
-        return _log_residual(pop, slope, x, atoms, ground)
-
-    x_root = solve_log_newton(residual, _fugacity_start(model, atoms, tau, capacity))
-    return _fugacity_state(model, atoms, tau, x_root, populations[x_root], ratio)
+    if model == ModelKind.EX:
+        kernel = lambda x: exact.population_slope_ex_x(x, tau)
+    else:
+        kernel = lambda x: semiclassical.population_slope_sc_x(variant, x, tau)
+    return solve(_fugacity(model, atoms, tau, capacity, ratio), kernel)
 
 
 # The scalar solves' float arithmetic overflows to inf, or gives nan, with
@@ -237,43 +231,27 @@ _AS_FLOATS = np.errstate(over="ignore", invalid="ignore")
 def _solve_fugacity_many(model: ModelKind, atoms, taus) -> list[GasState]:
     """:func:`solve_fugacity` at each pair of ``atoms`` and ``taus``, isotropic trap.
 
-    The unsaturated states are solved in lockstep
-    (:func:`trapgas.roots.solve_log_newton_many`), one batched population
-    kernel call per step, and each state is the one ``solve_fugacity``
-    returns, float for float, with the same typed errors.
+    The states are solved in lockstep (:func:`trapgas.roots.solve_lockstep`),
+    one batched population kernel call per step, and each state is the one
+    ``solve_fugacity`` returns, float for float, with the same typed errors.
     """
     model = ModelKind(model)
     atoms = [check_positive("atom number", a) for a in atoms]
     taus = [_as_tau(t) for t in taus]
     variant = _sc_variant(model, 1.0)
-    capacities = semiclassical._saturated_slopes(variant, np.array(taus))[0].tolist()
-    states = [
-        _condensed_state(model, a, t, c, 1.0)
-        if not model.has_ground_state and a >= c
-        else None
-        for a, t, c in zip(atoms, taus, capacities)
-    ]
-    todo = [i for i, state in enumerate(states) if state is None]
-    todo_atoms = np.array([atoms[i] for i in todo])
-    todo_taus = np.array([taus[i] for i in todo])
-    populations = np.empty(len(todo))  # at each problem's last point, its root
-    ground = model.has_ground_state
+    tau_array = np.array(taus)
+    capacities = semiclassical._saturated_slopes(variant, tau_array)[0].tolist()
 
-    def residuals(active: list[int], xs: list[float]) -> list[tuple[float, float]]:
-        x, tau = np.array(xs), todo_taus[active]
+    def kernel(active: list[int], xs: list[float]):
+        x, tau = np.array(xs), tau_array[active]
         if model == ModelKind.EX:
             pop, slope = exact._population_slopes(x, tau)
         else:
             pop, slope = semiclassical._population_slopes(variant, x, tau)
-        populations[active] = pop
-        values = zip(pop.tolist(), slope.tolist(), xs, todo_atoms[active].tolist())
-        return [_log_residual(*value, ground) for value in values]
+        return zip(pop.tolist(), slope.tolist())
 
-    starts = [_fugacity_start(model, atoms[i], taus[i], capacities[i]) for i in todo]
-    roots = solve_log_newton_many(residuals, starts)
-    for i, x_root, pop in zip(todo, roots, populations.tolist()):
-        states[i] = _fugacity_state(model, atoms[i], taus[i], x_root, pop, 1.0)
-    return states
+    problems = [_fugacity(model, *state, 1.0) for state in zip(atoms, taus, capacities)]
+    return solve_lockstep(problems, kernel)
 
 
 def _sc_variant(model: ModelKind, ratio: float) -> semiclassical.ScVariant:
@@ -281,37 +259,58 @@ def _sc_variant(model: ModelKind, ratio: float) -> semiclassical.ScVariant:
     return semiclassical.ScVariant(ModelKind.SC if model == ModelKind.EX else model, ratio)
 
 
-def _condensed_state(model, atoms, tau, capacity, ratio) -> GasState:
-    """A saturating model (SC0, SCINF) pinned at z = 1 with atoms >= its capacity."""
-    return GasState(
-        model=model,
-        atoms=atoms,
-        tau=tau,
-        x=0.0,
-        n0=atoms - capacity,
-        condensed=True,
-        aniso_ratio=ratio,
-    )
+def _fugacity(model: ModelKind, atoms: float, tau: float, capacity: float, ratio: float):
+    """The fugacity solve of one state, as a coroutine of :mod:`trapgas.roots`.
 
-
-def _fugacity_state(model, atoms, tau, x_root, pop, ratio) -> GasState:
-    """The solved state at x_root, whose population is pop; ConvergenceError
-    where pop misses atoms by more than the residual bound."""
+    It yields each x to evaluate, is sent the population and its x-slope
+    there, and returns the :class:`GasState`.  A saturating model (SC0,
+    SCINF) with atoms >= its ``capacity`` returns at once, pinned at z = 1.
+    A root whose population misses ``atoms`` by more than the residual
+    bound raises ConvergenceError.
+    """
+    if not model.has_ground_state and atoms >= capacity:
+        n0 = atoms - capacity
+        return GasState(model, atoms, tau, 0.0, n0, condensed=True, aniso_ratio=ratio)
+    start = _fugacity_start(model, atoms, tau, capacity)
+    x, pop = yield from _log_root(start, atoms, model.has_ground_state)
     if abs(pop - atoms) > _FUGACITY_RESIDUAL * atoms:
         raise ConvergenceError(
             f"fugacity solve left a residual of {abs(pop - atoms) / atoms:.3e} "
             f"(model {model.value}, N={atoms}, tau={tau})"
         )
-    n0 = occupation(x_root) if model.has_ground_state else 0.0
-    return GasState(
-        model=model,
-        atoms=atoms,
-        tau=tau,
-        x=x_root,
-        n0=n0,
-        condensed=False,
-        aniso_ratio=ratio,
-    )
+    n0 = occupation(x) if model.has_ground_state else 0.0
+    return GasState(model, atoms, tau, x, n0, aniso_ratio=ratio)
+
+
+def _transition(atoms: float, tau_c: float):
+    """The T* solve at ``atoms`` from ``tau_c``, as a coroutine of :mod:`trapgas.roots`.
+
+    It yields each tau to evaluate, is sent the capacity and its tau-slope
+    there, and returns tau*, one ulp hotter while the capacity there does
+    not exceed ``atoms``.
+    """
+    tau, capacity = yield from _log_root(tau_c, atoms)
+    while capacity <= atoms:  # one ulp hotter, to the unsaturated side
+        tau = math.nextafter(tau, 0.0)
+        capacity, _ = yield tau
+    return tau
+
+
+def _log_root(start: float, atoms: float, ground: bool = False):
+    """Newton's method in ln x (``roots._newton``) on ln(value / atoms), as a coroutine.
+
+    It yields each point from ``start`` on, is sent the value and its slope
+    in x there, and returns the root and its value: the root is always the
+    last point evaluated.
+    """
+    iteration = _newton(start)
+    x = next(iteration)
+    while True:
+        value, slope = yield x
+        try:
+            x = iteration.send(_log_residual(value, slope, x, atoms, ground))
+        except StopIteration:
+            return x, value
 
 
 def _log_residual(
@@ -320,12 +319,11 @@ def _log_residual(
     """ln(value / atoms) and its slope in ln x, from value and its slope in x.
 
     A value that underflowed to 0 lies past the root: -inf tells
-    :func:`trapgas.roots.solve_log_newton` so.  With a ground state
-    (``ground``), the x-slope -N0 (N0 + 1) of N0 = 1/(e^x - 1) overflows
-    from N0 of about 1.3e154 on; there, and only there, the slope in ln x
-    is the ground term's alone, -(x N0) (N0 + 1) / value, which stays
-    finite.  It leaves out the excited cloud's part, below 1e-150 of it at
-    such x.
+    ``roots._newton`` so.  With a ground state (``ground``), the x-slope
+    -N0 (N0 + 1) of N0 = 1/(e^x - 1) overflows from N0 of about 1.3e154
+    on; there, and only there, the slope in ln x is the ground term's
+    alone, -(x N0) (N0 + 1) / value, which stays finite.  It leaves out the
+    excited cloud's part, below 1e-150 of it at such x.
     """
     if value == 0.0:
         return -math.inf, slope
@@ -354,26 +352,16 @@ def transition_temperature(
     atoms = check_atoms(atoms, maximum=_MAX_TRANSITION_ATOMS)
     ratio = _resolve_ratio(model, trap, aniso_ratio)
     tau_c = semiclassical.thermodynamic_tau(atoms)
-    # Built for SCINF too, since it validates the ratio SCINF does not use.
-    variant = semiclassical.ScVariant(model, ratio) if model != ModelKind.EX else None
+    if model == ModelKind.EX:
+        kernel = exact.saturated_slope_ex
+    else:
+        # Built for SCINF too, since it validates the ratio SCINF does not use.
+        variant = semiclassical.ScVariant(model, ratio)
+        kernel = lambda tau: semiclassical.saturated_slope_sc(variant, tau)
     if model == ModelKind.SCINF:
         return ReducedUnits(tau_c)
-    capacities = {}
-
-    def residual(tau: float) -> tuple[float, float]:
-        if variant is None:
-            capacity, slope = exact.saturated_slope_ex(tau)
-        else:
-            capacity, slope = semiclassical.saturated_slope_sc(variant, tau)
-        capacities[tau] = capacity
-        return _log_residual(capacity, slope, tau, atoms)
-
     # Every transition point lies within a few percent of tau_c.
-    tau_star = solve_log_newton(residual, tau_c)
-    while capacities[tau_star] <= atoms:  # one ulp hotter, to the unsaturated side
-        tau_star = math.nextafter(tau_star, 0.0)
-        residual(tau_star)
-    return ReducedUnits(tau_star)
+    return ReducedUnits(solve(_transition(atoms, tau_c), kernel))
 
 
 @_AS_FLOATS
@@ -381,10 +369,9 @@ def _transition_many(model: ModelKind, atoms) -> np.ndarray:
     """:func:`transition_temperature`'s tau* for each of ``atoms``, isotropic trap.
 
     The EX, SC and SC0 roots are solved in lockstep
-    (:func:`trapgas.roots.solve_log_newton_many`), one batched capacity
-    kernel call per step, and each is the float ``transition_temperature``
-    returns, nudged to the unsaturated side by the same rule, with the same
-    typed errors.
+    (:func:`trapgas.roots.solve_lockstep`), one batched capacity kernel
+    call per step, and each is the float ``transition_temperature``
+    returns, with the same typed errors.
     """
     model = ModelKind(model)
     atoms = [check_atoms(a, maximum=_MAX_TRANSITION_ATOMS) for a in atoms]
@@ -392,28 +379,16 @@ def _transition_many(model: ModelKind, atoms) -> np.ndarray:
     if model == ModelKind.SCINF:
         return np.array([check_tau(t) for t in tau_c])
     variant = semiclassical.ScVariant(model) if model != ModelKind.EX else None
-    targets = np.array(atoms, dtype=float)
-    capacities = np.empty(targets.size)  # at each problem's last point, its root
 
-    def capacity_slopes(tau: np.ndarray):
-        tau = np.array([check_tau(t) for t in tau.tolist()])
+    def kernel(active: list[int], taus: list[float]):
+        tau = np.array([check_tau(t) for t in taus])
         if variant is None:
-            return exact._saturated_slopes(tau)
-        return semiclassical._saturated_slopes(variant, tau)
+            capacity, slope = exact._saturated_slopes(tau)
+        else:
+            capacity, slope = semiclassical._saturated_slopes(variant, tau)
+        return zip(capacity.tolist(), slope.tolist())
 
-    def residuals(active: list[int], taus: list[float]) -> list[tuple[float, float]]:
-        capacity, slope = capacity_slopes(np.array(taus))
-        capacities[active] = capacity
-        values = zip(capacity.tolist(), slope.tolist(), taus, targets[active].tolist())
-        return [_log_residual(*value) for value in values]
-
-    tau_star = np.array(solve_log_newton_many(residuals, tau_c))
-    low = capacities <= targets
-    while low.any():  # one ulp hotter, to the unsaturated side
-        tau_star[low] = np.nextafter(tau_star[low], 0.0)
-        capacities[low] = capacity_slopes(tau_star[low])[0]
-        low = capacities <= targets
-    return tau_star
+    return np.array(solve_lockstep([_transition(*pair) for pair in zip(atoms, tau_c)], kernel))
 
 
 def _fugacity_start(model: ModelKind, atoms: float, tau: float, capacity: float) -> float:

@@ -5,7 +5,8 @@ documentation (atom numbers, the profile temperature 93.37, the 2000-atom
 step of the profile family) as defaults; the sweep CLI exposes the same
 machinery with free parameters.  The recipes over a list of atom numbers
 (2, 3, 6 and 7) solve all its T* and threshold states in lockstep
-(``core._transition_many``, ``core._solve_fugacity_many``), which give the
+(``core._transition_many``, ``core._solve_fugacity_many``): each state is
+the scalar solve's own coroutine, so it evaluates the points and gives the
 floats of the scalar solves the temperature sweeps use.  Figures 3 and 7
 then take the peak reports and integrated peak fractions of all their EX
 states from one batched exact sum at the origin, and those of their SC

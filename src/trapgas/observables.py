@@ -221,9 +221,9 @@ def _at_origin(states, dims=(0,)) -> list[list]:
     The floats and typed errors of :func:`peak_report` and
     :func:`integrated_peak_fraction`, one list for each d: every
     state and d is checked first, then the columns at the origin of the EX
-    states come from one batched exact sum for every d (``exact._columns``
-    at s = 0), and those of the other models from the semi-classical
-    column on its float path (``semiclassical._column_sc_at``).
+    states, if any, come from one batched exact sum for every d
+    (``exact._columns`` at s = 0), and those of the other models from the
+    semi-classical column on its float path (``semiclassical._column_sc_at``).
     """
     ex = []
     for state in states:
@@ -234,8 +234,9 @@ def _at_origin(states, dims=(0,)) -> list[list]:
                 _check_integrated(state, d)
         if state.model == ModelKind.EX:
             ex.append(state)
-    columns = exact._columns([s.x for s in ex], [s.tau for s in ex], dims, 0.0)
-    columns = iter(columns[:, :, 0].T.tolist())
+    if ex:
+        columns = exact._columns([s.x for s in ex], [s.tau for s in ex], dims, 0.0)
+        columns = iter(columns[:, :, 0].T.tolist())
     out = [[] for _ in dims]
     for state in states:
         if state.model == ModelKind.EX:

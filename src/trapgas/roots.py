@@ -1,12 +1,14 @@
-"""Root finding for strictly monotone scalar functions on (0, inf).
+"""Newton's method in ln x for strictly decreasing functions, and its two drivers.
 
 All solver problems in this package (fugacity at fixed N and T, transition
-temperature at fixed N) are strictly monotone on (0, inf).  Both use
-:func:`solve_log_newton`, a safeguarded Newton iteration in u = ln x (the
-``rtsafe`` scheme of Press et al., *Numerical Recipes*, section 9.4) that
-needs the slope beside each value.  :func:`solve_log_newton_many` runs
-the same iteration (``_newton``) on several problems in lockstep, so that
-one call evaluates all of them at once.
+temperature at fixed N) are strictly monotone on (0, inf).  ``_newton`` is
+a safeguarded Newton iteration in u = ln x (the ``rtsafe`` scheme of Press
+et al., *Numerical Recipes*, section 9.4) that needs the slope beside each
+value.  Each solve is written once, in :mod:`trapgas.core`, as a generator
+coroutine around it: it yields the points to evaluate and returns its
+result.  :func:`solve` runs one such coroutine on a scalar kernel, and
+:func:`solve_lockstep` runs several in lockstep on a batched kernel, one
+call per step, so a batched solve takes the single solve's steps.
 """
 
 from __future__ import annotations
@@ -25,66 +27,66 @@ _F_FLOOR = 1e-15
 _MAX_STEP = math.log(4.0)
 
 
-def solve_log_newton(f, x: float) -> float:
+def solve(problem, f):
+    """Run one solve coroutine on a scalar kernel, and return its result.
+
+    ``problem`` is a generator that yields each point it needs evaluated,
+    is sent ``f(point)`` there, and returns its result (it may return
+    before its first yield).  Errors raised by ``f`` or ``problem`` pass
+    through.
+    """
+    try:
+        point = next(problem)
+        while True:
+            point = problem.send(f(point))
+    except StopIteration as done:
+        return done.value
+
+
+def solve_lockstep(problems, f) -> list:
+    """Run several solve coroutines in lockstep, one kernel call per step.
+
+    Each problem is run as :func:`solve` runs it, so each result is the one
+    :func:`solve` gives.  ``f(active, points)`` evaluates the unfinished
+    problems (their indices, ascending, and their current points) at once
+    and returns their values in that order.  The first error raised by
+    ``f`` or any problem passes through.
+    """
+    results = [None] * len(problems)
+    active, values = range(len(problems)), [None] * len(problems)  # send(None) starts each
+    while active:
+        unfinished, points = [], []
+        for i, value in zip(active, values):
+            try:
+                points.append(problems[i].send(value))
+                unfinished.append(i)
+            except StopIteration as done:
+                results[i] = done.value
+        active = unfinished
+        if active:
+            values = f(active, points)
+    return results
+
+
+def _newton(x: float):
     """Root of a strictly decreasing f on (0, inf), by Newton's method in u = ln x.
 
-    f(x) returns f and its derivative with respect to ln x; x > 0 is the
-    start.  A Newton step is cut to a factor of 4 in x.  Once points on
-    both sides of the root have been evaluated, a step that would leave the
-    nearest two is replaced by bisection in u between them.  x moves
-    multiplicatively, x e^{du}, so it keeps full relative precision at any
-    magnitude.  A step with |du| < 1e-9 is taken, f is evaluated
+    A generator: it yields each point to evaluate, starting at x > 0, is
+    sent (f, slope) there, the slope taken with respect to ln x, and
+    returns the root.  A Newton step is cut to a factor of 4 in x.  Once
+    points on both sides of the root have been evaluated, a step that
+    would leave the nearest two is replaced by bisection in u between them.
+    x moves multiplicatively, x e^{du}, so it keeps full relative precision
+    at any magnitude.  A step with |du| < 1e-9 is taken, f is evaluated
     once more there and that point returned; a point with |f| < 1e-15
     whose step is longer is returned as it is, since f carries rounding
     errors of that order and can guide x no further.  f = -inf marks a
     point past the root whose f underflowed (a population rounded to 0):
-    it becomes the f < 0 end of the bracket, and the next point bisects
-    in u towards the nearest point with f > 0.  Any other non-finite value
-    or slope, a slope that is not negative, an underflow with no point of
-    f > 0 evaluated, or no convergence in 200 steps raises ConvergenceError.
-    The root is always the last point evaluated.
-    """
-    iteration = _newton(x)
-    x = next(iteration)
-    while True:
-        try:
-            x = iteration.send(f(x))
-        except StopIteration as done:
-            return done.value
-
-
-def solve_log_newton_many(f, starts: list[float]) -> list[float]:
-    """Roots of several strictly decreasing functions, by :func:`solve_log_newton`'s rule.
-
-    The problems step in lockstep, each by its own iteration from its own
-    start, so each root is the one :func:`solve_log_newton` finds.
-    f(active, points) evaluates the unfinished problems (their indices,
-    ascending, and their current points) at once and returns one
-    (f, slope) pair per problem.  The first error raised by any problem is
-    raised.
-    """
-    iterations = [_newton(x) for x in starts]
-    points = [next(it) for it in iterations]
-    roots = [0.0] * len(starts)
-    active = list(range(len(starts)))
-    while active:
-        values = f(active, [points[i] for i in active])
-        unfinished = []
-        for i, value in zip(active, values):
-            try:
-                points[i] = iterations[i].send(value)
-                unfinished.append(i)
-            except StopIteration as done:
-                roots[i] = done.value
-        active = unfinished
-    return roots
-
-
-def _newton(x: float):
-    """The iteration of :func:`solve_log_newton`, as a generator.
-
-    It yields each point to evaluate, is sent (f, slope) there, and returns
-    the root.
+    it becomes the f < 0 end of the bracket, and the next point bisects in
+    u towards the nearest point with f > 0.  Any other non-finite value or
+    slope, a slope that is not negative, an underflow with no point of
+    f > 0 evaluated, or no convergence in 200 steps raises
+    ConvergenceError.  The root is always the last point evaluated.
     """
     x_pos = x_neg = None  # nearest evaluated points with f > 0 and f < 0
     converged = False

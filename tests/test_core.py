@@ -272,7 +272,7 @@ def test_overflowing_ground_slope_is_the_ground_terms_alone():
     )
     assert core._log_residual(2e3, -4e6, 1e-3, 1e3, True) == (math.log(2.0), 1e-3 * -4e6 / 2e3)
     with pytest.raises(ConvergenceError):
-        tg.roots.solve_log_newton(lambda x: core._log_residual(1.0, -math.inf, x, 1.0), 0.5)
+        tg.roots.solve(core._log_root(0.5, 1.0), lambda x: (1.0, -math.inf))
 
 
 @pytest.mark.parametrize(
@@ -462,3 +462,115 @@ def test_batched_solves_at_the_edges_match_scalar(model):
     for atoms in (1e200, 1e300, 1e308):
         batched = _outcome(lambda: core._transition_many(model, [atoms])[0])
         assert batched == _outcome(lambda: tg.transition_temperature(model, atoms).tau)
+
+
+def _spy_drivers(monkeypatch):
+    """Record the points each solve hands its kernel through ``core``'s drivers.
+
+    Returns two lists that fill as solves run: one list of points per
+    single solve (:func:`trapgas.roots.solve`), and one per problem of each
+    lockstep solve (:func:`trapgas.roots.solve_lockstep`), in order.
+    """
+    single, batched = [], []
+
+    def one(problem, f):
+        points = []
+        single.append(points)
+
+        def evaluate(point):
+            points.append(point)
+            return f(point)
+
+        return tg.roots.solve(problem, evaluate)
+
+    def lockstep(problems, f):
+        points = [[] for _ in problems]
+        batched.extend(points)
+
+        def evaluate(active, xs):
+            for i, x in zip(active, xs):
+                points[i].append(x)
+            return f(active, xs)
+
+        return tg.roots.solve_lockstep(problems, evaluate)
+
+    monkeypatch.setattr(core, "solve", one)
+    monkeypatch.setattr(core, "solve_lockstep", lockstep)
+    return single, batched
+
+
+#: A mixed batch: N from 3 to 1e10 and T/T* on both sides of T*.  At N = 3
+#: and 5 the T* roots of EX, SC and SC0 round to the saturated side and are
+#: nudged one ulp hotter.
+_MIXED = [(a, r) for a in (3.0, 5.0, 1e3, 1e6, 1e10) for r in (0.5, 0.99, 1.01, 2.0)]
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_lockstep_solves_evaluate_the_single_solves_points(model, monkeypatch):
+    atoms = [a for a, _ in _MIXED]
+    taus = [tg.transition_temperature(model, a).tau / r for a, r in _MIXED]
+    single, batched = _spy_drivers(monkeypatch)
+    states = core._solve_fugacity_many(model, atoms, taus)
+    assert states == [tg.solve_fugacity(model, a, t) for a, t in zip(atoms, taus)]
+    assert batched == single and len(single) == len(_MIXED)
+    assert all(points for points, state in zip(single, states) if not state.condensed)
+    single.clear()
+    batched.clear()
+    tau_star = core._transition_many(model, atoms).tolist()
+    assert tau_star == [tg.transition_temperature(model, a).tau for a in atoms]
+    assert batched == single
+    if model != M.SCINF:
+        assert len(single) == len(_MIXED)
+        assert any(p[-1] == math.nextafter(p[-2], 0.0) for p in single)
+
+
+@pytest.mark.parametrize("model", [M.SC0, M.SCINF])
+def test_condensed_state_returns_before_its_first_point(model, monkeypatch):
+    # Its solve returns before it yields: alone, and inside a lockstep batch
+    # of unsaturated states, no kernel evaluates a point of it.
+    atoms = [1e3, 1e4, 1e6]
+    scales = (1.0 / 1.5, 2.0, 1.0 / 1.5)  # hot, cold (condensed), hot
+    taus = [tg.transition_temperature(model, a).tau * k for a, k in zip(atoms, scales)]
+    single, batched = _spy_drivers(monkeypatch)
+    state = tg.solve_fugacity(model, atoms[1], taus[1])
+    assert state.condensed and single == [[]]
+    states = core._solve_fugacity_many(model, atoms, taus)
+    assert states[1] == state
+    assert not states[0].condensed and not states[2].condensed
+    assert batched[1] == [] and batched[0] and batched[2]
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_batch_with_bad_inputs_raises_the_first_before_any_solve(model, monkeypatch):
+    calls = []
+    monkeypatch.setattr(core, "solve_lockstep", lambda *args: calls.append(args))
+    with pytest.raises(DomainError, match=re.escape("got 0.0")):
+        core._solve_fugacity_many(model, [1e3, 0.0, -1.0], [0.0, 0.1, 0.1])
+    with pytest.raises(DomainError, match=re.escape("tau must be positive and finite, got 0.0")):
+        core._solve_fugacity_many(model, [1e3, 1e3, 1e3], [0.1, 0.0, -1.0])
+    with pytest.raises(DomainError, match=re.escape("need at least 2 atoms, got 1.5")):
+        core._transition_many(model, [1e3, 1.5, 0.0])
+    assert calls == []
+
+
+def test_convergence_error_in_one_problem_of_a_batch_propagates(monkeypatch):
+    # A kernel value of nan for the one cold state of each batch (tau < 0.005,
+    # the largest N), and a residual bound no root meets.
+    population_slopes, saturated_slopes = exact._population_slopes, exact._saturated_slopes
+
+    def nan_when_cold(tau, value, slope):
+        return np.where(tau < 0.005, np.nan, value), slope
+
+    monkeypatch.setattr(
+        exact, "_population_slopes", lambda x, tau: nan_when_cold(tau, *population_slopes(x, tau))
+    )
+    monkeypatch.setattr(
+        exact, "_saturated_slopes", lambda tau: nan_when_cold(tau, *saturated_slopes(tau))
+    )
+    with pytest.raises(ConvergenceError, match="not usable"):
+        core._solve_fugacity_many(M.EX, [1e3, 1e9, 1e5], [0.1, 0.001, 0.02])
+    with pytest.raises(ConvergenceError, match="not usable"):
+        core._transition_many(M.EX, [1e3, 1e9, 1e5])
+    monkeypatch.setattr(core, "_FUGACITY_RESIDUAL", -1.0)
+    with pytest.raises(ConvergenceError, match="left a residual"):
+        core._solve_fugacity_many(M.SC, [1e3, 1e6], [0.1, 0.01])

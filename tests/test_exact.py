@@ -552,7 +552,7 @@ class TestSharedTauSums:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("30 states (seed 2005)")
         assert [line.split(":")[0] for line in lines[1:]] == [
-            "scalar grids", "origins", "families", "observables", "far grids"
+            "scalar grids", "origins", "families", "observables", "far grids", "solves"
         ]
         assert all(", 0 mismatches, worst 0 ulp" in line for line in lines[1:])
 

@@ -399,6 +399,19 @@ class TestBatchedAtOrigin:
         assert obs._at_origin(mixed)[0] == [tg.peak_report(s) for s in mixed]
         assert obs._at_origin([], (0, 1)) == [[], []]
 
+    def test_no_exact_sum_without_an_ex_state(self, monkeypatch):
+        sc = [tg.solve_fugacity(M.SC, n, 0.05) for n in (1e3, 1e4)]
+        expected = [[tg.peak_report(s) for s in sc]]
+        calls = []
+        columns = exact._columns
+        monkeypatch.setattr(exact, "_columns", lambda *args: calls.append(args) or columns(*args))
+        assert obs._at_origin(sc) == expected
+        assert obs._at_origin([]) == [[]]
+        assert calls == []
+        ex = tg.solve_fugacity(M.EX, 1e3, 0.05)
+        assert obs._at_origin([sc[0], ex]) == [[expected[0][0], tg.peak_report(ex)]]
+        assert len(calls) == 1
+
     def test_chunks_and_slabs_equal_scalar_sum(self, ex_strata, monkeypatch):
         # Near T* at N = 1e12 (about 21,500 rows each), 13 copies of one
         # state; the smaller budgets cut every head into slabs and chunks.

@@ -88,7 +88,7 @@ def _log_newton_cases():
 @pytest.mark.parametrize("start", [1e-6, 0.5, 1.0, 2.0, 1e6])
 def test_log_newton_finds_the_root(start):
     for f, root in _log_newton_cases():
-        x = roots.solve_log_newton(f, start * root)
+        x = roots.solve(roots._newton(start * root), f)
         assert x == pytest.approx(root, rel=4e-16)
 
 
@@ -101,7 +101,7 @@ def test_log_newton_stops_where_f_is_rounding_noise():
         calls.append(x)
         return 3e-16, -1e-20
 
-    assert roots.solve_log_newton(f, 2.0) == 2.0
+    assert roots.solve(roots._newton(2.0), f) == 2.0
     assert calls == [2.0]
 
 
@@ -110,7 +110,7 @@ def test_log_newton_non_finite_value_raises_convergence_error():
         return (math.nan if x > 2.0 else math.log(3.0 / x)), -1.0
 
     with pytest.raises(ConvergenceError, match="not usable"):
-        roots.solve_log_newton(f, 1.0)
+        roots.solve(roots._newton(1.0), f)
 
 
 def test_log_newton_bisects_back_from_an_underflowed_point():
@@ -123,19 +123,19 @@ def test_log_newton_bisects_back_from_an_underflowed_point():
         calls.append(x)
         return (math.log(3.7 / x) if x < 5.0 else -math.inf), -0.1
 
-    assert roots.solve_log_newton(f, 3.7 / 8.0) == pytest.approx(3.7, rel=1e-15)
+    assert roots.solve(roots._newton(3.7 / 8.0), f) == pytest.approx(3.7, rel=1e-15)
     assert max(calls) > 5.0
 
 
 def test_log_newton_underflow_without_a_positive_point_raises():
     with pytest.raises(ConvergenceError, match="not usable"):
-        roots.solve_log_newton(lambda x: (-math.inf, -1.0), 1.0)
+        roots.solve(roots._newton(1.0), lambda x: (-math.inf, -1.0))
 
 
 def test_log_newton_iteration_cap_raises_convergence_error(monkeypatch):
     monkeypatch.setattr(roots, "_MAX_ITER", 3)
     with pytest.raises(ConvergenceError, match="did not converge"):
-        roots.solve_log_newton(lambda x: ((2.0 / x) ** 3 - 1.0, -3.0 * (2.0 / x) ** 3), 1e-3)
+        roots.solve(roots._newton(1e-3), lambda x: ((2.0 / x) ** 3 - 1.0, -3.0 * (2.0 / x) ** 3))
 
 
 def test_lockstep_newton_finds_each_single_root():
@@ -149,8 +149,8 @@ def test_lockstep_newton_finds_each_single_root():
         seen.append(len(active))
         return [problems[i][0](x) for i, x in zip(active, points)]
 
-    found = roots.solve_log_newton_many(evaluate, [start for _, start in problems])
-    assert found == [roots.solve_log_newton(f, start) for f, start in problems]
+    found = roots.solve_lockstep([roots._newton(start) for _, start in problems], evaluate)
+    assert found == [roots.solve(roots._newton(start), f) for f, start in problems]
     assert seen[0] == len(problems) and seen[-1] < len(problems)
 
 
@@ -158,7 +158,42 @@ def test_lockstep_newton_raises_a_problem_error():
     good = lambda x: (math.log(3.7 / x), -1.0)
     bad = lambda x: (math.nan, -1.0)
     with pytest.raises(ConvergenceError, match="not usable"):
-        roots.solve_log_newton_many(
+        roots.solve_lockstep(
+            [roots._newton(1.0), roots._newton(1.0)],
             lambda active, points: [(good, bad)[i](x) for i, x in zip(active, points)],
-            [1.0, 1.0],
         )
+
+
+def _finished(result):
+    """A coroutine that returns ``result`` before its first yield."""
+    return result
+    yield
+
+
+def test_problem_that_returns_before_its_first_yield():
+    # Alone, such a problem never calls the kernel; in a batch, it is never
+    # among the active problems, and the others find their single roots.
+    calls = []
+
+    def evaluate(active, points):
+        calls.append(list(active))
+        return [f(x) for x in points]
+
+    f = lambda x: (math.log(3.7 / x), -1.0)
+    assert roots.solve(_finished("done"), calls.append) == "done"
+    assert calls == []
+    problems = [roots._newton(1.0), _finished("done"), roots._newton(10.0), _finished(None)]
+    found = roots.solve_lockstep(problems, evaluate)
+    single = [roots.solve(roots._newton(x), f) for x in (1.0, 10.0)]
+    assert found == [single[0], "done", single[1], None]
+    assert calls[0] == [0, 2] and all(set(active) <= {0, 2} for active in calls)
+    assert roots.solve_lockstep([_finished(1), _finished(2)], evaluate) == [1, 2]
+    assert roots.solve_lockstep([], evaluate) == []
+
+
+def test_lockstep_passes_a_kernel_error_through():
+    def evaluate(active, points):
+        raise ZeroDivisionError("kernel")
+
+    with pytest.raises(ZeroDivisionError, match="kernel"):
+        roots.solve_lockstep([roots._newton(1.0)], evaluate)
