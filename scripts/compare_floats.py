@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare this tree's exact l-sums, EX observables and solves with another copy's, bit for bit.
+"""Compare this tree's l-sums, columns, observables and solves with another copy's, bit for bit.
 
 Usage: python scripts/compare_floats.py PARENT_SRC
 
@@ -23,6 +23,13 @@ compares:
 - ``exact._excited_gauss_sum`` (d = 0, 1, 2) on far grids of 2 to 400
   points, out to about 40 sqrt(T) near threshold, whose far ends lie
   where every head Gaussian e^{-a_l s^2} and e^{-s^2} underflow;
+- the semi-classical models SC, SC0 and SCINF at each state's N and
+  T/T*, isotropic and in the traps (1, 1, 2) and (1, 2, 3), both sides
+  taking this tree's solved states: ``column_density_sc_x`` at d = 0, 1, 2
+  on a grid of 1 to 400 points and at a scalar s, every field of
+  ``peak_report``, ``observables._at_origin`` at d = 0, 1, 2 and
+  ``density_moment`` at p = 2 and 3.  A call that raises compares the
+  name of its error class;
 - the solves, each side solving for itself: ``transition_temperature``
   and ``solve_fugacity`` of all four models at each state's N and T/T*
   (SC and SC0 also in the traps (1, 1, 2) and (1, 2, 3)), and
@@ -48,7 +55,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import trapgas as tg  # noqa: E402
-from trapgas import core, exact, observables  # noqa: E402
+from trapgas import core, exact, observables, semiclassical  # noqa: E402
 from trapgas.models import ModelKind  # noqa: E402
 
 LOG_N_STRATA = [(0.5, 2.0), (2.0, 4.0), (4.0, 6.0), (6.0, 8.0), (8.0, 10.0), (10.0, 11.0)]
@@ -60,7 +67,7 @@ PEAK_FIELDS = ("rho0_peak", "rho_total_peak", "degeneracy_parameter", "n0_fracti
 
 
 def load_parent(src: Path):
-    """The exact, observables and core modules of the package under ``src``/trapgas.
+    """The exact, observables, core and semiclassical modules of the package under ``src``/trapgas.
 
     The package is imported as ``trapgas_parent``.
     """
@@ -72,7 +79,8 @@ def load_parent(src: Path):
     sys.modules["trapgas_parent"] = module
     spec.loader.exec_module(module)
     return tuple(
-        importlib.import_module(f"trapgas_parent.{m}") for m in ("exact", "observables", "core")
+        importlib.import_module(f"trapgas_parent.{m}")
+        for m in ("exact", "observables", "core", "semiclassical")
     )
 
 
@@ -151,6 +159,33 @@ def observed(module, state, grid) -> list:
     return values
 
 
+def outcome(fn):
+    """fn()'s floats, or the name of the error class it raises.
+
+    Each copy has its own typed errors; they derive from ValueError and RuntimeError.
+    """
+    try:
+        return np.asarray(fn(), dtype=float)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__
+
+
+def semiclassical_values(sc, obs, state, cloud, s) -> list:
+    """The semi-classical columns and observables of ``state`` from one copy's modules."""
+    variant = sc.ScVariant(state.model, state.aniso_ratio)
+    values = []
+    for d in (0, 1, 2):
+        for where in (cloud, s):
+            values.append(outcome(lambda: sc.column_density_sc_x(variant, state.x, state.tau,
+                                                                   d, where)))
+    values.append(outcome(lambda: [getattr(obs.peak_report(state), f) for f in PEAK_FIELDS]))
+    values.append(outcome(lambda: [getattr(r, f) for r in obs._at_origin([state], (0,))[0]
+                                   for f in PEAK_FIELDS]))
+    values.append(outcome(lambda: obs._at_origin([state], (1, 2))))
+    values += [outcome(lambda: obs.density_moment(state, p)) for p in (2, 3)]
+    return values
+
+
 def ulps(a, b) -> np.ndarray:
     """Distance in representable floats between a and b, elementwise."""
     ordered = []
@@ -165,6 +200,10 @@ class Tally:
         self.values, self.mismatches, self.worst = 0, 0, 0
 
     def add(self, got, ref):
+        if isinstance(got, str) or isinstance(ref, str):  # an error class's name
+            self.values += 1
+            self.mismatches += not (isinstance(got, str) and got == ref)
+            return
         got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
         distance = ulps(got, ref)
         self.values += distance.size
@@ -177,12 +216,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src", type=Path, help="src directory of the other copy")
     args = parser.parse_args(argv)
-    parent, parent_observables, parent_core = load_parent(args.parent_src)
+    parent, parent_observables, parent_core, parent_sc = load_parent(args.parent_src)
     rng = np.random.default_rng(SEED)
     draws = strata_draws(rng)
     states = strata_states(draws)
     tallies = {name: Tally() for name in ("scalar grids", "origins", "families", "observables",
-                                        "far grids", "solves")}
+                                        "far grids", "semiclassical", "solves")}
 
     for state in states:
         x, tau = state.x, state.tau
@@ -229,6 +268,18 @@ def main(argv=None) -> int:
             s = far_grid(rng, state.tau)
             tallies["far grids"].add(exact._excited_gauss_sum(state.x, state.tau, d, s),
                                      parent._excited_gauss_sum(state.x, state.tau, d, s))
+
+    for model in (ModelKind.SC, ModelKind.SC0, ModelKind.SCINF):
+        for trap in (None, tg.TrapSpec((1.0, 1.0, 2.0)), tg.TrapSpec((1.0, 2.0, 3.0))):
+            for atoms, ratio in draws:
+                tau = tg.transition_temperature(model, atoms, trap).tau / ratio
+                state = tg.solve_fugacity(model, atoms, tau, trap)
+                cloud = grid(rng, tau)
+                s = float(rng.uniform(0.0, 3.0 * math.sqrt(2.0 / tau)))
+                got = semiclassical_values(semiclassical, observables, state, cloud, s)
+                ref = semiclassical_values(parent_sc, parent_observables, state, cloud, s)
+                for a, b in zip(got, ref):
+                    tallies["semiclassical"].add(a, b)
 
     for model in ModelKind:
         traps = [None]

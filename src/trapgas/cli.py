@@ -19,11 +19,8 @@ from . import __version__, figures, observables
 from .core import ReducedUnits, TrapSpec, solve_fugacity, transition_temperature
 from .errors import ConvergenceError, DomainError, QuadratureError, TruncationError
 from .exact import REL_TOL
-from .models import ModelKind, check_positive
+from .models import ModelKind, _check_points, check_positive
 from .tables import SweepTable, meta
-
-#: Largest admissible profile grid.
-MAX_POINTS = 100_000
 
 
 def _parse_models(text: str) -> tuple[ModelKind, ...]:
@@ -85,8 +82,7 @@ def cmd_degeneracy(args) -> int:
 def cmd_profile(args) -> int:
     trap = _parse_aniso(args.aniso)
     model = ModelKind(args.model)
-    if not 2 <= args.points <= MAX_POINTS:
-        raise DomainError(f"--points must lie in [2, {MAX_POINTS}]")
+    _check_points(args.points, "--points")
     check_positive("--rmax", args.rmax)
     units = ReducedUnits.from_temperature(args.temp)
     state = solve_fugacity(model, args.atoms, units, trap=trap)
@@ -102,14 +98,8 @@ def cmd_profile(args) -> int:
             dims_integrated=args.dims,
         ),
     )
-    for i in range(grid.size):
-        table.add_row(
-            grid[i],
-            prof.total[i],
-            prof.ground[i],
-            prof.first_excited[i],
-            prof.other_excited[i],
-        )
+    for row in zip(grid, prof.total, prof.ground, prof.first_excited, prof.other_excited):
+        table.add_row(*row)
     table.write_csv(args.out)
     return 0
 
@@ -117,40 +107,23 @@ def cmd_profile(args) -> int:
 def cmd_sweep(args) -> int:
     models = _parse_models(args.model)
     check_positive("atom number", args.atoms)
-    if not 2 <= args.steps <= MAX_POINTS:
-        raise DomainError(f"--steps must lie in [2, {MAX_POINTS}]")
+    _check_points(args.steps, "--steps")
     t_min = check_positive("--tmin", args.tmin)
     t_max = check_positive("--tmax", args.tmax)
     if not t_min < t_max:
         raise DomainError("empty sweep range: need t-min < t-max")
-    columns = ["T"]
-    for model in models:
-        columns += [f"N0_frac_{model.value}", f"peak_frac_{model.value}"]
-    table = SweepTable(
-        columns,
-        meta(
-            command="sweep",
-            models=",".join(m.value for m in models),
-            atoms=args.atoms,
-            rel_tol=REL_TOL,
-        ),
+    metadata = meta(
+        command="sweep",
+        models=",".join(m.value for m in models),
+        atoms=args.atoms,
+        rel_tol=REL_TOL,
     )
-    for t in np.linspace(t_min, t_max, args.steps):
-        cells: list = [t]
-        for model in models:
-            try:
-                units = ReducedUnits.from_temperature(t)
-                state = solve_fugacity(model, args.atoms, units)
-                report = observables.peak_report(state)
-                cells += [report.n0_fraction, report.peak_fraction]
-            except (DomainError, ConvergenceError, TruncationError) as exc:
-                print(
-                    f"warning: {model.value} failed at T={t:g}: {exc}",
-                    file=sys.stderr,
-                )
-                cells += [None, None]
-        table.add_row(*cells)
-    table.write_csv(args.out)
+
+    def warn(model, t, exc):
+        print(f"warning: {model.value} failed at T={t:g}: {exc}", file=sys.stderr)
+
+    temperatures = np.linspace(t_min, t_max, args.steps)
+    figures._fraction_sweep(models, args.atoms, temperatures, metadata, warn).write_csv(args.out)
     return 0
 
 

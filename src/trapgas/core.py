@@ -66,7 +66,7 @@ class TrapSpec:
 
     def __post_init__(self) -> None:
         if self.frequencies is not None:
-            if len(self.frequencies) != 3:
+            if np.shape(self.frequencies) != (3,):
                 raise DomainError("anisotropy needs three positive frequencies")
             for f in self.frequencies:
                 check_positive("trap frequency", f)

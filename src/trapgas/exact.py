@@ -84,6 +84,8 @@ _EXP_UNDERFLOW = -745.2
 #: Truncation of the density's l-sum: relative tail bound and the cap on terms.
 REL_TOL = 1e-14
 MAX_TERMS = 10_000_000
+#: Most levels :func:`level_populations_ex` lists (its loop and list grow with them).
+_MAX_LEVELS = 1_000_000
 #: The population sums the levels n < _EM_LEVELS one by one and the rest by
 #: Euler-Maclaurin with _EM_ORDER Bernoulli terms, B_2k / (2k)! below.
 _EM_LEVELS = 40
@@ -633,11 +635,14 @@ def level_populations_ex(
     """Per-level populations (n, degeneracy, N_n) for n = 0 .. n_max.
 
     N_n = g_n z e^{-tau n} / (1 - z e^{-tau n}) with g_n = (n+1)(n+2)/2;
-    summed over all n this reproduces the l-sum atom number.
+    summed over all n this reproduces the l-sum atom number.  n_max above
+    10^6 is refused with DomainError.
     """
     x = x_from_z(z)
     tau = check_tau(tau)
     n_max = check_levels(n_max)
+    if n_max > _MAX_LEVELS:
+        raise DomainError(f"n_max must be at most {_MAX_LEVELS}, got {n_max!r}")
     out = []
     for n in range(n_max + 1):
         g = (n + 1) * (n + 2) // 2

@@ -38,16 +38,17 @@ import numpy as np
 from . import exact, observables
 from .core import ReducedUnits, _solve_fugacity_many, _transition_many
 from .core import solve_fugacity, transition_temperature
-from .errors import DomainError
-from .models import ModelKind
+from .errors import ConvergenceError, DomainError, TruncationError
+from .models import MAX_POINTS, ModelKind, _check_points, check_positive
 from .tables import SweepTable, meta
 
 PROFILE_TEMPERATURE = 93.37
 PROFILE_ATOM_RANGE = (990_000.0, 1_004_000.0, 2_000.0)
 
 
-def _temperature_grid(model: ModelKind, atoms: float, points: int = 200):
-    t_star = transition_temperature(model, atoms).temperature
+def _temperature_grid(atoms: float, points: int):
+    points = _check_points(points)
+    t_star = transition_temperature(ModelKind.EX, atoms).temperature
     return np.linspace(0.5 * t_star, 1.5 * t_star, points)
 
 
@@ -58,7 +59,7 @@ def figure1(atoms: float = 1e3, points: int = 200) -> SweepTable:
         ["T", "N0_frac_ex", "N0_frac_sc", "N0_frac_sc0", "N0_frac_scinf"],
         meta(figure=1, atoms=atoms),
     )
-    for t in _temperature_grid(ModelKind.EX, atoms, points):
+    for t in _temperature_grid(atoms, points):
         ex = solve_fugacity(ModelKind.EX, atoms, ReducedUnits.from_temperature(t))
         table.add_row(
             t,
@@ -101,28 +102,39 @@ def figure3(n_grid=None) -> SweepTable:
     return table
 
 
-def _fraction_sweep(figure: int, atoms: float, points: int) -> SweepTable:
-    table = SweepTable(
-        ["T", "N0_frac_ex", "peak_frac_ex", "N0_frac_sc", "peak_frac_sc"],
-        meta(figure=figure, atoms=atoms),
-    )
-    for t in _temperature_grid(ModelKind.EX, atoms, points):
-        units = ReducedUnits.from_temperature(t)
+def _fraction_sweep(models, atoms: float, temperatures, metadata, warn=None) -> SweepTable:
+    """Condensate and peak-density fractions of each model at each temperature.
+
+    A state whose solve or report raises a typed error is handed to
+    ``warn(model, t, exc)`` and leaves its two cells empty; without
+    ``warn`` the error propagates.
+    """
+    columns = [f"{kind}_frac_{model.value}" for model in models for kind in ("N0", "peak")]
+    table = SweepTable(["T", *columns], metadata)
+    for t in temperatures:
         cells = [t]
-        for model in (ModelKind.EX, ModelKind.SC):
-            state = solve_fugacity(model, atoms, units)
-            report = observables.peak_report(state)
-            cells.extend([report.n0_fraction, report.peak_fraction])
+        for model in models:
+            try:
+                units = ReducedUnits.from_temperature(t)
+                report = observables.peak_report(solve_fugacity(model, atoms, units))
+                cells += [report.n0_fraction, report.peak_fraction]
+            except (DomainError, ConvergenceError, TruncationError) as exc:
+                if warn is None:
+                    raise
+                warn(model, t, exc)
+                cells += [None, None]
         table.add_row(*cells)
     return table
 
 
 def figure4(atoms: float = 1e6, points: int = 200) -> SweepTable:
-    return _fraction_sweep(4, atoms, points)
+    grid = _temperature_grid(atoms, points)
+    return _fraction_sweep((ModelKind.EX, ModelKind.SC), atoms, grid, meta(figure=4, atoms=atoms))
 
 
 def figure5(atoms: float = 1e3, points: int = 200) -> SweepTable:
-    return _fraction_sweep(5, atoms, points)
+    grid = _temperature_grid(atoms, points)
+    return _fraction_sweep((ModelKind.EX, ModelKind.SC), atoms, grid, meta(figure=5, atoms=atoms))
 
 
 def figure6(
@@ -132,8 +144,10 @@ def figure6(
     points: int = 201,
 ) -> SweepTable:
     lo, hi, step = atom_range
+    if not 0.0 <= (hi - lo) / check_positive("atom step", step) <= MAX_POINTS - 1:
+        raise DomainError(f"atom range needs lo <= hi and at most {MAX_POINTS} values")
     atom_values = np.arange(lo, hi + 0.5 * step, step)
-    grid = np.linspace(0.0, r_max, points)
+    grid = np.linspace(0.0, r_max, _check_points(points))
     units = ReducedUnits.from_temperature(temperature)
     columns = ["r_over_sigma"] + [f"rho_N{int(n)}" for n in atom_values]
     table = SweepTable(columns, meta(figure=6, temperature=temperature))

@@ -20,6 +20,9 @@ from .errors import DomainError
 
 PI_32 = math.pi ** 1.5
 
+#: Largest admissible grid or sweep: profile points, sweep steps, recipe points.
+MAX_POINTS = 100_000
+
 
 class ModelKind(str, Enum):
     """Which equation set evaluates populations and densities."""
@@ -95,6 +98,13 @@ def check_dims(dims, allowed: tuple[int, ...]) -> int:
     if dims not in allowed:
         raise DomainError(f"dims_integrated must be one of {allowed}, got {dims!r}")
     return dims
+
+
+def _check_points(points, name: str = "points") -> int:
+    """``points`` as given; DomainError unless it is an integer in [2, MAX_POINTS]."""
+    if not (isinstance(points, (int, np.integer)) and 2 <= points <= MAX_POINTS):
+        raise DomainError(f"{name} must be an integer in [2, {MAX_POINTS}], got {points!r}")
+    return points
 
 
 def check_levels(n_max) -> int:

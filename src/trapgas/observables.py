@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact, integrate, semiclassical
+from .bose import bose_g_x
 from .core import GasState
 from .errors import DomainError, QuadratureError
 from .models import ModelKind, check_dims, ground_column, ground_column_from, lambda3
@@ -88,10 +89,19 @@ def _require_density(state: GasState) -> None:
 def total_density(state: GasState, r):
     """Model density (sigma^-3) of a resolved state at radius r."""
     _require_density(state)
+    return _column_total(state, r, 0)
+
+
+def _column_total(state: GasState, s, d: int):
+    """The model's column over d = 0, 1 or 2 axes (d = 0: the density) at s."""
     if state.model == ModelKind.EX:
-        return exact.density_ex_x(state.x, state.tau, r)
+        if d == 0:
+            return exact.density_ex_x(state.x, state.tau, s)
+        return exact.column_density_ex_x(state.x, state.tau, d, s)
     variant = semiclassical.ScVariant(state.model, state.aniso_ratio)
-    return semiclassical.density_sc_x(variant, state.x, state.tau, r)
+    if d == 0:
+        return semiclassical.density_sc_x(variant, state.x, state.tau, s)
+    return semiclassical.column_density_sc_x(variant, state.x, state.tau, d, s)
 
 
 def first_excited_level_density(state: GasState, grid, dims_integrated: int = 0):
@@ -111,17 +121,6 @@ def _first_excited(state: GasState, d: int, s2, e):
         return np.zeros_like(s2)
     n1 = 3.0 * occupation(state.x + state.tau)
     return n1 * (2.0 * s2 + d) * ground_column_from(1.0, d, e)
-
-
-def _column_total(state: GasState, grid: np.ndarray, d: int):
-    if d == 0:
-        return np.asarray(total_density(state, grid))
-    if state.model == ModelKind.EX:
-        return np.asarray(exact.column_density_ex_x(state.x, state.tau, d, grid))
-    variant = semiclassical.ScVariant(state.model, state.aniso_ratio)
-    return np.asarray(
-        semiclassical.column_density_sc_x(variant, state.x, state.tau, d, grid)
-    )
 
 
 def profile(state: GasState, grid, dims_integrated: int = 0) -> DensityProfile:
@@ -198,42 +197,27 @@ def _peak_report(state: GasState, rho_peak: float) -> PeakReport:
 
 def integrated_peak_fraction(state: GasState, dims_integrated: int) -> float:
     """Ground-state share of the on-axis integrated density."""
-    _check_integrated(state, dims_integrated)
-    total = float(_column_total(state, np.zeros(1), dims_integrated)[0])
-    return _ground_share(state, dims_integrated, total)
-
-
-def _check_integrated(state: GasState, d: int) -> None:
-    check_dims(d, (1, 2))
-    if not state.model.has_ground_state:
-        raise DomainError("integrated peak fraction needs a model with a ground state")
-    _require_density(state)
-
-
-def _ground_share(state: GasState, d: int, total: float) -> float:
-    """:func:`integrated_peak_fraction` of a state whose column at s = 0 is total."""
-    return float(ground_column(state.n0, d, np.zeros(1))[0]) / total
+    return _at_origin([state], (check_dims(dims_integrated, (1, 2)),))[0][0]
 
 
 def _at_origin(states, dims=(0,)) -> list[list]:
     """Peak reports (d = 0) or integrated peak fractions (d = 1, 2), per d in ``dims``.
 
-    The floats and typed errors of :func:`peak_report` and
-    :func:`integrated_peak_fraction`, one list for each d: every
-    state and d is checked first, then the columns at the origin of the EX
-    states, if any, come from one batched exact sum for every d
+    The floats and typed errors of :func:`peak_report`, one list for each
+    d: every state and d is checked first, then the columns at the origin
+    of the EX states, if any, come from one batched exact sum for every d
     (``exact._columns`` at s = 0), and those of the other models from the
     semi-classical column on its float path (``semiclassical._column_sc_at``).
+    :func:`integrated_peak_fraction` is a batch of one.
     """
-    ex = []
     for state in states:
         for d in dims:
-            if d == 0:
-                _require_density(state)
-            else:
-                _check_integrated(state, d)
-        if state.model == ModelKind.EX:
-            ex.append(state)
+            if d != 0:
+                check_dims(d, (1, 2))
+                if not state.model.has_ground_state:
+                    raise DomainError("integrated peak fraction needs a model with a ground state")
+            _require_density(state)
+    ex = [s for s in states if s.model == ModelKind.EX]
     if ex:
         columns = exact._columns([s.x for s in ex], [s.tau for s in ex], dims, 0.0)
         columns = iter(columns[:, :, 0].T.tolist())
@@ -244,13 +228,14 @@ def _at_origin(states, dims=(0,)) -> list[list]:
         else:
             variant = semiclassical.ScVariant(state.model, state.aniso_ratio)
             totals = [
-                semiclassical._column_sc_at(variant, state.x, state.tau, d, 0.0) for d in dims
+                float(semiclassical._column_sc_at(variant, state.x, state.tau, d, 0.0, bose_g_x))
+                for d in dims
             ]
         for k, d in enumerate(dims):
             if d == 0:
                 value = _peak_report(state, totals[k])
             else:
-                value = _ground_share(state, d, totals[k])
+                value = float(ground_column(state.n0, d, 0.0)) / totals[k]
             out[k].append(value)
     return out
 

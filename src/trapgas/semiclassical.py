@@ -18,9 +18,9 @@ along one axis gives sqrt(2 pi / tau) g_{nu+1/2}, so each integrated axis
 raises both Bose orders by 1/2, and the ground-state Gaussian integrates
 to a factor sqrt(pi) per axis.  A profile takes each Bose order at every
 grid point x + tau s^2 / 2 in one array call (``bose._g_array``, the
-scalar path's rules point by point); a single point takes the float path
-(``_column_sc_at``, scalar ``bose.bose_g_x`` calls in Python floats), which
-the peak reports of a list of states also take at s = 0.
+scalar path's rules point by point), a single point in Python floats
+(``bose.bose_g_x``), through one body (``_column_sc_at``); the peak
+reports of a list of states take the float path at s = 0.
 """
 
 from __future__ import annotations
@@ -143,48 +143,35 @@ def _saturated_slope(v: ScVariant, tau, tau2, tau3):
 def _column_sc(v: ScVariant, x: float, tau: float, d: int, s):
     s_arr = check_coordinates(s)
     if s_arr.size == 1:  # a single point is cheaper on the float path
-        rho = _column_sc_at(v, x, tau, d, float(s_arr.flat[0]))
+        rho = float(_column_sc_at(v, x, tau, d, float(s_arr.flat[0]), bose.bose_g_x))
         return np.full(s_arr.shape, rho) if np.ndim(s) else rho
-    tau, lam3 = _column_scales(v, x, tau)
-    # x + tau s^2 / 2 may pass the float range, where g_nu(inf) = 0.
-    with np.errstate(over="ignore"):
-        x_local = x + 0.5 * tau * s_arr**2
-    rho = bose._g_array(1.5 + 0.5 * d, x_local) / lam3
-    if v.kind in (ModelKind.SC0, ModelKind.SC):
-        rho = rho + 1.5 * tau * v.aniso_ratio * bose._g_array(0.5 + 0.5 * d, x_local) / lam3
-    rho = rho * (2.0 * math.pi / tau) ** (0.5 * d)
-    if v.kind == ModelKind.SC:
-        rho = rho + ground_column(occupation(x), d, s_arr)
-    return rho
+    with np.errstate(over="ignore"):  # x + tau s^2 / 2 may pass the float range
+        return _column_sc_at(v, x, tau, d, s_arr, bose._g_array)
 
 
-def _column_sc_at(v: ScVariant, x: float, tau: float, d: int, s: float) -> float:
-    """:func:`_column_sc` at one checked coordinate s, in Python floats.
+def _column_sc_at(v: ScVariant, x: float, tau: float, d: int, s, g):
+    """:func:`_column_sc` at checked coordinates s, with g_nu(x) from ``g(nu, x)``.
 
-    The operations of the grid path, in its order: g/lambda^3, plus
-    1.5 tau ratio g/lambda^3, times (2 pi/tau)^{d/2}, plus the ground
-    column; the peak reports of a list of states take it at s = 0.
+    The one body of both paths: a Python float s with ``bose.bose_g_x``
+    (the float path; SC's ground column makes its value a numpy float), or
+    an array with ``bose._g_array``.  x + tau s^2 / 2 may overflow to inf,
+    where g_nu = 0.
     """
-    tau, lam3 = _column_scales(v, x, tau)
-    x0 = x + 0.5 * tau * (s * s)  # float arithmetic overflows to inf quietly
-    rho = bose.bose_g_x(1.5 + 0.5 * d, x0) / lam3
-    if v.kind in (ModelKind.SC0, ModelKind.SC):
-        rho = rho + 1.5 * tau * v.aniso_ratio * bose.bose_g_x(0.5 + 0.5 * d, x0) / lam3
-    rho = rho * (2.0 * math.pi / tau) ** (0.5 * d)
-    if v.kind == ModelKind.SC:
-        rho = rho + float(ground_column(occupation(x), d, s))
-    return rho
-
-
-def _column_scales(v: ScVariant, x: float, tau: float) -> tuple[float, float]:
-    """The checked tau and lambda^3 of a column; DomainError at z = 1 but for SCINF."""
     tau = check_tau(tau)
     if check_x(x) == 0.0 and v.kind != ModelKind.SCINF:
         raise DomainError(
             f"{v.kind.value} density is not defined at z = 1 "
             "(g_{1/2} diverges; the ground-state term is the cure)"
         )
-    return tau, lambda3(tau)
+    lam3 = lambda3(tau)
+    x_local = x + 0.5 * tau * (s * s)
+    rho = g(1.5 + 0.5 * d, x_local) / lam3
+    if v.kind in (ModelKind.SC0, ModelKind.SC):
+        rho = rho + 1.5 * tau * v.aniso_ratio * g(0.5 + 0.5 * d, x_local) / lam3
+    rho = rho * (2.0 * math.pi / tau) ** (0.5 * d)
+    if v.kind == ModelKind.SC:
+        rho = rho + ground_column(occupation(x), d, s)
+    return rho
 
 
 def density_sc_x(variant, x: float, tau: float, r):

@@ -105,7 +105,8 @@ def test_expansion_matches_lerch_reference_on_window(nu, exponent):
 @pytest.mark.parametrize("nu", ORDERS)
 @pytest.mark.parametrize("x", [0.03, 0.06, 0.09, 0.1, 0.5, 0.9, bose.X_SWITCH])
 def test_expansion_agrees_with_tightened_series_on_overlap(nu, x, monkeypatch):
-    monkeypatch.setattr(bose, "_SERIES_REL", 1e-17)
+    # _series sizes the sum from _SERIES_LOG = ln(1 / _SERIES_REL).
+    monkeypatch.setattr(bose, "_SERIES_LOG", math.log(1e17))
     series = bose.direct_series(nu, math.exp(-x))
     assert abs(bose.bose_g_small_x(nu, x) - series) <= 1e-10
 

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import trapgas as tg
-from trapgas import cli
+from trapgas import cli, figures
 from trapgas.cli import build_parser, main
 from trapgas.errors import ConvergenceError
+from trapgas.models import MAX_POINTS
 from trapgas.models import ModelKind as M
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -184,6 +185,39 @@ class TestSweepCommand:
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
         assert any(row.endswith(",,") or ",," in row for row in rows)
 
+    def test_underflowing_temperatures_warn_and_leave_every_model_empty(self, tmp_path, capsys):
+        # At T = 1 the condensed SC0 and SCINF states have no density; above
+        # T ~ 1e102, tau^3 underflows for every model.
+        out = tmp_path / "sweep.csv"
+        assert main(
+            [
+                "sweep", "--model", "ex,sc,sc0,scinf", "--atoms", "1e3",
+                "--tmin", "1", "--tmax", "1e120", "--steps", "7", "--out", str(out),
+            ]
+        ) == 0
+        no_density = (
+            "defines no condensate density; its profile is unavailable below the "
+            "transition temperature"
+        )
+        expected = [f"warning: {m} failed at T=1: model {m} {no_density}"
+                    for m in ("sc0", "scinf")]
+        for t, tau in [("1.66667e+119", "6e-120"), ("3.33333e+119", "3e-120"),
+                       ("5e+119", "2e-120"), ("6.66667e+119", "1.5e-120"),
+                       ("8.33333e+119", "1.2e-120"), ("1e+120", "1e-120")]:
+            expected += [f"warning: {m} failed at T={t}: tau^3 underflows at tau = {tau}"
+                         for m in ("ex", "sc", "sc0", "scinf")]
+        assert capsys.readouterr().err.splitlines() == expected
+        rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert rows[0][1:] == [f"{kind}_frac_{m}" for m in ("ex", "sc", "sc0", "scinf")
+                               for kind in ("N0", "peak")]
+        assert rows[1][0] == "1.00000000e+00"
+        assert all(rows[1][1:5]) and rows[1][5:] == [""] * 4
+        assert [row[0] for row in rows[2:]] == [
+            "1.66666667e+119", "3.33333333e+119", "5.00000000e+119",
+            "6.66666667e+119", "8.33333333e+119", "1.00000000e+120",
+        ]
+        assert [row[1:] for row in rows[2:]] == [[""] * 8] * 6
+
     def test_empty_range_exits_2(self, tmp_path, capsys):
         code = main(
             [
@@ -204,16 +238,16 @@ class TestSweepCommand:
         assert code == 2
 
     def test_steps_above_admissible_maximum_exit_2(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setattr(cli, "solve_fugacity", lambda *a, **k: pytest.fail("state solved"))
+        monkeypatch.setattr(figures, "solve_fugacity", lambda *a, **k: pytest.fail("state solved"))
         out = tmp_path / "s.csv"
         code = main(
             [
                 "sweep", "--model", "ex", "--atoms", "1e3", "--tmin", "6", "--tmax", "11",
-                "--steps", str(cli.MAX_POINTS + 1), "--out", str(out),
+                "--steps", str(MAX_POINTS + 1), "--out", str(out),
             ]
         )
         assert code == 2
-        assert str(cli.MAX_POINTS) in capsys.readouterr().err
+        assert str(MAX_POINTS) in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -44,6 +44,12 @@ class TestTrapSpec:
         with pytest.raises(DomainError):
             TrapSpec(frequencies=(1.0, -2.0, 3.0))
 
+    @pytest.mark.parametrize("frequencies", [5.0, (1.0, 2.0), ((1.0, 2.0, 3.0),)])
+    def test_frequencies_not_three_values_raise_domain_error(self, frequencies):
+        # A scalar used to raise TypeError from len().
+        with pytest.raises(DomainError, match="three positive frequencies"):
+            TrapSpec(frequencies=frequencies)
+
 
 class TestReducedUnits:
     def test_lambda_cubed_identity(self):

@@ -552,7 +552,8 @@ class TestSharedTauSums:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("30 states (seed 2005)")
         assert [line.split(":")[0] for line in lines[1:]] == [
-            "scalar grids", "origins", "families", "observables", "far grids", "solves"
+            "scalar grids", "origins", "families", "observables", "far grids", "semiclassical",
+            "solves",
         ]
         assert all(", 0 mismatches, worst 0 ulp" in line for line in lines[1:])
 
@@ -685,6 +686,13 @@ class TestLevels:
         # these used to raise TypeError
         with pytest.raises(DomainError):
             exact.level_populations_ex(0.5, 1.0, n_max)
+
+    def test_level_count_above_ceiling_is_refused_before_the_loop(self, monkeypatch):
+        monkeypatch.setattr(exact, "occupation", lambda x: pytest.fail("level summed"))
+        with pytest.raises(DomainError, match="at most 1000000"):
+            exact.level_populations_ex(0.5, 1.0, 10**6 + 1)
+        with pytest.raises(DomainError):
+            exact.level_populations_ex(0.5, 1.0, 10**100)
 
 
 class TestEigenfunctionOracle:

@@ -9,6 +9,7 @@ import pytest
 import trapgas as tg
 from trapgas import exact, figures, semiclassical
 from trapgas.errors import DomainError
+from trapgas.models import MAX_POINTS
 from trapgas.models import ModelKind as M
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -122,6 +123,32 @@ def test_semiclassical_peak_reports_take_the_float_path(monkeypatch):
     figures.figure3(n_grid=np.logspace(2, 8, 7))
     assert grid == [[], []]
     assert len(point) == 7
+
+
+@pytest.mark.parametrize(
+    "recipe,kwargs",
+    [
+        (figures.figure1, {"points": -1}),
+        (figures.figure4, {"points": -1}),
+        (figures.figure5, {"points": 1}),
+        (figures.figure5, {"points": 2.0}),
+        (figures.figure1, {"points": MAX_POINTS + 1}),
+        (figures.figure6, {"points": -1}),
+        (figures.figure6, {"points": MAX_POINTS + 1}),
+        (figures.figure6, {"atom_range": (990_000.0, 1_004_000.0, 0.0)}),
+        (figures.figure6, {"atom_range": (990_000.0, 1_004_000.0, -2_000.0)}),
+        (figures.figure6, {"atom_range": (1_004_000.0, 990_000.0, 2_000.0)}),
+        (figures.figure6, {"atom_range": (2.0, 1e12, 1.0)}),
+        (figures.figure6, {"atom_range": (2.0, float("nan"), 1.0)}),
+    ],
+)
+def test_bad_recipe_sizes_are_refused_before_any_solve(recipe, kwargs, monkeypatch):
+    # A step of 0 used to raise ZeroDivisionError, and a negative point
+    # count numpy's ValueError.
+    for name in ("transition_temperature", "_solve_fugacity_many", "solve_fugacity"):
+        monkeypatch.setattr(figures, name, lambda *a, **k: pytest.fail("state solved"))
+    with pytest.raises(DomainError):
+        recipe(**kwargs)
 
 
 def test_bad_figure_id():

@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate
 
 import trapgas as tg
-from trapgas import exact, semiclassical
+from trapgas import bose, exact, semiclassical
 from trapgas import observables as obs
 from trapgas.core import GasState, ReducedUnits
 from trapgas.errors import DomainError, QuadratureError, TruncationError
@@ -483,7 +483,7 @@ class TestBatchedAtOrigin:
             for x in (1e-12, 1e-3, 0.9, 1.0, 5.0):
                 for s in (0.0, 0.3, 2.0, 40.0, 1e154):
                     for d in (0, 1, 2):
-                        one = semiclassical._column_sc_at(variant, x, 0.02, d, s)
+                        one = semiclassical._column_sc_at(variant, x, 0.02, d, s, bose.bose_g_x)
                         grid = semiclassical.column_density_sc_x(variant, x, 0.02, d, [s, s])
                         assert [one, one] == grid.tolist(), (model, x, s, d)
 
