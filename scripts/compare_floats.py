@@ -22,7 +22,9 @@ compares:
   field of ``peak_report``.  Both sides take this tree's solved states;
 - ``exact._excited_gauss_sum`` (d = 0, 1, 2) on far grids of 2 to 400
   points, out to about 40 sqrt(T) near threshold, whose far ends lie
-  where every head Gaussian e^{-a_l s^2} and e^{-s^2} underflow;
+  where every head Gaussian e^{-a_l s^2} and e^{-s^2} underflow: in
+  ascending order, and (drawn after every other part's inputs) reversed
+  and shuffled;
 - the semi-classical models SC, SC0 and SCINF at each state's N and
   T/T*, isotropic and in the traps (1, 1, 2) and (1, 2, 3), both sides
   taking this tree's solved states: ``column_density_sc_x`` at d = 0, 1, 2
@@ -293,6 +295,13 @@ def main(argv=None) -> int:
             batch = pairs[start:start + 25]
             tallies["solves"].add(batch_solved(core, model, batch),
                                   batch_solved(parent_core, model, batch))
+
+    # Drawn last, so that every input above stays the same.
+    for state in states:
+        for d in (0, 1, 2):
+            for s in (far_grid(rng, state.tau)[::-1], rng.permutation(far_grid(rng, state.tau))):
+                tallies["far grids"].add(exact._excited_gauss_sum(state.x, state.tau, d, s),
+                                         parent._excited_gauss_sum(state.x, state.tau, d, s))
 
     print(f"{len(states)} states (seed {SEED}), against {args.parent_src}")
     for name, tally in tallies.items():

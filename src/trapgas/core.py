@@ -66,7 +66,11 @@ class TrapSpec:
 
     def __post_init__(self) -> None:
         if self.frequencies is not None:
-            if np.shape(self.frequencies) != (3,):
+            try:
+                shape = np.shape(self.frequencies)
+            except ValueError:  # ragged, as ((1, 2), 3, 4)
+                shape = None
+            if shape != (3,):
                 raise DomainError("anisotropy needs three positive frequencies")
             for f in self.frequencies:
                 check_positive("trap frequency", f)

@@ -147,7 +147,7 @@ def figure6(
     if not 0.0 <= (hi - lo) / check_positive("atom step", step) <= MAX_POINTS - 1:
         raise DomainError(f"atom range needs lo <= hi and at most {MAX_POINTS} values")
     atom_values = np.arange(lo, hi + 0.5 * step, step)
-    grid = np.linspace(0.0, r_max, _check_points(points))
+    grid = np.linspace(0.0, check_positive("r_max", r_max), _check_points(points))
     units = ReducedUnits.from_temperature(temperature)
     columns = ["r_over_sigma"] + [f"rho_N{int(n)}" for n in atom_values]
     table = SweepTable(columns, meta(figure=6, temperature=temperature))

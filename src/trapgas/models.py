@@ -42,8 +42,11 @@ class ModelKind(str, Enum):
 
 
 def check_positive(name: str, value) -> float:
-    """``value`` as a float; DomainError unless it is positive and finite."""
-    value = float(value)
+    """``value`` as a float; DomainError unless it is a positive, finite number."""
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a number, got {value!r}") from None
     if not (value > 0.0 and math.isfinite(value)):
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
     return value

@@ -44,9 +44,9 @@ class TestTrapSpec:
         with pytest.raises(DomainError):
             TrapSpec(frequencies=(1.0, -2.0, 3.0))
 
-    @pytest.mark.parametrize("frequencies", [5.0, (1.0, 2.0), ((1.0, 2.0, 3.0),)])
+    @pytest.mark.parametrize("frequencies", [5.0, (1.0, 2.0), ((1.0, 2.0, 3.0),), ((1, 2), 3, 4)])
     def test_frequencies_not_three_values_raise_domain_error(self, frequencies):
-        # A scalar used to raise TypeError from len().
+        # A scalar used to raise TypeError from len(), a ragged tuple numpy's ValueError.
         with pytest.raises(DomainError, match="three positive frequencies"):
             TrapSpec(frequencies=frequencies)
 
@@ -207,6 +207,23 @@ class TestSolveFugacity:
             tg.solve_fugacity(M.EX, 1e3, -1.0)
         with pytest.raises(DomainError):
             tg.solve_fugacity(M.EX, 1e3, 1.0, trap=TrapSpec(frequencies=(1, 2, 3)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: tg.solve_fugacity("ex", "abc", 1.0),
+        lambda: tg.solve_fugacity("ex", None, 1.0),
+        lambda: tg.solve_fugacity("ex", 1e3, "hot"),
+        lambda: tg.transition_temperature("ex", [1, 2]),
+        lambda: TrapSpec(frequencies=("a", 1, 1)),
+    ],
+    ids=["text-atoms", "none-atoms", "text-tau", "list-atoms", "text-frequency"],
+)
+def test_non_numeric_argument_raises_domain_error(call):
+    # float() of these raised its own ValueError or TypeError.
+    with pytest.raises(DomainError, match="must be a number"):
+        call()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

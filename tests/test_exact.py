@@ -406,6 +406,57 @@ class TestGaussKernel:
                 got = exact._excited_gauss_sum(x, tau, d, grid[picks]).tolist()
                 assert got == [full[i] for i in picks.tolist()]
 
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    @pytest.mark.parametrize("first_unsafe", ["start", "middle", "end"])
+    def test_exp_split_keeps_pointwise_values(self, order, first_unsafe, monkeypatch):
+        # _head_sums takes plain exp on the leading grid points where no head
+        # term can underflow, s^2 max(a_l) < -_EXP_UNDERFLOW, and the masked
+        # exp past them.  Grids straddle that edge, in chunks of `width`
+        # points whose first unsafe point (ascending) lies at a chunk's start,
+        # middle or end; one state (one slab) and states of four tau (a chunk
+        # of several slabs, whose largest a is not the last row's).
+        rng = np.random.default_rng(3)
+        width, chunks = 8, 5
+        at = {"start": 2 * width, "middle": 2 * width + width // 2, "end": 3 * width - 1}
+        for states in ([(1e-6, 0.01)], [(1e-6, 0.01), (1e-3, 0.05), (0.5, 0.3), (1e-9, 2.5)]):
+            heads = [exact._head_length(x, t)[0] for x, t in states]
+            a_max = max(math.tanh(0.5 * t * head) for (_, t), head in zip(states, heads))
+            edge = math.sqrt(-exact._EXP_UNDERFLOW / a_max)
+            j = at[first_unsafe]
+            grid = edge * np.concatenate([np.linspace(0.0, 0.999, j),
+                                          np.linspace(1.001, 1.5, width * chunks - j)])
+            assert grid[j - 1] < edge < grid[j]
+            if order == "descending":
+                grid = grid[::-1].copy()
+            elif order == "shuffled":
+                grid = rng.permutation(grid)
+            monkeypatch.setattr(exact, "_CHUNK_ELEMENTS", sum(heads) * width)
+            xs, taus = zip(*states)
+            got = exact._excited_gauss_sums(xs, taus, (0, 1, 2), grid)
+            for k, d in enumerate((0, 1, 2)):
+                for i, (x, t) in enumerate(states):
+                    assert got[k, i].tolist() == [
+                        exact._excited_gauss_sum(x, t, d, s) for s in grid.tolist()
+                    ]
+
+    def test_exp_on_a_prefix_keeps_exp_bits(self):
+        # The split takes exp on contiguous slices of the head buffer: a
+        # prefix of whole grid points and the rest.  On each, exp gives the
+        # bits it gives on the whole buffer (strided input may round otherwise).
+        rng = np.random.default_rng(7)
+        for rows in (1, 7, 231):
+            a = np.tanh(0.5 * rng.uniform(0.01, 2.0) * np.arange(1.0, rows + 1.0))
+            s = np.sort(rng.uniform(0.0, 40.0, 301))
+            buf = (-(s * s)[:, None] * a).reshape(-1)
+            whole = np.exp(buf).view(np.int64)
+            for point in (0, 1, 13, 150, 300, 301):
+                b = buf.copy()
+                prefix, rest = b[: point * rows], b[point * rows:]
+                np.exp(prefix, out=prefix)
+                np.exp(rest, out=rest, where=rest > exact._EXP_UNDERFLOW)
+                np.maximum(rest, 0.0, out=rest)
+                assert np.array_equal(b.view(np.int64), whole)
+
     def test_underflow_skip_keeps_exp_bits(self):
         # _head_sums takes exp only above _EXP_UNDERFLOW and writes +0.0
         # elsewhere.  That keeps every float because exp is +0.0 below the

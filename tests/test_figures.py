@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -76,6 +77,15 @@ class TestFigure6:
         assert hi[0] > lo[0] * 1.5
         far = data["r_over_sigma"] > 5.0
         assert np.allclose(hi[far], lo[far], rtol=0.02)
+
+    @pytest.mark.parametrize("r_max", [math.inf, math.nan, -1.0, 0.0])
+    def test_bad_r_max_raises_domain_error_before_any_solve(self, r_max, monkeypatch):
+        # inf used to reach np.linspace (a RuntimeWarning), and -1 and nan
+        # were refused only by the kernel, after the eight solves.
+        solves = counted(monkeypatch, figures, "_solve_fugacity_many")
+        with pytest.raises(DomainError, match="r_max"):
+            figures.figure6(r_max=r_max)
+        assert solves == []
 
 
 class TestFigure7:
