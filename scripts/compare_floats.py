@@ -37,7 +37,16 @@ compares:
   (SC and SC0 also in the traps (1, 1, 2) and (1, 2, 3)), and
   ``core._transition_many`` and ``core._solve_fugacity_many`` over
   batches of mixed N and T/T*, condensed SC0 and SCINF states among them:
-  tau*, x, n0 and ``condensed`` of every state.
+  tau*, x, n0 and ``condensed`` of every state;
+- the population kernels at each state's tau, at its x, at a second x
+  drawn log-uniformly in [1e-9, 100] (after every other part's inputs)
+  and at x = 0: ``core.population_total`` and ``core.saturated_population``
+  of all four models, ``exact.excited_population_x``,
+  ``exact.population_slope_ex_x`` and ``exact.saturated_slope_ex``, and
+  ``semiclassical.population_slope_sc_x`` and
+  ``semiclassical.saturated_slope_sc`` of SC, SC0 and SCINF (SC and SC0,
+  with ``core``'s two, also in the traps (1, 1, 2) and (1, 2, 3)): values
+  and slopes, or the name of the error class where x is not admissible.
 
 The other copy's side uses only functions whose signatures are stable.
 It prints, for each part, the values compared, the mismatches (values
@@ -66,6 +75,8 @@ PER_STRATUM = 34  # states per (N, T/T*) stratum: 1,020 in all
 SEED = 2005
 PEAK_FIELDS = ("rho0_peak", "rho_total_peak", "degeneracy_parameter", "n0_fraction",
                "peak_fraction")
+#: Anisotropy ratios of the traps (1, 1, 2) and (1, 2, 3).
+TRAP_RATIOS = tuple(tg.TrapSpec(f).aniso_ratio for f in ((1.0, 1.0, 2.0), (1.0, 2.0, 3.0)))
 
 
 def load_parent(src: Path):
@@ -188,6 +199,27 @@ def semiclassical_values(sc, obs, state, cloud, s) -> list:
     return values
 
 
+def population_values(core_module, ex, sc, xs, tau) -> list:
+    """One copy's population kernels at tau and each x of ``xs``, from its modules."""
+    values = [outcome(lambda: ex.saturated_slope_ex(tau))]
+    for x in xs:
+        values.append(outcome(lambda: ex.excited_population_x(x, tau)))
+        values.append(outcome(lambda: ex.population_slope_ex_x(x, tau)))
+    for model in ModelKind:
+        ratios = (1.0,) if model in (ModelKind.EX, ModelKind.SCINF) else (1.0, *TRAP_RATIOS)
+        for ratio in ratios:
+            values.append(outcome(lambda: core_module.saturated_population(model.value, tau,
+                                                                           ratio)))
+            values += [outcome(lambda: core_module.population_total(model.value, x, tau, ratio))
+                       for x in xs]
+            if model == ModelKind.EX:
+                continue
+            variant = sc.ScVariant(model.value, ratio)
+            values.append(outcome(lambda: sc.saturated_slope_sc(variant, tau)))
+            values += [outcome(lambda: sc.population_slope_sc_x(variant, x, tau)) for x in xs]
+    return values
+
+
 def ulps(a, b) -> np.ndarray:
     """Distance in representable floats between a and b, elementwise."""
     ordered = []
@@ -223,7 +255,7 @@ def main(argv=None) -> int:
     draws = strata_draws(rng)
     states = strata_states(draws)
     tallies = {name: Tally() for name in ("scalar grids", "origins", "families", "observables",
-                                        "far grids", "semiclassical", "solves")}
+                                        "far grids", "semiclassical", "solves", "populations")}
 
     for state in states:
         x, tau = state.x, state.tau
@@ -296,12 +328,19 @@ def main(argv=None) -> int:
             tallies["solves"].add(batch_solved(core, model, batch),
                                   batch_solved(parent_core, model, batch))
 
-    # Drawn last, so that every input above stays the same.
+    # Drawn after the other parts' inputs, so that each of those stays the same.
     for state in states:
         for d in (0, 1, 2):
             for s in (far_grid(rng, state.tau)[::-1], rng.permutation(far_grid(rng, state.tau))):
                 tallies["far grids"].add(exact._excited_gauss_sum(state.x, state.tau, d, s),
                                          parent._excited_gauss_sum(state.x, state.tau, d, s))
+
+    for state in states:
+        xs = (state.x, 10.0 ** rng.uniform(-9.0, 2.0), 0.0)
+        got = population_values(core, exact, semiclassical, xs, state.tau)
+        ref = population_values(parent_core, parent, parent_sc, xs, state.tau)
+        for a, b in zip(got, ref):
+            tallies["populations"].add(a, b)
 
     print(f"{len(states)} states (seed {SEED}), against {args.parent_src}")
     for name, tally in tallies.items():

@@ -180,13 +180,17 @@ def _series(nu: float, z: float, x: float) -> float:
 
 
 def bose_g_small_x(nu: float, x: float) -> float:
-    """g_nu(e^-x) from the expansion around saturation, x = -ln z > 0.
+    """g_nu(e^-x) from the expansion around saturation, 0 < x = -ln z <= X_SWITCH.
 
-    Within the module's stated accuracy for 0 < x < X_SWITCH; the
-    truncation error grows beyond it, and the series diverges at x = 2 pi.
+    Within the module's stated accuracy there; the truncation error grows
+    beyond it, and the series diverges at x = 2 pi, so a larger x is
+    refused with DomainError.
     """
     nu = _check_order(nu)
-    check_x(x, positive=True)
+    if check_x(x, positive=True) > X_SWITCH:
+        raise DomainError(
+            f"the saturation expansion needs x <= {X_SWITCH}, got {x!r}; use bose_g_x"
+        )
     if nu == 1.0:
         return _g_one(x)
     return _expansion_sum(nu, x, math.sqrt, math.log)

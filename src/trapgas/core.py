@@ -12,9 +12,10 @@ Each solve is written once, as a generator coroutine (``_fugacity``,
 slope of each population kernel from the same pass as its value.
 :func:`trapgas.roots.solve` runs it on the scalar kernels for
 :func:`solve_fugacity` and :func:`transition_temperature`, and
-:func:`trapgas.roots.solve_lockstep` runs a list of them on the batched
-kernels for ``_solve_fugacity_many`` and ``_transition_many``, so a
-batched solve evaluates the single solve's points and returns its floats.
+:func:`trapgas.roots.solve_lockstep` runs a list of them for
+``_solve_fugacity_many`` and ``_transition_many`` (per step: one batched
+EX kernel call, or each SC/SC0 problem's scalar call), so a batched
+solve evaluates the single solve's points and returns its floats.
 The fugacity solve starts from the near-saturation quadratic
 N = cap - zeta(2) x / tau^3 + 1/x and evaluates only near its root.  No
 population kernel costs more at larger N (the exact one sums 39 levels and
@@ -194,7 +195,7 @@ def saturated_population(model: ModelKind, tau, aniso_ratio: float = 1.0) -> flo
     tau = _as_tau(tau)
     ratio = _resolve_ratio(model, None, aniso_ratio)
     if model == ModelKind.EX:
-        return exact.excited_population_x(0.0, tau)
+        return exact.saturated_slope_ex(tau)[0]
     variant = semiclassical.ScVariant(model, ratio)
     return semiclassical.saturated_population_sc(variant, tau)
 
@@ -235,23 +236,22 @@ _AS_FLOATS = np.errstate(over="ignore", invalid="ignore")
 def _solve_fugacity_many(model: ModelKind, atoms, taus) -> list[GasState]:
     """:func:`solve_fugacity` at each pair of ``atoms`` and ``taus``, isotropic trap.
 
-    The states are solved in lockstep (:func:`trapgas.roots.solve_lockstep`),
-    one batched population kernel call per step, and each state is the one
-    ``solve_fugacity`` returns, float for float, with the same typed errors.
+    The states are solved in lockstep (:func:`trapgas.roots.solve_lockstep`):
+    per step, one batched EX kernel call or one SC kernel call per state.
+    Each is ``solve_fugacity``'s state, float for float, with its typed errors.
     """
     model = ModelKind(model)
     atoms = [check_positive("atom number", a) for a in atoms]
     taus = [_as_tau(t) for t in taus]
     variant = _sc_variant(model, 1.0)
+    capacities = [semiclassical.saturated_population_sc(variant, t) for t in taus]
     tau_array = np.array(taus)
-    capacities = semiclassical._saturated_slopes(variant, tau_array)[0].tolist()
 
     def kernel(active: list[int], xs: list[float]):
-        x, tau = np.array(xs), tau_array[active]
-        if model == ModelKind.EX:
-            pop, slope = exact._population_slopes(x, tau)
-        else:
-            pop, slope = semiclassical._population_slopes(variant, x, tau)
+        if model != ModelKind.EX:
+            return [semiclassical._population_slope_x(variant, x, taus[i])
+                    for i, x in zip(active, xs)]
+        pop, slope = exact._population_slopes(np.array(xs), tau_array[active])
         return zip(pop.tolist(), slope.tolist())
 
     problems = [_fugacity(model, *state, 1.0) for state in zip(atoms, taus, capacities)]
@@ -373,9 +373,9 @@ def _transition_many(model: ModelKind, atoms) -> np.ndarray:
     """:func:`transition_temperature`'s tau* for each of ``atoms``, isotropic trap.
 
     The EX, SC and SC0 roots are solved in lockstep
-    (:func:`trapgas.roots.solve_lockstep`), one batched capacity kernel
-    call per step, and each is the float ``transition_temperature``
-    returns, with the same typed errors.
+    (:func:`trapgas.roots.solve_lockstep`): per step, one batched EX
+    capacity call or one SC capacity call per point.  Each is the float
+    ``transition_temperature`` returns, with the same typed errors.
     """
     model = ModelKind(model)
     atoms = [check_atoms(a, maximum=_MAX_TRANSITION_ATOMS) for a in atoms]
@@ -385,11 +385,9 @@ def _transition_many(model: ModelKind, atoms) -> np.ndarray:
     variant = semiclassical.ScVariant(model) if model != ModelKind.EX else None
 
     def kernel(active: list[int], taus: list[float]):
-        tau = np.array([check_tau(t) for t in taus])
-        if variant is None:
-            capacity, slope = exact._saturated_slopes(tau)
-        else:
-            capacity, slope = semiclassical._saturated_slopes(variant, tau)
+        if variant is not None:
+            return [semiclassical.saturated_slope_sc(variant, t) for t in taus]
+        capacity, slope = exact._saturated_slopes(np.array([check_tau(t) for t in taus]))
         return zip(capacity.tolist(), slope.tolist())
 
     return np.array(solve_lockstep([_transition(*pair) for pair in zip(atoms, tau_c)], kernel))

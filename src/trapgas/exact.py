@@ -30,7 +30,7 @@ off analytically; the residual brackets decay at rate x + tau.
 
 The l-sum follows one rule, fixed before any term is summed
 (``_head_length``): a head of L terms summed one by one (in slabs of
-_SLAB_ROWS terms, so memory stays flat in L), then, near saturation, a
+_CHUNK_ELEMENTS terms, so memory stays flat in L), then, near saturation, a
 closed-form tail.  Each bracket is at most the l = 1 bracket,
 so far from saturation L = 1 + ceil((ln(1/REL_TOL) - ln(e^x - 1)) / x)
 leaves out at most REL_TOL of the sum.  Where that L would pass
@@ -75,10 +75,9 @@ from .models import ground_column, occupation, pointwise, x_from_z
 #: the buffer and its scaled copy fit in a 2 MB L2 cache.  Against 2 MB,
 #: it takes 8% off an in-process ``perfbench`` threshold pass (seed 3,
 #: 2-core Xeon VM, numpy 2.4.6: median 136 -> 124 ms with the exp split).
+#: It also caps the head rows evaluated at a time, so memory stays flat in
+#: the head length; one slab holds every head N <= 1e12 needs near T*.
 _CHUNK_ELEMENTS = 1 << 17
-#: Rows of an l-sum head evaluated at a time, so that memory stays flat in
-#: the head length; one slab holds every head that N <= 1e12 needs near T*.
-_SLAB_ROWS = 1 << 17
 #: The l-sums hand over to their q-series tail where q = e^{-tau l} first
 #: falls to _TAIL_Q; the series keeps _TAIL_TERMS powers of q.
 _TAIL_Q = 0.1
@@ -138,7 +137,7 @@ def excited_population_x(x: float, tau: float) -> float:
     Euler-Maclaurin rest (:func:`_excited_population`), at the same cost for
     every N.
     """
-    return _excited_population(check_x(x), tau, None)[0]
+    return _excited_population(check_x(x), tau, "x")[0]
 
 
 def population_slope_ex_x(x: float, tau: float) -> tuple[float, float]:
@@ -179,7 +178,7 @@ def _excited_population(x: float, tau: float, wrt):
     left out is about 11!/(2 pi K)^12 = 6e-22 of h(K).  math.fsum adds the
     parts with no further rounding.  The slopes follow from
     dg_nu/dy = -g_{nu-1} (g_0 = phi), with dy0/dx = 1 and dy0/dtau = K.
-    The slope is 0.0 when wrt is None; x >= 0 is checked by the caller.
+    x >= 0 is checked by the caller.
     """
     tau = check_tau(tau)
     terms, slope = _level_terms(x, tau, wrt)
@@ -218,17 +217,14 @@ def _level_terms(x, tau, wrt):
     """The terms g_n phi(x + tau n) of the levels n = 1 .. K-1, and their sum's slope.
 
     x and tau are floats, or columns of states whose terms fill the rows.
-    The slope in ``wrt`` takes each row's dot product from ``np.vecdot``
-    (zeros when wrt is None).
+    The slope in ``wrt`` takes each row's dot product from ``np.vecdot``.
     """
     neg_y = -tau * _LEVELS - x  # exactly -(x + tau n)
     phi = np.exp(neg_y) / -np.expm1(neg_y)  # 1/(e^y - 1), without overflow
     terms = _DEGENERACY * phi
     if wrt == "x":
         return terms, -np.vecdot(terms, 1.0 + phi)
-    if wrt == "tau":
-        return terms, -np.vecdot(terms, _LEVELS * (1.0 + phi))
-    return terms, np.zeros(terms.shape[:-1])
+    return terms, -np.vecdot(terms, _LEVELS * (1.0 + phi))
 
 
 def _end_corrections(tau, f):
@@ -252,7 +248,7 @@ def _em_rest(slope, wrt, tau, tau2, tau3, f, g123, e):
     e, e_x, e_tau = e
     if wrt == "x":
         slope = slope + (e_x - c0 * f - (c1 * g1 + g2 / tau) / tau) / tau
-    elif wrt == "tau":
+    else:
         slope = slope + (e_tau - c0 * (g1 / tau + k * f)) / tau
         slope = slope - (c1 * (2.0 * g2 / tau + k * g1) + (3.0 * g3 / tau + k * g2) / tau) / tau2
     return [c0 * g1 / tau, c1 * g2 / tau2, g3 / tau3, e], slope
@@ -305,7 +301,7 @@ def population_ex(z: float, tau: float) -> float:
 
 def population_ex_x(x: float, tau: float) -> float:
     """x-space variant of :func:`population_ex` used by the solvers."""
-    return ground_population(x) + _excited_population(x, tau, None)[0]
+    return population_slope_ex_x(x, tau)[0]
 
 
 def excited_density_x(x: float, tau: float, r):
@@ -363,14 +359,13 @@ def _excited_gauss_sums(x, tau, dims, s) -> np.ndarray:
     x >= 0 and checked tau are sequences of floats; the sums fill a
     (dims x states x grid) array, the grid shaped as s (at least 1-d).
     Every grid point of a state sums the same head (``_head_length``), in
-    slabs of at most _SLAB_ROWS rows (``_head_sums``), then the closed-form
-    q-series tail where the head stops at ``l_tail`` (``_tail_sums``).
-    States of one tau and head share their head rows, and the slabs of all
-    states lie end to end in chunks of at most _SLAB_ROWS rows; the grid is
-    cut so that a buffer holds at most _CHUNK_ELEMENTS, so memory stays flat
-    in the head length and the grid size.  Each value depends on its own
-    state and coordinate only: it is the float of a one-state, one-point
-    call.
+    slabs (``_head_sums``), then the closed-form q-series tail where the
+    head stops at ``l_tail`` (``_tail_sums``).  States of one tau and head
+    share their head rows, and the slabs of all states lie end to end in
+    chunks of at most _CHUNK_ELEMENTS rows; the grid is cut so that a buffer
+    holds at most _CHUNK_ELEMENTS, so memory stays flat in the head length
+    and the grid size.  Each value depends on its own state and coordinate
+    only: it is the float of a one-state, one-point call.
     """
     s_arr = check_coordinates(s)
     flat = s_arr.reshape(-1)
@@ -397,14 +392,14 @@ def _head_chunks(groups) -> list:
     """The head rows l = 1 .. head of every group in order, in chunks of whole slabs.
 
     ``groups`` maps (tau, head) to its states.  A slab has at most
-    _SLAB_ROWS rows, and so has a chunk.  Each chunk lists its slabs as
+    _CHUNK_ELEMENTS rows, and so has a chunk.  Each chunk lists its slabs as
     (tau, states, first l - 1, first row, end row in the chunk).
     """
     chunks, chunk, end = [], [], 0
     for (t, head), states in groups.items():
-        for start in range(0, head, _SLAB_ROWS):
-            size = min(_SLAB_ROWS, head - start)
-            if end + size > _SLAB_ROWS:
+        for start in range(0, head, _CHUNK_ELEMENTS):
+            size = min(_CHUNK_ELEMENTS, head - start)
+            if end + size > _CHUNK_ELEMENTS:
                 chunks.append(chunk)
                 chunk, end = [], 0
             chunk.append((t, states, start, end, end + size))
@@ -700,8 +695,8 @@ def eigenfunction_oracle(z: float, tau: float, r: float, n_max: int = 200) -> fl
     x = x_from_z(z)
     tau = check_tau(tau)
     n_max = check_levels(n_max)
-    if not r >= 0.0:
-        raise DomainError(f"radius must be nonnegative, got {r!r}")
+    if not 0.0 <= r < math.inf:
+        raise DomainError(f"radius must be nonnegative and finite, got {r!r}")
     if tau < 0.2 or z > 0.95 or n_max > 200:
         raise DomainError(
             "oracle validated only for tau >= 0.2, z <= 0.95, n_max <= 200"

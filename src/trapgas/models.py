@@ -137,8 +137,8 @@ def check_coordinates(s) -> np.ndarray:
 def pointwise(fn, values) -> np.ndarray:
     """fn at each point of a float array, one Python float at a time.
 
-    The batched kernels take exp, log, expm1 and powers this way where they
-    must give the scalar kernels' floats: numpy's vectorised versions
+    The batched exact kernels take exp, log, expm1 and powers this way where
+    they must give the scalar kernels' floats: numpy's vectorised versions
     differ from the math module's in the last bit at a few percent of
     points.
     """

@@ -29,8 +29,8 @@ from . import exact, integrate, semiclassical
 from .bose import bose_g_x
 from .core import GasState
 from .errors import DomainError, QuadratureError
-from .models import ModelKind, check_dims, ground_column, ground_column_from, lambda3
-from .models import occupation
+from .models import ModelKind, check_coordinates, check_dims, ground_column
+from .models import ground_column_from, lambda3, occupation
 
 #: Relative accuracy demanded of the density moments.
 _MOMENT_TOL = 1e-6
@@ -111,8 +111,10 @@ def first_excited_level_density(state: GasState, grid, dims_integrated: int = 0)
     sqrt(pi), so the shape over d axes is (2 s^2 + d) times the unit
     ground-state column.
     """
+    d = check_dims(dims_integrated, (0, 1, 2))
+    check_coordinates(grid)
     s2 = np.asarray(grid, dtype=float) ** 2
-    return _first_excited(state, check_dims(dims_integrated, (0, 1, 2)), s2, np.exp(-s2))
+    return _first_excited(state, d, s2, np.exp(-s2))
 
 
 def _first_excited(state: GasState, d: int, s2, e):

@@ -33,8 +33,7 @@ import numpy as np
 from . import bose
 from .errors import DomainError
 from .models import ModelKind, check_atoms, check_coordinates, check_dims, check_positive
-from .models import check_tau, check_x, ground_column, lambda3, occupation, pointwise
-from .models import x_from_z
+from .models import check_tau, check_x, ground_column, lambda3, occupation, x_from_z
 
 
 @dataclass(frozen=True)
@@ -78,29 +77,15 @@ def population_slope_sc_x(variant, x: float, tau: float) -> tuple[float, float]:
 
 def _population_slope_x(v: ScVariant, x: float, tau: float) -> tuple[float, float]:
     """:func:`population_slope_sc_x` at a checked x > 0 and tau."""
-    n0 = occupation(x) if v.kind == ModelKind.SC else 0.0
-    return _population_slope(v, bose.bose_g123_x(x), tau**2, tau**3, n0)
-
-
-def _population_slopes(v: ScVariant, x: np.ndarray, tau: np.ndarray):
-    """:func:`population_slope_sc_x` over arrays of states, x > 0 and checked tau.
-
-    The floats of the scalar kernel, state by state: the Bose functions,
-    powers and occupations come from the scalar calls (``pointwise``).
-    """
-    n0 = pointwise(occupation, x) if v.kind == ModelKind.SC else 0.0
-    tau2, tau3 = pointwise(lambda t: t**2, tau), pointwise(lambda t: t**3, tau)
-    return _population_slope(v, pointwise(bose.bose_g123_x, x).T, tau2, tau3, n0)
-
-
-def _population_slope(v: ScVariant, g123, tau2, tau3, n0):
-    """N and dN/dx from g_1 .. g_3, tau^2, tau^3 and N0 (0 without a ground state)."""
-    g1, g2, g3 = g123
+    g1, g2, g3 = bose.bose_g123_x(x)
+    tau3 = tau**3
     n, slope = g3 / tau3, -g2 / tau3
     if v.kind in (ModelKind.SC0, ModelKind.SC):
+        tau2 = tau**2
         n += 1.5 * v.aniso_ratio * g2 / tau2
         slope -= 1.5 * v.aniso_ratio * g1 / tau2
     if v.kind == ModelKind.SC:
+        n0 = occupation(x)
         n += n0
         slope -= n0 * (n0 + 1.0)
     return n, slope
@@ -120,21 +105,10 @@ def saturated_slope_sc(variant, tau: float) -> tuple[float, float]:
     """:func:`saturated_population_sc` and its derivative in tau."""
     v = _as_variant(variant)
     tau = check_tau(tau)
-    return _saturated_slope(v, tau, tau**2, tau**3)
-
-
-def _saturated_slopes(v: ScVariant, tau: np.ndarray):
-    """:func:`saturated_slope_sc` over an array of checked tau: its floats."""
-    tau2, tau3 = pointwise(lambda t: t**2, tau), pointwise(lambda t: t**3, tau)
-    return _saturated_slope(v, tau, tau2, tau3)
-
-
-def _saturated_slope(v: ScVariant, tau, tau2, tau3):
-    """The capacity at z = 1 and its tau-derivative from tau, tau^2 and tau^3."""
-    n = bose.zeta_const(3.0) / tau3
+    n = bose.zeta_const(3.0) / tau**3
     slope = -3.0 * n / tau
     if v.kind in (ModelKind.SC0, ModelKind.SC):
-        finite_size = 1.5 * v.aniso_ratio * bose.zeta_const(2.0) / tau2
+        finite_size = 1.5 * v.aniso_ratio * bose.zeta_const(2.0) / tau**2
         n += finite_size
         slope -= 2.0 * finite_size / tau
     return n, slope

@@ -59,6 +59,13 @@ def test_domain_errors():
         bose.bose_g_small_x(1.5, math.nan)
 
 
+@pytest.mark.parametrize("x", [1.0000001, 1.5, 2.0, math.inf])
+def test_small_x_refuses_x_above_switch(x):
+    # 1.5 used to give 504.4 for g_{3/2}, whose value there is 4.54e-5, and inf nan.
+    with pytest.raises(DomainError, match="bose_g_x"):
+        bose.bose_g_small_x(1.5, x)
+
+
 @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
 def test_nan_x_names_x(nu):
     with pytest.raises(DomainError, match="x >= 0"):

@@ -155,7 +155,7 @@ class TestPopulation:
         n_one = exact.excited_population_x(x, tau)
         rho_one = exact.excited_density_x(x, tau, grid)
         col_one = exact.excited_column_x(x, tau, 2, grid)
-        monkeypatch.setattr(exact, "_SLAB_ROWS", 1000)
+        monkeypatch.setattr(exact, "_CHUNK_ELEMENTS", 1000)
         assert exact.excited_population_x(x, tau) == pytest.approx(n_one, rel=1e-14)
         np.testing.assert_allclose(exact.excited_density_x(x, tau, grid), rho_one, rtol=1e-14)
         np.testing.assert_allclose(exact.excited_column_x(x, tau, 2, grid), col_one, rtol=1e-14)
@@ -194,7 +194,7 @@ class TestSlopes:
         assert slope == pytest.approx(-3.0 * z3 / tau**4 - 3.0 * z2 / tau**3, rel=1e-13)
 
 
-    @pytest.mark.parametrize("wrt", [None, "x", "tau"])
+    @pytest.mark.parametrize("wrt", ["x", "tau"])
     def test_batched_kernel_equals_scalar(self, wrt):
         # The batched solves need the scalar kernel's floats state by state:
         # states near and far from saturation, with y0 = x + 40 tau on both
@@ -604,7 +604,7 @@ class TestSharedTauSums:
         assert lines[0].startswith("30 states (seed 2005)")
         assert [line.split(":")[0] for line in lines[1:]] == [
             "scalar grids", "origins", "families", "observables", "far grids", "semiclassical",
-            "solves",
+            "solves", "populations",
         ]
         assert all(", 0 mismatches, worst 0 ulp" in line for line in lines[1:])
 
@@ -775,6 +775,12 @@ class TestEigenfunctionOracle:
     def test_nan_radius_raises_domain_error(self):
         with pytest.raises(DomainError):
             exact.eigenfunction_oracle(0.5, 0.3, math.nan)
+
+    def test_infinite_radius_raises_domain_error(self):
+        # inf used to give nan; a huge finite r still gives the limit 0.0.
+        with pytest.raises(DomainError, match="finite"):
+            exact.eigenfunction_oracle(0.5, 1.0, math.inf)
+        assert exact.eigenfunction_oracle(0.5, 1.0, 1e200) == 0.0
 
     @pytest.mark.parametrize("n_max", [-1, 2.5])
     def test_bad_level_count_raises_domain_error(self, n_max):

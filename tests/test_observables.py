@@ -72,6 +72,13 @@ class TestProfile:
             integral = np.trapezoid(w * comp, grid)
             assert integral == pytest.approx(9.0 * occ1, rel=1e-4)
 
+    @pytest.mark.parametrize("s", [-1.0, math.inf, 1e200, math.nan, [0.0, -1.0]])
+    def test_first_excited_refuses_bad_coordinates(self, ex_1e4, s):
+        # -1 used to give the s = 1 value; inf and 1e200 nan, with RuntimeWarnings.
+        with pytest.raises(DomainError, match="s >= 0"):
+            obs.first_excited_level_density(ex_1e4, s)
+        assert np.ndim(obs.first_excited_level_density(ex_1e4, 1.0)) == 0
+
     @pytest.mark.parametrize("dims", [0, 1, 2])
     def test_frozen_cloud_components_are_finite(self, dims):
         # tau = 800 puts x + tau past math.expm1's overflow at 709.78.
@@ -416,19 +423,18 @@ class TestBatchedAtOrigin:
         # Near T* at N = 1e12 (about 21,500 rows each), 13 copies of one
         # state; the smaller budgets cut every head into slabs and chunks.
         near = [s for s in ex_strata if s.atoms == 1e12 and s.x < 1e-3] * 13
-        for chunk, slab in [(None, None), (5_000, 4_096), (300, 7)]:
-            if chunk is not None:
-                monkeypatch.setattr(exact, "_CHUNK_ELEMENTS", chunk)
-                monkeypatch.setattr(exact, "_SLAB_ROWS", slab)
-            states = near if chunk is None else ex_strata
+        for budget in [None, 4_096, 7]:
+            if budget is not None:
+                monkeypatch.setattr(exact, "_CHUNK_ELEMENTS", budget)
+            states = near if budget is None else ex_strata
             xs, taus = [s.x for s in states], [s.tau for s in states]
             groups = {}
             for i, (x, t) in enumerate(zip(xs, taus)):
                 groups.setdefault((t, exact._head_length(x, t)[0]), []).append(i)
             chunks = exact._head_chunks(groups)
             # The 13 copies form one group, whose head is one slab summed in 13 passes.
-            assert len(chunks) == 1 if chunk is None else len(chunks) > 1
-            assert all(slabs[-1][-1] <= exact._SLAB_ROWS for slabs in chunks)
+            assert len(chunks) == 1 if budget is None else len(chunks) > 1
+            assert all(slabs[-1][-1] <= exact._CHUNK_ELEMENTS for slabs in chunks)
             got = exact._excited_gauss_sums(xs, taus, (0, 1, 2), 0.0)
             for k, d in enumerate((0, 1, 2)):
                 assert got[k, :, 0].tolist() == [
@@ -438,7 +444,7 @@ class TestBatchedAtOrigin:
     def test_head_chunks_cover_every_head_in_order(self, monkeypatch):
         # Heads of 9, 1 and 4 rows in slabs of at most 4, and in chunks of
         # whole slabs of at most 4 rows.
-        monkeypatch.setattr(exact, "_SLAB_ROWS", 4)
+        monkeypatch.setattr(exact, "_CHUNK_ELEMENTS", 4)
         groups = {(0.1, head): [i] for i, head in enumerate([9, 1, 4])}
         assert exact._head_chunks(groups) == [
             [(0.1, [0], 0, 0, 4)],
