@@ -48,7 +48,8 @@ compares:
   with ``core``'s two, also in the traps (1, 1, 2) and (1, 2, 3)): values
   and slopes, or the name of the error class where x is not admissible.
 
-The other copy's side uses only functions whose signatures are stable.
+The other copy's side uses only functions whose signatures are stable,
+and takes its states as its own ``GasState`` records.
 It prints, for each part, the values compared, the mismatches (values
 whose bits differ, signed zeros too) and the worst distance in ulps, and
 exits 1 on any mismatch.  The golden CSVs hold 9 digits; this is the
@@ -56,6 +57,7 @@ check on the last bits.
 """
 
 import argparse
+import dataclasses
 import importlib.util
 import math
 import sys
@@ -158,6 +160,12 @@ def far_grid(rng, tau: float) -> np.ndarray:
     """
     far = math.sqrt(800.0 / math.tanh(0.5 * tau)) * rng.uniform(1.0, 1.2)
     return np.linspace(0.0, far, int(rng.integers(2, 401)))
+
+
+def own_state(core_module, state):
+    """``state`` as a ``GasState`` of the copy whose ``core`` is ``core_module``."""
+    fields = {f.name: getattr(state, f.name) for f in dataclasses.fields(state)}
+    return core_module.GasState(**fields)
 
 
 def observed(module, state, grid) -> list:
@@ -293,7 +301,7 @@ def main(argv=None) -> int:
     for state in states:
         cloud = np.linspace(0.0, 3.0 * math.sqrt(2.0 / state.tau), int(rng.integers(1, 202)))
         got = observed(observables, state, cloud)
-        ref = observed(parent_observables, state, cloud)
+        ref = observed(parent_observables, own_state(parent_core, state), cloud)
         for a, b in zip(got, ref):
             tallies["observables"].add(a, b)
 
@@ -311,7 +319,8 @@ def main(argv=None) -> int:
                 cloud = grid(rng, tau)
                 s = float(rng.uniform(0.0, 3.0 * math.sqrt(2.0 / tau)))
                 got = semiclassical_values(semiclassical, observables, state, cloud, s)
-                ref = semiclassical_values(parent_sc, parent_observables, state, cloud, s)
+                ref = semiclassical_values(parent_sc, parent_observables,
+                                           own_state(parent_core, state), cloud, s)
                 for a, b in zip(got, ref):
                     tallies["semiclassical"].add(a, b)
 

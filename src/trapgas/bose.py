@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, TruncationError
-from .models import check_x
+from .models import as_number, check_choice, check_x, x_from_z
 
 #: The only constructible Bose-function orders.
 BOSE_ORDERS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
@@ -142,17 +142,7 @@ def zeta_const(order: float) -> float:
     pole) plus the half-integer and integer shifts that appear in the
     near-saturation expansions.
     """
-    value = _ZETA.get(float(order))
-    if value is None:
-        raise DomainError(f"zeta constant not tabulated for order {order!r}")
-    return value
-
-
-def _check_order(nu: float) -> float:
-    nu = float(nu)
-    if nu not in BOSE_ORDERS:
-        raise DomainError(f"Bose order must be one of {BOSE_ORDERS}, got {nu!r}")
-    return nu
+    return _ZETA[check_choice("zeta order", order, _ZETA)]
 
 
 def direct_series(nu: float, z: float) -> float:
@@ -160,10 +150,9 @@ def direct_series(nu: float, z: float) -> float:
 
     L is fixed before summing; L > ``_SERIES_MAX_TERMS`` raises TruncationError.
     """
-    nu = _check_order(nu)
-    if not 0.0 <= z < 1.0:
-        raise DomainError(f"direct series needs 0 <= z < 1, got {z!r}")
-    return _series(nu, z, -math.log(z)) if z > 0.0 else 0.0
+    nu = check_choice("Bose order", nu, BOSE_ORDERS)
+    z = as_number("fugacity", z)
+    return _series(nu, z, x_from_z(z)) if z != 0.0 else 0.0
 
 
 def _series(nu: float, z: float, x: float) -> float:
@@ -186,11 +175,11 @@ def bose_g_small_x(nu: float, x: float) -> float:
     beyond it, and the series diverges at x = 2 pi, so a larger x is
     refused with DomainError.
     """
-    nu = _check_order(nu)
-    if check_x(x, positive=True) > X_SWITCH:
-        raise DomainError(
-            f"the saturation expansion needs x <= {X_SWITCH}, got {x!r}; use bose_g_x"
-        )
+    nu = check_choice("Bose order", nu, BOSE_ORDERS)
+    x = check_x(x, positive=True)
+    if x > X_SWITCH:
+        raise DomainError(f"the saturation expansion needs x <= {X_SWITCH}, got {x!r}; "
+                          "use bose_g_x")
     if nu == 1.0:
         return _g_one(x)
     return _expansion_sum(nu, x, math.sqrt, math.log)
@@ -228,8 +217,9 @@ def bose_g_x(nu: float, x: float) -> float:
     in x = -ln z throughout to keep the ground-state population 1/(e^x - 1)
     meaningful arbitrarily close to saturation.
     """
-    nu = _check_order(nu)
-    if check_x(x) == 0.0:
+    nu = check_choice("Bose order", nu, BOSE_ORDERS)
+    x = check_x(x)
+    if x == 0.0:
         if nu <= 1.0:
             raise DomainError(f"g_{nu:g} diverges at z = 1")
         return _ZETA[nu]
@@ -258,7 +248,8 @@ def bose_g123_x(x: float) -> tuple[float, float, float]:
     loop over the powers of z, to the direct series' length (at most 37
     terms there), dividing by the tabulated l^2 and l^3.
     """
-    g1 = _g_one(check_x(x, positive=True))
+    x = check_x(x, positive=True)
+    g1 = _g_one(x)
     if x < X_SWITCH:
         log = math.log(x)
         lead2 = _G2_LEAD * (_G2_H - log) * x
@@ -333,11 +324,6 @@ def bose_g(nu: float, z: float) -> float:
     zeta(nu); g_{1/2} and g_1 diverge there.  Monotone nondecreasing in z
     and accurate to about 1e-12 absolute.
     """
-    nu = _check_order(nu)
-    if not 0.0 <= z <= 1.0:
-        raise DomainError(f"fugacity must lie in [0, 1], got {z!r}")
-    if z == 0.0:
-        return 0.0
-    if z == 1.0:
-        return bose_g_x(nu, 0.0)
-    return bose_g_x(nu, -math.log(z))
+    nu = check_choice("Bose order", nu, BOSE_ORDERS)
+    z = as_number("fugacity", z)
+    return bose_g_x(nu, x_from_z(z, saturated=True)) if z != 0.0 else 0.0

@@ -19,7 +19,7 @@ from . import __version__, figures, observables
 from .core import ReducedUnits, TrapSpec, solve_fugacity, transition_temperature
 from .errors import ConvergenceError, DomainError, QuadratureError, TruncationError
 from .exact import REL_TOL
-from .models import ModelKind, _check_points, check_positive
+from .models import MAX_POINTS, ModelKind, check_count, check_positive
 from .tables import SweepTable, meta
 
 
@@ -28,16 +28,8 @@ def _parse_models(text: str) -> tuple[ModelKind, ...]:
 
 
 def _parse_aniso(text: str | None) -> TrapSpec:
-    if text is None:
-        return TrapSpec()
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise DomainError("--aniso needs three comma-separated frequencies")
-    try:
-        freqs = tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise DomainError(f"bad --aniso value {text!r}") from exc
-    return TrapSpec(frequencies=freqs)
+    """The trap of ``--aniso``; TrapSpec counts and converts its frequencies."""
+    return TrapSpec() if text is None else TrapSpec(frequencies=tuple(text.split(",")))
 
 
 def cmd_transition(args) -> int:
@@ -82,7 +74,7 @@ def cmd_degeneracy(args) -> int:
 def cmd_profile(args) -> int:
     trap = _parse_aniso(args.aniso)
     model = ModelKind(args.model)
-    _check_points(args.points, "--points")
+    check_count("--points", args.points, 2, MAX_POINTS)
     check_positive("--rmax", args.rmax)
     units = ReducedUnits.from_temperature(args.temp)
     state = solve_fugacity(model, args.atoms, units, trap=trap)
@@ -107,7 +99,7 @@ def cmd_profile(args) -> int:
 def cmd_sweep(args) -> int:
     models = _parse_models(args.model)
     check_positive("atom number", args.atoms)
-    _check_points(args.steps, "--steps")
+    check_count("--steps", args.steps, 2, MAX_POINTS)
     t_min = check_positive("--tmin", args.tmin)
     t_max = check_positive("--tmax", args.tmax)
     if not t_min < t_max:

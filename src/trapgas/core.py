@@ -32,9 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact, semiclassical
-from .bose import zeta_const
+from .bose import _ZETA
 from .errors import ConvergenceError, DomainError
-from .models import ModelKind, check_atoms, check_positive, check_tau, lambda3, occupation
+from .models import ModelKind, as_number, check_atoms, check_instance, check_positive, check_tau
+from .models import lambda3, occupation
 from .roots import _newton, solve, solve_lockstep
 
 __all__ = [
@@ -73,8 +74,8 @@ class TrapSpec:
                 shape = None
             if shape != (3,):
                 raise DomainError("anisotropy needs three positive frequencies")
-            for f in self.frequencies:
-                check_positive("trap frequency", f)
+            frequencies = tuple(check_positive("trap frequency", f) for f in self.frequencies)
+            object.__setattr__(self, "frequencies", frequencies)
 
     @property
     def is_isotropic(self) -> bool:
@@ -115,7 +116,7 @@ class ReducedUnits:
     tau: float
 
     def __post_init__(self) -> None:
-        check_tau(self.tau)
+        object.__setattr__(self, "tau", check_tau(self.tau))
 
     @classmethod
     def from_temperature(cls, temperature: float) -> "ReducedUnits":
@@ -168,9 +169,9 @@ def _resolve_ratio(model: ModelKind, trap: TrapSpec | None, aniso_ratio: float |
     if trap is not None and aniso_ratio is not None:
         raise DomainError("pass either a trap or an explicit aniso ratio, not both")
     if trap is not None:
-        ratio = trap.aniso_ratio
+        ratio = check_instance("trap", trap, TrapSpec).aniso_ratio
     else:
-        ratio = 1.0 if aniso_ratio is None else float(aniso_ratio)
+        ratio = 1.0 if aniso_ratio is None else as_number("aniso ratio", aniso_ratio)
     if ratio != 1.0 and model == ModelKind.EX:
         raise DomainError("the exact model supports only isotropic traps")
     return ratio
@@ -402,7 +403,7 @@ def _fugacity_start(model: ModelKind, atoms: float, tau: float, capacity: float)
     formula avoids cancellation on its side.
     """
     ground = 1.0 if model.has_ground_state else 0.0
-    a = zeta_const(2.0) / tau**3
+    a = _ZETA[2.0] / tau**3
     b = atoms - capacity
     root = math.hypot(b, 2.0 * math.sqrt(a * ground))  # sqrt(b^2 + 4 a ground)
     # ground / ((b + root) / 2), halved term by term so that it cannot overflow

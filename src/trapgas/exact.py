@@ -68,8 +68,8 @@ import numpy as np
 
 from . import bose
 from .errors import DomainError, TruncationError
-from .models import PI_32, check_coordinates, check_dims, check_levels, check_tau, check_x
-from .models import ground_column, occupation, pointwise, x_from_z
+from .models import PI_32, check_choice, check_coordinates, check_count, check_finite, check_tau
+from .models import check_x, ground_column, occupation, pointwise, x_from_z
 
 #: Element budget of one head x grid-chunk buffer: 1 MB of float64, so that
 #: the buffer and its scaled copy fit in a 2 MB L2 cache.  Against 2 MB,
@@ -142,7 +142,8 @@ def excited_population_x(x: float, tau: float) -> float:
 
 def population_slope_ex_x(x: float, tau: float) -> tuple[float, float]:
     """:func:`population_ex_x` and its derivative in x, from the same pass."""
-    n0 = ground_population(x)
+    x = check_x(x, positive=True)
+    n0 = occupation(x)
     excited, slope = _excited_population(x, tau, "x")
     return n0 + excited, slope - n0 * (n0 + 1.0)
 
@@ -310,7 +311,7 @@ def excited_density_x(x: float, tau: float, r):
     This is the full density with the ground-state Gaussian removed
     term by term, so it stays finite and accurate through saturation.
     """
-    return _excited_gauss_sum(check_x(x), tau, 0, r)
+    return _excited_gauss_sum(check_x(x), tau, 0, check_coordinates(r))
 
 
 def density_ex(z: float, tau: float, r):
@@ -320,8 +321,8 @@ def density_ex(z: float, tau: float, r):
 
 def density_ex_x(x: float, tau: float, r):
     n0 = ground_population(x)
-    excited = excited_density_x(x, tau, r)  # checks r before the ground term squares it
-    return ground_column(n0, 0, np.asarray(r, dtype=float)) + excited
+    r = check_coordinates(r)  # before the ground term squares it
+    return ground_column(n0, 0, r) + excited_density_x(x, tau, r)
 
 
 def excited_column_x(x: float, tau: float, dims_integrated: int, s):
@@ -333,10 +334,11 @@ def excited_column_x(x: float, tau: float, dims_integrated: int, s):
     are sigma^(d-3); d = 3 integrates everything, so its only coordinate is
     s = 0, and returns the excited atom number.
     """
-    check_dims(dims_integrated, (1, 2, 3))
-    if dims_integrated == 3 and np.any(np.asarray(s, dtype=float) != 0.0):
+    d = check_choice("dims_integrated", dims_integrated, (1, 2, 3))
+    s = check_coordinates(s)
+    if d == 3 and s.any():
         raise DomainError("d = 3 integrates every axis; its only coordinate is s = 0")
-    return _excited_gauss_sum(check_x(x), tau, dims_integrated, s)
+    return _excited_gauss_sum(check_x(x), tau, d, s)
 
 
 def _excited_gauss_sum(x: float, tau: float, d: int, s):
@@ -345,12 +347,11 @@ def _excited_gauss_sum(x: float, tau: float, d: int, s):
     The excited column over d axes (d = 0 is the density), with
     k_l = (1 - e^{-2 tau l})^{-3/2} and a_l = tanh(tau l / 2), at x >= 0
     checked by the caller: :func:`_excited_gauss_sums` for one state.  An
-    array s gives an array of its shape, a scalar s a float.
+    array s gives an array of its shape, a scalar s a float; the public
+    callers hand down their checked array.
     """
-    tau = check_tau(tau)
-    s = np.asarray(s, dtype=float)
-    total = _excited_gauss_sums([x], [tau], (d,), s)[0, 0]
-    return total if s.ndim else float(total[0])
+    total = _excited_gauss_sums([x], [check_tau(tau)], (d,), s)[0, 0]
+    return total if np.ndim(s) else float(total[0])
 
 
 def _excited_gauss_sums(x, tau, dims, s) -> np.ndarray:
@@ -367,8 +368,8 @@ def _excited_gauss_sums(x, tau, dims, s) -> np.ndarray:
     and the grid size.  Each value depends on its own state and coordinate
     only: it is the float of a one-state, one-point call.
     """
-    s_arr = check_coordinates(s)
-    flat = s_arr.reshape(-1)
+    s = np.atleast_1d(check_coordinates(s))
+    flat = s.reshape(-1)
     neg_s2 = -(flat * flat)
     e = np.exp(neg_s2)
     groups, ids, tailed = {}, [], []  # groups: the states of each (tau, head)
@@ -385,7 +386,7 @@ def _excited_gauss_sums(x, tau, dims, s) -> np.ndarray:
         # Every state: a slice spares two fancy copies.
         _tail_sums(tailed, slice(None) if len(ids) == len(x) else ids, dims, neg_s2, e, totals)
     totals /= PI_32
-    return totals.reshape(totals.shape[:2] + s_arr.shape)
+    return totals.reshape(totals.shape[:2] + s.shape)
 
 
 def _head_chunks(groups) -> list:
@@ -630,8 +631,8 @@ def _columns(x, tau, dims, s) -> np.ndarray:
     for v, t in zip(x, tau):
         n0.append(ground_population(v))
         taus.append(check_tau(t))
+    s = np.atleast_1d(check_coordinates(s))
     excited = _excited_gauss_sums(x, taus, dims, s)
-    s = np.asarray(s, dtype=float).reshape(excited.shape[2:])
     n0 = np.array(n0).reshape(-1, *(1,) * s.ndim)
     return np.array([ground_column(n0, d, s) for d in dims]) + excited
 
@@ -643,8 +644,9 @@ def column_density_ex(z: float, tau: float, dims_integrated: int, s):
 
 def column_density_ex_x(x: float, tau: float, dims_integrated: int, s):
     n0 = ground_population(x)
-    excited = excited_column_x(x, tau, dims_integrated, s)  # checks d and s first
-    return ground_column(n0, dims_integrated, np.asarray(s, dtype=float)) + excited
+    s = check_coordinates(s)
+    excited = excited_column_x(x, tau, dims_integrated, s)  # checks d first
+    return ground_column(n0, dims_integrated, s) + excited
 
 
 def level_populations_ex(
@@ -658,9 +660,7 @@ def level_populations_ex(
     """
     x = x_from_z(z)
     tau = check_tau(tau)
-    n_max = check_levels(n_max)
-    if n_max > _MAX_LEVELS:
-        raise DomainError(f"n_max must be at most {_MAX_LEVELS}, got {n_max!r}")
+    n_max = check_count("n_max", n_max, 0, _MAX_LEVELS)
     out = []
     for n in range(n_max + 1):
         g = (n + 1) * (n + 2) // 2
@@ -694,14 +694,11 @@ def eigenfunction_oracle(z: float, tau: float, r: float, n_max: int = 200) -> fl
     """
     x = x_from_z(z)
     tau = check_tau(tau)
-    n_max = check_levels(n_max)
-    if not 0.0 <= r < math.inf:
-        raise DomainError(f"radius must be nonnegative and finite, got {r!r}")
-    if tau < 0.2 or z > 0.95 or n_max > 200:
-        raise DomainError(
-            "oracle validated only for tau >= 0.2, z <= 0.95, n_max <= 200"
-        )
-    psi_r = _hermite_density_1d(float(r), n_max)
+    n_max = check_count("n_max", n_max, 0, 200)
+    r = check_finite("radius", r, 0.0)
+    if tau < 0.2 or x < -math.log(0.95):  # z > 0.95
+        raise DomainError("oracle validated only for tau >= 0.2, z <= 0.95")
+    psi_r = _hermite_density_1d(r, n_max)
     psi_0 = _hermite_density_1d(0.0, n_max)
     pair = np.convolve(psi_0, psi_0)[: n_max + 1]
     triple = np.convolve(psi_r, pair)[: n_max + 1]

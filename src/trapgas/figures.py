@@ -39,7 +39,7 @@ from . import exact, observables
 from .core import ReducedUnits, _solve_fugacity_many, _transition_many
 from .core import solve_fugacity, transition_temperature
 from .errors import ConvergenceError, DomainError, TruncationError
-from .models import MAX_POINTS, ModelKind, _check_points, check_positive
+from .models import MAX_POINTS, ModelKind, check_choice, check_count, check_positive
 from .tables import SweepTable, meta
 
 PROFILE_TEMPERATURE = 93.37
@@ -47,7 +47,7 @@ PROFILE_ATOM_RANGE = (990_000.0, 1_004_000.0, 2_000.0)
 
 
 def _temperature_grid(atoms: float, points: int):
-    points = _check_points(points)
+    points = check_count("points", points, 2, MAX_POINTS)
     t_star = transition_temperature(ModelKind.EX, atoms).temperature
     return np.linspace(0.5 * t_star, 1.5 * t_star, points)
 
@@ -147,7 +147,8 @@ def figure6(
     if not 0.0 <= (hi - lo) / check_positive("atom step", step) <= MAX_POINTS - 1:
         raise DomainError(f"atom range needs lo <= hi and at most {MAX_POINTS} values")
     atom_values = np.arange(lo, hi + 0.5 * step, step)
-    grid = np.linspace(0.0, check_positive("r_max", r_max), _check_points(points))
+    points = check_count("points", points, 2, MAX_POINTS)
+    grid = np.linspace(0.0, check_positive("r_max", r_max), points)
     units = ReducedUnits.from_temperature(temperature)
     columns = ["r_over_sigma"] + [f"rho_N{int(n)}" for n in atom_values]
     table = SweepTable(columns, meta(figure=6, temperature=temperature))
@@ -185,7 +186,4 @@ _RECIPES = {
 
 
 def make_figure(figure_id: int) -> SweepTable:
-    recipe = _RECIPES.get(figure_id)
-    if recipe is None:
-        raise DomainError(f"figure id must be 1..7, got {figure_id!r}")
-    return recipe()
+    return _RECIPES[check_choice("figure id", figure_id, _RECIPES)]()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from enum import Enum
+from enum import Enum, EnumMeta
 
 import numpy as np
 
@@ -24,7 +24,34 @@ PI_32 = math.pi ** 1.5
 MAX_POINTS = 100_000
 
 
-class ModelKind(str, Enum):
+def check_choice(name: str, value, choices):
+    """``value`` as given; DomainError unless it is one of ``choices``."""
+    try:
+        hash(value)  # refuses an array or a list before any comparison
+        if value in choices:
+            return value
+    except TypeError:
+        pass
+    raise DomainError(f"unknown {name} {value!r}; the choices are {list(choices)}")
+
+
+def check_instance(name: str, value, kind: type):
+    """``value`` as given; DomainError unless it is a ``kind`` (a state or a trap record)."""
+    if not isinstance(value, kind):
+        raise DomainError(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+class _TagLookup(EnumMeta):
+    """Looks a model tag up through :func:`check_choice`, so that an array is refused."""
+
+    def __call__(cls, value):
+        if type(value) is cls:
+            return value
+        return super().__call__(check_choice("model tag", value, cls._value2member_map_))
+
+
+class ModelKind(str, Enum, metaclass=_TagLookup):
     """Which equation set evaluates populations and densities."""
 
     EX = "ex"        # exact level sums
@@ -36,19 +63,32 @@ class ModelKind(str, Enum):
     def has_ground_state(self) -> bool:
         return self in (ModelKind.EX, ModelKind.SC)
 
-    @classmethod
-    def _missing_(cls, value):
-        raise DomainError(f"unknown model tag {value!r}; the tags are {[k.value for k in cls]}")
+
+def as_number(name: str, value, array: bool = False):
+    """``value`` as a float, or with ``array`` a float array of its own shape.
+
+    DomainError where the conversion fails: float() also refuses arrays of
+    one or more dimensions, so a scalar argument cannot be an array.
+    """
+    try:
+        return np.asarray(value, dtype=float) if array else float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name} must be a number, got {value!r}") from None
 
 
 def check_positive(name: str, value) -> float:
     """``value`` as a float; DomainError unless it is a positive, finite number."""
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a number, got {value!r}") from None
+    value = as_number(name, value)
     if not (value > 0.0 and math.isfinite(value)):
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
+def check_finite(name: str, value, minimum: float) -> float:
+    """``value`` as a float; DomainError unless it is finite and at least ``minimum``."""
+    value = as_number(name, value)
+    if not minimum <= value < math.inf:
+        raise DomainError(f"{name} must be finite and >= {minimum:g}, got {value!r}")
     return value
 
 
@@ -78,11 +118,12 @@ def check_atoms(atoms, minimum: float = 2.0, maximum: float = math.inf) -> float
     return atoms
 
 
-def check_x(x, positive: bool = False):
-    """``x`` = -ln z as given; DomainError unless x >= 0, or x > 0 if ``positive``.
+def check_x(x, positive: bool = False) -> float:
+    """``x`` = -ln z as a float; DomainError unless x >= 0, or x > 0 if ``positive``.
 
     x = 0 is saturation (z = 1), where a ground-state population diverges.
     """
+    x = as_number("x", x)
     if not (x > 0.0 if positive else x >= 0.0):
         raise DomainError(f"need x {'>' if positive else '>='} 0, got {x!r}")
     return x
@@ -90,31 +131,17 @@ def check_x(x, positive: bool = False):
 
 def x_from_z(z, saturated: bool = False) -> float:
     """x = -ln z; DomainError unless z lies in (0, 1), or in (0, 1] (x = 0) if ``saturated``."""
-    z = float(z)
+    z = as_number("fugacity", z)
     if not (0.0 < z < 1.0 or saturated and z == 1.0):
         raise DomainError(f"fugacity must lie in (0, 1{']' if saturated else ')'}, got {z!r}")
     return -math.log(z) if z < 1.0 else 0.0
 
 
-def check_dims(dims, allowed: tuple[int, ...]) -> int:
-    """DomainError unless ``dims`` (the number of integrated axes) is one of ``allowed``."""
-    if dims not in allowed:
-        raise DomainError(f"dims_integrated must be one of {allowed}, got {dims!r}")
-    return dims
-
-
-def _check_points(points, name: str = "points") -> int:
-    """``points`` as given; DomainError unless it is an integer in [2, MAX_POINTS]."""
-    if not (isinstance(points, (int, np.integer)) and 2 <= points <= MAX_POINTS):
-        raise DomainError(f"{name} must be an integer in [2, {MAX_POINTS}], got {points!r}")
-    return points
-
-
-def check_levels(n_max) -> int:
-    """``n_max`` as an int; DomainError unless it is a nonnegative integer."""
-    if not (isinstance(n_max, (int, np.integer)) and n_max >= 0):
-        raise DomainError(f"n_max must be a nonnegative integer, got {n_max!r}")
-    return int(n_max)
+def check_count(name: str, value, minimum: int, maximum: int) -> int:
+    """``value`` as an int; DomainError unless it is an integer in [``minimum``, ``maximum``]."""
+    if not (isinstance(value, (int, np.integer)) and minimum <= value <= maximum):
+        raise DomainError(f"{name}: need an int >= {minimum}, at most {maximum}; got {value!r}")
+    return int(value)
 
 
 #: The largest float whose square is finite.
@@ -122,16 +149,14 @@ _S_MAX = math.sqrt(sys.float_info.max)
 
 
 def check_coordinates(s) -> np.ndarray:
-    """``s`` as a float array, at least 1-d; DomainError unless s >= 0, s^2 < inf.
+    """``s`` as a float array of its own shape; DomainError unless s >= 0, s^2 < inf.
 
     s^2 < inf is tested as s <= _S_MAX, without forming s^2.
     """
-    s_arr = np.asarray(s, dtype=float)
-    if not s_arr.ndim:
-        s_arr = s_arr.reshape(1)
-    if not (s_arr.min(initial=0.0) >= 0.0 and s_arr.max(initial=0.0) <= _S_MAX):
+    s = as_number("radius or column coordinate", s, array=True)
+    if not (s.min(initial=0.0) >= 0.0 and s.max(initial=0.0) <= _S_MAX):
         raise DomainError("radius or column coordinate needs s >= 0, s^2 < inf")
-    return s_arr
+    return s
 
 
 def pointwise(fn, values) -> np.ndarray:

@@ -29,7 +29,7 @@ from . import exact, integrate, semiclassical
 from .bose import bose_g_x
 from .core import GasState
 from .errors import DomainError, QuadratureError
-from .models import ModelKind, check_coordinates, check_dims, ground_column
+from .models import ModelKind, check_choice, check_coordinates, check_instance, ground_column
 from .models import ground_column_from, lambda3, occupation
 
 #: Relative accuracy demanded of the density moments.
@@ -75,6 +75,7 @@ class PeakReport:
 def _require_density(state: GasState) -> None:
     # The threshold boundary itself (n0 = 0, z = 1) still has a well-defined
     # saturated-cloud density; only a populated condensate is refused.
+    check_instance("state", state, GasState)
     if (
         state.condensed
         and not state.model.has_ground_state
@@ -109,12 +110,14 @@ def first_excited_level_density(state: GasState, grid, dims_integrated: int = 0)
 
     Integrating 2 s^2 e^{-s^2} over one axis adds 1 to 2 s^2 and a factor
     sqrt(pi), so the shape over d axes is (2 s^2 + d) times the unit
-    ground-state column.
+    ground-state column.  A scalar coordinate gives a float, a grid an array
+    of its shape.
     """
-    d = check_dims(dims_integrated, (0, 1, 2))
-    check_coordinates(grid)
-    s2 = np.asarray(grid, dtype=float) ** 2
-    return _first_excited(state, d, s2, np.exp(-s2))
+    check_instance("state", state, GasState)
+    d = check_choice("dims_integrated", dims_integrated, (0, 1, 2))
+    s2 = check_coordinates(grid) ** 2
+    first = _first_excited(state, d, s2, np.exp(-s2))
+    return first if s2.ndim else float(first)
 
 
 def _first_excited(state: GasState, d: int, s2, e):
@@ -132,13 +135,12 @@ def profile(state: GasState, grid, dims_integrated: int = 0) -> DensityProfile:
     an EX total is one call of the exact kernel.
     """
     _require_density(state)
-    grid = np.asarray(grid, dtype=float)
+    grid = check_coordinates(grid)
     if grid.ndim != 1 or grid.size < 1:
         raise DomainError("grid must be a one-dimensional array")
-    # The column kernels check the coordinates; comparisons are safe before that.
     if (grid[1:] <= grid[:-1]).any():
         raise DomainError("grid must be strictly ascending")
-    d = check_dims(dims_integrated, (0, 1, 2))
+    d = check_choice("dims_integrated", dims_integrated, (0, 1, 2))
     total = _column_total(state, grid, d)
     s2 = grid**2
     e = np.exp(-s2)
@@ -165,7 +167,7 @@ def dip_height(state: GasState) -> float:
     max over r of the excited density minus its r = 0 value, located on an
     801-point grid over r in [0, 4] and refined locally.
     """
-    if state.model != ModelKind.EX:
+    if check_instance("state", state, GasState).model != ModelKind.EX:
         raise DomainError("the central dip is defined for the exact model only")
     grid = np.linspace(0.0, 4.0, 801)
     excited = exact.excited_density_x(state.x, state.tau, grid)
@@ -199,7 +201,7 @@ def _peak_report(state: GasState, rho_peak: float) -> PeakReport:
 
 def integrated_peak_fraction(state: GasState, dims_integrated: int) -> float:
     """Ground-state share of the on-axis integrated density."""
-    return _at_origin([state], (check_dims(dims_integrated, (1, 2)),))[0][0]
+    return _at_origin([state], (check_choice("dims_integrated", dims_integrated, (1, 2)),))[0][0]
 
 
 def _at_origin(states, dims=(0,)) -> list[list]:
@@ -213,12 +215,12 @@ def _at_origin(states, dims=(0,)) -> list[list]:
     :func:`integrated_peak_fraction` is a batch of one.
     """
     for state in states:
+        _require_density(state)
         for d in dims:
             if d != 0:
-                check_dims(d, (1, 2))
+                check_choice("dims_integrated", d, (1, 2))
                 if not state.model.has_ground_state:
                     raise DomainError("integrated peak fraction needs a model with a ground state")
-            _require_density(state)
     ex = [s for s in states if s.model == ModelKind.EX]
     if ex:
         columns = exact._columns([s.x for s in ex], [s.tau for s in ex], dims, 0.0)
@@ -255,8 +257,8 @@ def density_moment(state: GasState, p: int) -> float:
     those models [0, 6] is cut further at 6 / 16^j, down to the first such
     edge within 4 core widths.
     """
-    if p not in (2, 3):
-        raise DomainError(f"density moment supports p = 2 or 3, got {p!r}")
+    p = check_choice("moment power p", p, (2, 3))
+    _require_density(state)
     r_max = 8.0 / math.sqrt(state.tau)
     graded = []
     if state.model in (ModelKind.SC0, ModelKind.SC) and state.x > 0.0:

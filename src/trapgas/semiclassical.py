@@ -32,8 +32,8 @@ import numpy as np
 
 from . import bose
 from .errors import DomainError
-from .models import ModelKind, check_atoms, check_coordinates, check_dims, check_positive
-from .models import check_tau, check_x, ground_column, lambda3, occupation, x_from_z
+from .models import ModelKind, check_atoms, check_choice, check_coordinates, check_finite, x_from_z
+from .models import check_positive, check_tau, check_x, ground_column, lambda3, occupation
 
 
 @dataclass(frozen=True)
@@ -47,11 +47,7 @@ class ScVariant:
         object.__setattr__(self, "kind", ModelKind(self.kind))
         if self.kind == ModelKind.EX:
             raise DomainError("EX is not a semi-classical variant")
-        if not 1.0 <= self.aniso_ratio < math.inf:
-            raise DomainError(
-                f"aniso ratio is an arithmetic/geometric mean ratio, must be finite "
-                f"and >= 1, got {self.aniso_ratio!r}"
-            )
+        object.__setattr__(self, "aniso_ratio", check_finite("aniso ratio", self.aniso_ratio, 1.0))
 
 
 def _as_variant(variant) -> ScVariant:
@@ -61,7 +57,8 @@ def _as_variant(variant) -> ScVariant:
 def population_sc_x(variant, x: float, tau: float) -> float:
     """Atom number at z = e^-x.  x = 0 is the saturated (z = 1) branch."""
     v = _as_variant(variant)
-    if check_x(x) == 0.0:
+    x = check_x(x)
+    if x == 0.0:
         if v.kind == ModelKind.SC:
             raise DomainError("SC has a ground-state term; z = 1 is not admissible")
         return saturated_population_sc(v, tau)
@@ -105,22 +102,22 @@ def saturated_slope_sc(variant, tau: float) -> tuple[float, float]:
     """:func:`saturated_population_sc` and its derivative in tau."""
     v = _as_variant(variant)
     tau = check_tau(tau)
-    n = bose.zeta_const(3.0) / tau**3
+    n = bose._ZETA[3.0] / tau**3
     slope = -3.0 * n / tau
     if v.kind in (ModelKind.SC0, ModelKind.SC):
-        finite_size = 1.5 * v.aniso_ratio * bose.zeta_const(2.0) / tau**2
+        finite_size = 1.5 * v.aniso_ratio * bose._ZETA[2.0] / tau**2
         n += finite_size
         slope -= 2.0 * finite_size / tau
     return n, slope
 
 
 def _column_sc(v: ScVariant, x: float, tau: float, d: int, s):
-    s_arr = check_coordinates(s)
-    if s_arr.size == 1:  # a single point is cheaper on the float path
-        rho = float(_column_sc_at(v, x, tau, d, float(s_arr.flat[0]), bose.bose_g_x))
-        return np.full(s_arr.shape, rho) if np.ndim(s) else rho
+    s = check_coordinates(s)
+    if s.size == 1:  # a single point is cheaper on the float path
+        rho = float(_column_sc_at(v, x, tau, d, s.item(), bose.bose_g_x))
+        return np.full(s.shape, rho) if s.ndim else rho
     with np.errstate(over="ignore"):  # x + tau s^2 / 2 may pass the float range
-        return _column_sc_at(v, x, tau, d, s_arr, bose._g_array)
+        return _column_sc_at(v, x, tau, d, s, bose._g_array)
 
 
 def _column_sc_at(v: ScVariant, x: float, tau: float, d: int, s, g):
@@ -132,7 +129,8 @@ def _column_sc_at(v: ScVariant, x: float, tau: float, d: int, s, g):
     where g_nu = 0.
     """
     tau = check_tau(tau)
-    if check_x(x) == 0.0 and v.kind != ModelKind.SCINF:
+    x = check_x(x)
+    if x == 0.0 and v.kind != ModelKind.SCINF:
         raise DomainError(
             f"{v.kind.value} density is not defined at z = 1 "
             "(g_{1/2} diverges; the ground-state term is the cure)"
@@ -163,8 +161,8 @@ def column_density_sc_x(variant, x: float, tau: float, dims_integrated: int, s):
     the remaining axis coordinate (d = 2); units are sigma^(d-3).  d = 0
     is :func:`density_sc_x`.
     """
-    check_dims(dims_integrated, (0, 1, 2))
-    return _column_sc(_as_variant(variant), x, tau, dims_integrated, s)
+    d = check_choice("dims_integrated", dims_integrated, (0, 1, 2))
+    return _column_sc(_as_variant(variant), x, tau, d, s)
 
 
 def density_sc(variant, z: float, tau: float, r):
@@ -214,7 +212,7 @@ DEGENERACY_LIMIT = bose.zeta_const(1.5) + 2.0 * math.sqrt(2.0 * bose.zeta_const(
 
 def thermodynamic_tau(atoms: float) -> float:
     """SCINF's transition point tau_c = (zeta(3)/N)^{1/3}, for a checked atom number."""
-    return (bose.zeta_const(3.0) / atoms) ** (1.0 / 3.0)
+    return (bose._ZETA[3.0] / atoms) ** (1.0 / 3.0)
 
 
 def high_n_asymptotics(atoms: float) -> HighNAsymptotics:

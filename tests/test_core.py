@@ -51,7 +51,25 @@ class TestTrapSpec:
             TrapSpec(frequencies=frequencies)
 
 
+    def test_frequencies_are_stored_as_floats(self):
+        # Text frequencies were checked but stored as text, and omega_tilde
+        # then raised TypeError inside a solve.
+        trap = TrapSpec(("1", "1", "2"))
+        assert trap.frequencies == (1.0, 1.0, 2.0)
+        assert all(type(f) is float for f in trap.frequencies)
+        state = tg.solve_fugacity("sc", 1e3, 0.1, trap=trap)
+        assert state == tg.solve_fugacity("sc", 1e3, 0.1, trap=TrapSpec((1.0, 1.0, 2.0)))
+
+    def test_trap_argument_must_be_a_trap(self):
+        with pytest.raises(DomainError, match="TrapSpec"):
+            tg.solve_fugacity("sc", 1e3, 0.1, trap=(1.0, 1.0, 2.0))
+
+
 class TestReducedUnits:
+    def test_tau_is_stored_as_a_float(self):
+        units = ReducedUnits("0.25")
+        assert type(units.tau) is float and units.temperature == 4.0
+
     def test_lambda_cubed_identity(self):
         units = ReducedUnits(0.37)
         assert units.lambda3 == (2.0 * math.pi * 0.37) ** 1.5

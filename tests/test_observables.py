@@ -79,6 +79,15 @@ class TestProfile:
             obs.first_excited_level_density(ex_1e4, s)
         assert np.ndim(obs.first_excited_level_density(ex_1e4, 1.0)) == 0
 
+    @pytest.mark.parametrize("model", [M.EX, M.SC, M.SC0, M.SCINF])
+    def test_first_excited_type_follows_the_coordinate(self, model):
+        # A 0-d array for SC, SC0 and SCINF and a numpy float for EX, once.
+        state = tg.solve_fugacity(model, 1e3, 0.1)
+        assert type(obs.first_excited_level_density(state, 1.0)) is float
+        grid = np.linspace(0.0, 2.0, 6).reshape(2, 3)
+        value = obs.first_excited_level_density(state, grid)
+        assert isinstance(value, np.ndarray) and value.shape == (2, 3)
+
     @pytest.mark.parametrize("dims", [0, 1, 2])
     def test_frozen_cloud_components_are_finite(self, dims):
         # tau = 800 puts x + tau past math.expm1's overflow at 709.78.
