@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare this tree's l-sums, columns, observables and solves with another copy's, bit for bit.
+"""Compare this tree's kernels, observables, solves and figures with another copy's, bit for bit.
 
 Usage: python scripts/compare_floats.py PARENT_SRC
 
@@ -46,7 +46,11 @@ compares:
   ``semiclassical.population_slope_sc_x`` and
   ``semiclassical.saturated_slope_sc`` of SC, SC0 and SCINF (SC and SC0,
   with ``core``'s two, also in the traps (1, 1, 2) and (1, 2, 3)): values
-  and slopes, or the name of the error class where x is not admissible.
+  and slopes, or the name of the error class where x is not admissible;
+- the figure recipes, each side building its own tables: every cell of
+  the rows of all seven at their defaults, and of figures 1, 4 and 5 at
+  N = 2, 1e3, 1e6 and 1e9 with a few temperatures (or the name of the
+  error class a recipe raises).
 
 The other copy's side uses only functions whose signatures are stable,
 and takes its states as its own ``GasState`` records.
@@ -68,7 +72,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import trapgas as tg  # noqa: E402
-from trapgas import core, exact, observables, semiclassical  # noqa: E402
+from trapgas import core, exact, figures, observables, semiclassical  # noqa: E402
 from trapgas.models import ModelKind  # noqa: E402
 
 LOG_N_STRATA = [(0.5, 2.0), (2.0, 4.0), (4.0, 6.0), (6.0, 8.0), (8.0, 10.0), (10.0, 11.0)]
@@ -77,12 +81,15 @@ PER_STRATUM = 34  # states per (N, T/T*) stratum: 1,020 in all
 SEED = 2005
 PEAK_FIELDS = ("rho0_peak", "rho_total_peak", "degeneracy_parameter", "n0_fraction",
                "peak_fraction")
+#: Atom numbers and temperature points of the extra tables of figures 1, 4 and 5.
+FIGURE_ATOMS = (2.0, 1e3, 1e6, 1e9)
+FIGURE_POINTS = 9
 #: Anisotropy ratios of the traps (1, 1, 2) and (1, 2, 3).
 TRAP_RATIOS = tuple(tg.TrapSpec(f).aniso_ratio for f in ((1.0, 1.0, 2.0), (1.0, 2.0, 3.0)))
 
 
 def load_parent(src: Path):
-    """The exact, observables, core and semiclassical modules of the package under ``src``/trapgas.
+    """The exact, observables, core, semiclassical and figures modules of ``src``/trapgas.
 
     The package is imported as ``trapgas_parent``.
     """
@@ -95,7 +102,7 @@ def load_parent(src: Path):
     spec.loader.exec_module(module)
     return tuple(
         importlib.import_module(f"trapgas_parent.{m}")
-        for m in ("exact", "observables", "core", "semiclassical")
+        for m in ("exact", "observables", "core", "semiclassical", "figures")
     )
 
 
@@ -228,6 +235,15 @@ def population_values(core_module, ex, sc, xs, tau) -> list:
     return values
 
 
+def figure_cells(module) -> list:
+    """The rows of one copy's figure tables, from its ``figures`` module."""
+    values = [outcome(lambda: module.make_figure(k).rows) for k in range(1, 8)]
+    for atoms in FIGURE_ATOMS:
+        for recipe in (module.figure1, module.figure4, module.figure5):
+            values.append(outcome(lambda: recipe(atoms, FIGURE_POINTS).rows))
+    return values
+
+
 def ulps(a, b) -> np.ndarray:
     """Distance in representable floats between a and b, elementwise."""
     ordered = []
@@ -258,12 +274,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src", type=Path, help="src directory of the other copy")
     args = parser.parse_args(argv)
-    parent, parent_observables, parent_core, parent_sc = load_parent(args.parent_src)
+    parent, parent_observables, parent_core, parent_sc, parent_figures = load_parent(
+        args.parent_src
+    )
     rng = np.random.default_rng(SEED)
     draws = strata_draws(rng)
     states = strata_states(draws)
     tallies = {name: Tally() for name in ("scalar grids", "origins", "families", "observables",
-                                        "far grids", "semiclassical", "solves", "populations")}
+                                        "far grids", "semiclassical", "solves", "populations",
+                                        "figures")}
 
     for state in states:
         x, tau = state.x, state.tau
@@ -350,6 +369,9 @@ def main(argv=None) -> int:
         ref = population_values(parent_core, parent, parent_sc, xs, state.tau)
         for a, b in zip(got, ref):
             tallies["populations"].add(a, b)
+
+    for a, b in zip(figure_cells(figures), figure_cells(parent_figures)):
+        tallies["figures"].add(a, b)
 
     print(f"{len(states)} states (seed {SEED}), against {args.parent_src}")
     for name, tally in tallies.items():

@@ -34,8 +34,8 @@ import numpy as np
 from . import exact, semiclassical
 from .bose import _ZETA
 from .errors import ConvergenceError, DomainError
-from .models import ModelKind, as_number, check_atoms, check_instance, check_positive, check_tau
-from .models import lambda3, occupation
+from .models import ModelKind, as_number, check_atoms, check_choice, check_instance, check_positive
+from .models import check_tau, lambda3, occupation
 from .roots import _newton, solve, solve_lockstep
 
 __all__ = [
@@ -139,7 +139,9 @@ class GasState:
 
     ``x`` is -ln z (0 for the saturated branch of SCINF/SC0); ``n0`` is the
     ground-state population, assigned by the condensate formula when the
-    state is flagged condensed.
+    state is flagged condensed.  The fields are stored converted (a
+    ModelKind, floats and a bool), so a field that does not convert raises
+    DomainError here rather than in an observable.
     """
 
     model: ModelKind
@@ -149,6 +151,18 @@ class GasState:
     n0: float
     condensed: bool = False
     aniso_ratio: float = 1.0
+
+    def __post_init__(self) -> None:
+        # The solvers' states arrive converted: the type tests keep them cheap.
+        if type(self.model) is not ModelKind:
+            object.__setattr__(self, "model", ModelKind(self.model))
+        for name in ("atoms", "tau", "x", "n0", "aniso_ratio"):
+            value = getattr(self, name)
+            if type(value) is not float:
+                object.__setattr__(self, name, as_number(name, value))
+        if type(self.condensed) is not bool:
+            flag = check_choice("condensed flag", self.condensed, (False, True))
+            object.__setattr__(self, "condensed", bool(flag))
 
     @property
     def z(self) -> float:

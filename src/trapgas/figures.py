@@ -5,9 +5,11 @@ documentation (atom numbers, the profile temperature 93.37, the 2000-atom
 step of the profile family) as defaults; the sweep CLI exposes the same
 machinery with free parameters.  The recipes over a list of atom numbers
 (2, 3, 6 and 7) solve all its T* and threshold states in lockstep
-(``core._transition_many``, ``core._solve_fugacity_many``): each state is
-the scalar solve's own coroutine, so it evaluates the points and gives the
-floats of the scalar solves the temperature sweeps use.  Figures 3 and 7
+(``core._transition_many``, ``core._solve_fugacity_many``), and figure 1
+solves its EX and SC states over the temperature grid the same way, one
+lockstep solve per model: each state is the scalar solve's own coroutine,
+so it evaluates the points and gives the floats of the scalar solves the
+sweeps of figures 4 and 5 use.  Figures 3 and 7
 then take the peak reports and integrated peak fractions of all their EX
 states from one batched exact sum at the origin, and those of their SC
 states on the semi-classical float path (``observables._at_origin``).
@@ -39,32 +41,40 @@ from . import exact, observables
 from .core import ReducedUnits, _solve_fugacity_many, _transition_many
 from .core import solve_fugacity, transition_temperature
 from .errors import ConvergenceError, DomainError, TruncationError
-from .models import MAX_POINTS, ModelKind, check_choice, check_count, check_positive
+from .models import MAX_POINTS, ModelKind, as_number, check_atoms, check_choice, check_count
+from .models import check_positive
 from .tables import SweepTable, meta
 
 PROFILE_TEMPERATURE = 93.37
 PROFILE_ATOM_RANGE = (990_000.0, 1_004_000.0, 2_000.0)
 
 
-def _temperature_grid(atoms: float, points: int):
+def _temperature_grid(atoms, points: int):
+    """``atoms`` as a float, and ``points`` temperatures from 0.5 to 1.5 T* of EX."""
+    atoms = check_atoms(atoms)
     points = check_count("points", points, 2, MAX_POINTS)
     t_star = transition_temperature(ModelKind.EX, atoms).temperature
-    return np.linspace(0.5 * t_star, 1.5 * t_star, points)
+    return atoms, np.linspace(0.5 * t_star, 1.5 * t_star, points)
 
 
 def figure1(atoms: float = 1e3, points: int = 200) -> SweepTable:
     from .semiclassical import condensate_fraction_sc
 
+    atoms, grid = _temperature_grid(atoms, points)
     table = SweepTable(
         ["T", "N0_frac_ex", "N0_frac_sc", "N0_frac_sc0", "N0_frac_scinf"],
         meta(figure=1, atoms=atoms),
     )
-    for t in _temperature_grid(atoms, points):
-        ex = solve_fugacity(ModelKind.EX, atoms, ReducedUnits.from_temperature(t))
+    taus = [ReducedUnits.from_temperature(t).tau for t in grid]
+    ex, sc = (
+        _solve_fugacity_many(model, [atoms] * len(taus), taus)
+        for model in (ModelKind.EX, ModelKind.SC)
+    )
+    for t, ex_state, sc_state in zip(grid, ex, sc):
         table.add_row(
             t,
-            ex.n0 / atoms,
-            condensate_fraction_sc(ModelKind.SC, atoms, t),
+            ex_state.n0 / atoms,
+            sc_state.n0 / atoms,
             condensate_fraction_sc(ModelKind.SC0, atoms, t),
             condensate_fraction_sc(ModelKind.SCINF, atoms, t),
         )
@@ -128,12 +138,12 @@ def _fraction_sweep(models, atoms: float, temperatures, metadata, warn=None) -> 
 
 
 def figure4(atoms: float = 1e6, points: int = 200) -> SweepTable:
-    grid = _temperature_grid(atoms, points)
+    atoms, grid = _temperature_grid(atoms, points)
     return _fraction_sweep((ModelKind.EX, ModelKind.SC), atoms, grid, meta(figure=4, atoms=atoms))
 
 
 def figure5(atoms: float = 1e3, points: int = 200) -> SweepTable:
-    grid = _temperature_grid(atoms, points)
+    atoms, grid = _temperature_grid(atoms, points)
     return _fraction_sweep((ModelKind.EX, ModelKind.SC), atoms, grid, meta(figure=5, atoms=atoms))
 
 
@@ -143,8 +153,12 @@ def figure6(
     r_max: float = 20.0,
     points: int = 201,
 ) -> SweepTable:
-    lo, hi, step = atom_range
-    if not 0.0 <= (hi - lo) / check_positive("atom step", step) <= MAX_POINTS - 1:
+    bounds = as_number("every atom range value", atom_range, array=True)
+    if bounds.shape != (3,):
+        raise DomainError(f"atom range must be (lo, hi, step), got {atom_range!r}")
+    lo, hi = (check_positive("atom number", n) for n in bounds[:2])
+    step = check_positive("atom step", bounds[2])
+    if not 0.0 <= (hi - lo) / step <= MAX_POINTS - 1:
         raise DomainError(f"atom range needs lo <= hi and at most {MAX_POINTS} values")
     atom_values = np.arange(lo, hi + 0.5 * step, step)
     points = check_count("points", points, 2, MAX_POINTS)

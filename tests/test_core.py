@@ -83,6 +83,26 @@ class TestReducedUnits:
             ReducedUnits(0.0)
 
 
+class TestGasState:
+    def test_fields_are_stored_converted(self):
+        # A tag string used to reach peak_report as text: AttributeError.
+        state = tg.GasState("ex", "1e3", np.float64(0.1), "0.01", 5, 0)
+        assert state.model is M.EX and state.condensed is False
+        numbers = (state.atoms, state.tau, state.x, state.n0, state.aniso_ratio)
+        assert numbers == (1e3, 0.1, 0.01, 5.0, 1.0)
+        assert all(type(v) is float for v in numbers)
+        assert tg.peak_report(state) == tg.peak_report(tg.GasState(M.EX, 1e3, 0.1, 0.01, 5.0))
+
+    @pytest.mark.parametrize("index", range(7))
+    def test_a_field_that_does_not_convert_raises_domain_error(self, index):
+        # GasState(EX, "a", ...) used to be stored and raise TypeError in
+        # peak_report, and an array flag ValueError.
+        fields = [M.EX, 1e3, 0.1, 0.01, 5.0, False, 1.0]
+        fields[index] = np.array([1.0, 0.0]) if index == 5 else "a"
+        with pytest.raises(DomainError):
+            tg.GasState(*fields)
+
+
 class TestTransitionTemperature:
     def test_scinf_closed_form(self):
         for atoms in (1e3, 1e6):

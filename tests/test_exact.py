@@ -604,7 +604,7 @@ class TestSharedTauSums:
         assert lines[0].startswith("30 states (seed 2005)")
         assert [line.split(":")[0] for line in lines[1:]] == [
             "scalar grids", "origins", "families", "observables", "far grids", "semiclassical",
-            "solves", "populations",
+            "solves", "populations", "figures",
         ]
         assert all(", 0 mismatches, worst 0 ulp" in line for line in lines[1:])
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import trapgas as tg
-from trapgas import exact, figures, semiclassical
+from trapgas import core, exact, figures, semiclassical
 from trapgas.errors import DomainError
 from trapgas.models import MAX_POINTS
 from trapgas.models import ModelKind as M
@@ -150,6 +150,11 @@ def test_semiclassical_peak_reports_take_the_float_path(monkeypatch):
         (figures.figure6, {"atom_range": (1_004_000.0, 990_000.0, 2_000.0)}),
         (figures.figure6, {"atom_range": (2.0, 1e12, 1.0)}),
         (figures.figure6, {"atom_range": (2.0, float("nan"), 1.0)}),
+        (figures.figure6, {"atom_range": ("a", 1e6, 2e3)}),
+        (figures.figure6, {"atom_range": (990_000.0, 1_004_000.0)}),
+        (figures.figure6, {"atom_range": (990_000.0, [1_004_000.0], 2_000.0)}),
+        (figures.figure6, {"atom_range": None}),
+        (figures.figure6, {"atom_range": (0.0, 1_004_000.0, 2_000.0)}),
     ],
 )
 def test_bad_recipe_sizes_are_refused_before_any_solve(recipe, kwargs, monkeypatch):
@@ -159,6 +164,41 @@ def test_bad_recipe_sizes_are_refused_before_any_solve(recipe, kwargs, monkeypat
         monkeypatch.setattr(figures, name, lambda *a, **k: pytest.fail("state solved"))
     with pytest.raises(DomainError):
         recipe(**kwargs)
+
+
+class TestFigure1:
+    def test_two_lockstep_solves_and_no_scalar_solve(self, monkeypatch):
+        scalar = [counted(monkeypatch, module, "solve_fugacity") for module in (figures, core)]
+        batched = counted(monkeypatch, figures, "_solve_fugacity_many")
+        figures.figure1(points=7)
+        assert scalar == [[], []]
+        assert [(model, len(atoms), len(taus)) for model, atoms, taus in batched] == [
+            (M.EX, 7, 7), (M.SC, 7, 7)
+        ]
+
+    @pytest.mark.parametrize("atoms", [2.0, 1e3, 1e6])
+    def test_rows_are_the_scalar_solves_floats(self, atoms):
+        rows = figures.figure1(atoms, points=37).rows
+        for t, *fractions in rows:
+            ex = tg.solve_fugacity(M.EX, atoms, tg.ReducedUnits.from_temperature(t))
+            expected = [ex.n0 / atoms] + [
+                tg.condensate_fraction_sc(model, atoms, t) for model in (M.SC, M.SC0, M.SCINF)
+            ]
+            assert fractions == expected  # the same floats, not close ones
+
+    def test_atoms_are_converted_at_entry(self):
+        # A string atom number used to reach the cells: TypeError (float / str).
+        table = figures.figure1(atoms="1e3", points=3)
+        assert table.rows == figures.figure1(atoms=1e3, points=3).rows
+        assert table.metadata["atoms"] == "1000.0"
+
+
+@pytest.mark.parametrize("recipe", [figures.figure4, figures.figure5])
+def test_sweep_metadata_holds_the_converted_atom_number(recipe):
+    # It used to hold the argument as given: "# atoms=1e3".
+    table = recipe(atoms="1e3", points=2)
+    assert table.metadata["atoms"] == "1000.0"
+    assert table.rows == recipe(atoms=1e3, points=2).rows
 
 
 def test_bad_figure_id():

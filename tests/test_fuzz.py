@@ -104,6 +104,12 @@ def variant(result, args):
     assert type(result.aniso_ratio) is float and 1.0 <= result.aniso_ratio < math.inf
 
 
+def state(result, args):
+    assert isinstance(result, tg.GasState) and isinstance(result.model, tg.ModelKind)
+    numbers = (result.atoms, result.tau, result.x, result.n0, result.aniso_ratio)
+    assert all(type(v) is float for v in numbers) and type(result.condensed) is bool
+
+
 def units(result, args):
     assert isinstance(result, tg.ReducedUnits) and type(result.tau) is float
     assert finite(result.tau, result.temperature)
@@ -123,8 +129,8 @@ SIGNATURES = {
     "ReducedUnits": ([TAUS], units),
     "ScVariant": ([MODELS, [1.0, 1.3]], variant),
     "TrapSpec": ([[None, (1.0, 1.0, 2.0), ("1", "2", "3")]], trap),
+    "GasState": ([MODELS, ATOMS, TAUS, [0.1, "0.5"], [1.0], [False, True, 1], [1.0, 1.2]], state),
     # Plain records: they store what they are given.
-    "GasState": ([MODELS, ATOMS, TAUS, [0.1], [1.0]], record(tg.GasState, False)),
     "DensityProfile": ([GRIDS] * 5 + [[0, 1]] + [STATES], record(tg.DensityProfile, False)),
     "PeakReport": ([[1.0]] * 5, record(tg.PeakReport, False)),
     "HighNAsymptotics": ([[1.0]] * 4, record(tg.HighNAsymptotics, False)),
