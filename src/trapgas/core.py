@@ -8,24 +8,23 @@ z/(1-z).  Solvers work in x = -ln z, which keeps N0 = 1/(e^x - 1) accurate
 arbitrarily close to saturation where z itself would round to 1.
 
 Each solve is written once, as a generator coroutine (``_fugacity``,
-``_transition``): Newton's method in ln x (ln tau for T*) on ln N, with the
-slope of each population kernel from the same pass as its value.
-:func:`trapgas.roots.solve` runs it on the scalar kernels for
-:func:`solve_fugacity` and :func:`transition_temperature`, and
-:func:`trapgas.roots.solve_lockstep` runs a list of them for
-``_solve_fugacity_many`` and ``_transition_many`` (per step: one batched
-EX kernel call, or each SC/SC0 problem's scalar call), so a batched
-solve evaluates the single solve's points and returns its floats.
-The fugacity solve starts from the near-saturation quadratic
-N = cap - zeta(2) x / tau^3 + 1/x and evaluates only near its root.  No
-population kernel costs more at larger N (the exact one sums 39 levels and
-an Euler-Maclaurin rest), so both solvers work at any N.  A population
-that underflows to 0 (where e^-x does, past x = 745) marks a point beyond
-the root, and the solve bisects back from it.
+``_transition``) around the one Newton coroutine ``roots._newton`` in ln x
+(ln tau for T*) on ln N, sent each population and its slope from one
+kernel pass.  The one driver, :func:`trapgas.roots.solve_lockstep`, runs
+them on one kernel per solve kind (``_fugacities``, ``_transitions``): the
+public solves hand it one problem, ``_solve_fugacity_many`` and
+``_transition_many`` a list.  Per step the kernel calls the scalar body
+while one problem is active, and for several the batched EX body or the
+SC body per problem, with the scalar floats: a batched solve evaluates
+each single solve's points and returns its floats.  The fugacity solve
+starts from the near-saturation quadratic N = cap - zeta(2) x / tau^3 + 1/x.
+No population kernel costs more at larger N (the exact one sums 39 levels
+and an Euler-Maclaurin rest), so both solvers work at any N.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,7 +35,7 @@ from .bose import _ZETA
 from .errors import ConvergenceError, DomainError
 from .models import ModelKind, as_number, check_atoms, check_choice, check_instance, check_positive
 from .models import check_tau, lambda3, occupation
-from .roots import _newton, solve, solve_lockstep
+from .roots import _newton, solve_lockstep
 
 __all__ = [
     "GasState",
@@ -233,13 +232,7 @@ def solve_fugacity(
     atoms = check_positive("atom number", atoms)
     tau = _as_tau(tau)
     ratio = _resolve_ratio(model, trap, aniso_ratio)
-    variant = _sc_variant(model, ratio)
-    capacity = semiclassical.saturated_population_sc(variant, tau)
-    if model == ModelKind.EX:
-        kernel = lambda x: exact.population_slope_ex_x(x, tau)
-    else:
-        kernel = lambda x: semiclassical.population_slope_sc_x(variant, x, tau)
-    return solve(_fugacity(model, atoms, tau, capacity, ratio), kernel)
+    return _fugacities(model, [atoms], [tau], ratio)[0]
 
 
 # The scalar solves' float arithmetic overflows to inf, or gives nan, with
@@ -251,47 +244,50 @@ _AS_FLOATS = np.errstate(over="ignore", invalid="ignore")
 def _solve_fugacity_many(model: ModelKind, atoms, taus) -> list[GasState]:
     """:func:`solve_fugacity` at each pair of ``atoms`` and ``taus``, isotropic trap.
 
-    The states are solved in lockstep (:func:`trapgas.roots.solve_lockstep`):
-    per step, one batched EX kernel call or one SC kernel call per state.
     Each is ``solve_fugacity``'s state, float for float, with its typed errors.
     """
     model = ModelKind(model)
     atoms = [check_positive("atom number", a) for a in atoms]
     taus = [_as_tau(t) for t in taus]
-    variant = _sc_variant(model, 1.0)
-    capacities = [semiclassical.saturated_population_sc(variant, t) for t in taus]
-    tau_array = np.array(taus)
+    return _fugacities(model, atoms, taus, 1.0)
+
+
+def _fugacities(model: ModelKind, atoms: list, taus: list, ratio: float) -> list[GasState]:
+    """The fugacity solves of checked pairs of ``atoms`` and ``taus``, in lockstep."""
+    # EX's start uses SC's capacity, whose finite-size term is EX's.
+    variant = semiclassical.ScVariant(ModelKind.SC if model == ModelKind.EX else model, ratio)
+    if model == ModelKind.EX:
+        population = exact.population_slope_ex_x
+    else:
+        population = functools.partial(semiclassical._population_slope_x, variant)
 
     def kernel(active: list[int], xs: list[float]):
+        if len(active) == 1:
+            return [population(xs[0], taus[active[0]])]
         if model != ModelKind.EX:
-            return [semiclassical._population_slope_x(variant, x, taus[i])
-                    for i, x in zip(active, xs)]
-        pop, slope = exact._population_slopes(np.array(xs), tau_array[active])
+            return [population(x, taus[i]) for i, x in zip(active, xs)]
+        pop, slope = exact._population_slopes(np.array(xs), np.array([taus[i] for i in active]))
         return zip(pop.tolist(), slope.tolist())
 
-    problems = [_fugacity(model, *state, 1.0) for state in zip(atoms, taus, capacities)]
-    return solve_lockstep(problems, kernel)
+    return solve_lockstep([_fugacity(model, a, t, variant) for a, t in zip(atoms, taus)], kernel)
 
 
-def _sc_variant(model: ModelKind, ratio: float) -> semiclassical.ScVariant:
-    """The semi-classical model with the same finite-size term; for EX, SC."""
-    return semiclassical.ScVariant(ModelKind.SC if model == ModelKind.EX else model, ratio)
+def _fugacity(model: ModelKind, atoms: float, tau: float, variant: semiclassical.ScVariant):
+    """The fugacity solve of one state, a coroutine for ``roots.solve_lockstep``.
 
-
-def _fugacity(model: ModelKind, atoms: float, tau: float, capacity: float, ratio: float):
-    """The fugacity solve of one state, as a coroutine of :mod:`trapgas.roots`.
-
-    It yields each x to evaluate, is sent the population and its x-slope
-    there, and returns the :class:`GasState`.  A saturating model (SC0,
-    SCINF) with atoms >= its ``capacity`` returns at once, pinned at z = 1.
+    It yields each x of ``roots._newton`` (with the ground-state slope rule
+    for EX and SC), is sent the population and its x-slope there, and
+    returns the :class:`GasState`.  A saturating model (SC0, SCINF) with
+    atoms >= the capacity of ``variant`` returns at once, pinned at z = 1.
     A root whose population misses ``atoms`` by more than the residual
     bound raises ConvergenceError.
     """
+    capacity, ratio = semiclassical.saturated_population_sc(variant, tau), variant.aniso_ratio
     if not model.has_ground_state and atoms >= capacity:
         n0 = atoms - capacity
         return GasState(model, atoms, tau, 0.0, n0, condensed=True, aniso_ratio=ratio)
     start = _fugacity_start(model, atoms, tau, capacity)
-    x, pop = yield from _log_root(start, atoms, model.has_ground_state)
+    x, pop = yield from _newton(start, atoms, model.has_ground_state)
     if abs(pop - atoms) > _FUGACITY_RESIDUAL * atoms:
         raise ConvergenceError(
             f"fugacity solve left a residual of {abs(pop - atoms) / atoms:.3e} "
@@ -301,56 +297,22 @@ def _fugacity(model: ModelKind, atoms: float, tau: float, capacity: float, ratio
     return GasState(model, atoms, tau, x, n0, aniso_ratio=ratio)
 
 
-def _transition(atoms: float, tau_c: float):
-    """The T* solve at ``atoms`` from ``tau_c``, as a coroutine of :mod:`trapgas.roots`.
+def _transition(model: ModelKind, atoms: float):
+    """The T* solve at ``atoms``, a coroutine for ``roots.solve_lockstep``.
 
-    It yields each tau to evaluate, is sent the capacity and its tau-slope
-    there, and returns tau*, one ulp hotter while the capacity there does
-    not exceed ``atoms``.
+    SCINF returns its closed form tau_c = (zeta(3)/N)^{1/3} at once.  The
+    others yield each tau of ``roots._newton`` from tau_c (within a few
+    percent of every T*), are sent the capacity and its tau-slope there,
+    and return tau*, one ulp hotter while the capacity does not exceed N.
     """
-    tau, capacity = yield from _log_root(tau_c, atoms)
+    tau_c = semiclassical.thermodynamic_tau(atoms)
+    if model == ModelKind.SCINF:
+        return check_tau(tau_c)
+    tau, capacity = yield from _newton(tau_c, atoms)
     while capacity <= atoms:  # one ulp hotter, to the unsaturated side
         tau = math.nextafter(tau, 0.0)
         capacity, _ = yield tau
     return tau
-
-
-def _log_root(start: float, atoms: float, ground: bool = False):
-    """Newton's method in ln x (``roots._newton``) on ln(value / atoms), as a coroutine.
-
-    It yields each point from ``start`` on, is sent the value and its slope
-    in x there, and returns the root and its value: the root is always the
-    last point evaluated.
-    """
-    iteration = _newton(start)
-    x = next(iteration)
-    while True:
-        value, slope = yield x
-        try:
-            x = iteration.send(_log_residual(value, slope, x, atoms, ground))
-        except StopIteration:
-            return x, value
-
-
-def _log_residual(
-    value: float, slope: float, x: float, atoms, ground: bool = False
-) -> tuple[float, float]:
-    """ln(value / atoms) and its slope in ln x, from value and its slope in x.
-
-    A value that underflowed to 0 lies past the root: -inf tells
-    ``roots._newton`` so.  With a ground state (``ground``), the x-slope
-    -N0 (N0 + 1) of N0 = 1/(e^x - 1) overflows from N0 of about 1.3e154
-    on; there, and only there, the slope in ln x is the ground term's
-    alone, -(x N0) (N0 + 1) / value, which stays finite.  It leaves out the
-    excited cloud's part, below 1e-150 of it at such x.
-    """
-    if value == 0.0:
-        return -math.inf, slope
-    if ground and slope == -math.inf:
-        n0 = occupation(x)
-        if n0 * (n0 + 1.0) == math.inf:
-            return math.log(value / atoms), -(x * n0) * ((n0 + 1.0) / value)
-    return math.log(value / atoms), x * slope / value
 
 
 def transition_temperature(
@@ -370,42 +332,36 @@ def transition_temperature(
     model = ModelKind(model)
     atoms = check_atoms(atoms, maximum=_MAX_TRANSITION_ATOMS)
     ratio = _resolve_ratio(model, trap, aniso_ratio)
-    tau_c = semiclassical.thermodynamic_tau(atoms)
-    if model == ModelKind.EX:
-        kernel = exact.saturated_slope_ex
-    else:
-        # Built for SCINF too, since it validates the ratio SCINF does not use.
-        variant = semiclassical.ScVariant(model, ratio)
-        kernel = lambda tau: semiclassical.saturated_slope_sc(variant, tau)
-    if model == ModelKind.SCINF:
-        return ReducedUnits(tau_c)
-    # Every transition point lies within a few percent of tau_c.
-    return ReducedUnits(solve(_transition(atoms, tau_c), kernel))
+    return ReducedUnits(_transitions(model, [atoms], ratio)[0])
 
 
 @_AS_FLOATS
 def _transition_many(model: ModelKind, atoms) -> np.ndarray:
     """:func:`transition_temperature`'s tau* for each of ``atoms``, isotropic trap.
 
-    The EX, SC and SC0 roots are solved in lockstep
-    (:func:`trapgas.roots.solve_lockstep`): per step, one batched EX
-    capacity call or one SC capacity call per point.  Each is the float
-    ``transition_temperature`` returns, with the same typed errors.
+    Each is the float ``transition_temperature`` returns, with the same
+    typed errors.
     """
     model = ModelKind(model)
     atoms = [check_atoms(a, maximum=_MAX_TRANSITION_ATOMS) for a in atoms]
-    tau_c = [semiclassical.thermodynamic_tau(a) for a in atoms]
-    if model == ModelKind.SCINF:
-        return np.array([check_tau(t) for t in tau_c])
-    variant = semiclassical.ScVariant(model) if model != ModelKind.EX else None
+    return np.array(_transitions(model, atoms, 1.0))
+
+
+def _transitions(model: ModelKind, atoms: list, ratio: float) -> list[float]:
+    """The T* solves at checked ``atoms``, in lockstep."""
+    if model == ModelKind.EX:
+        capacity = exact.saturated_slope_ex
+    else:  # built for SCINF too, since it validates the ratio SCINF does not use
+        variant = semiclassical.ScVariant(model, ratio)
+        capacity = functools.partial(semiclassical.saturated_slope_sc, variant)
 
     def kernel(active: list[int], taus: list[float]):
-        if variant is not None:
-            return [semiclassical.saturated_slope_sc(variant, t) for t in taus]
-        capacity, slope = exact._saturated_slopes(np.array([check_tau(t) for t in taus]))
-        return zip(capacity.tolist(), slope.tolist())
+        if len(active) == 1 or model != ModelKind.EX:
+            return list(map(capacity, taus))
+        value, slope = exact._saturated_slopes(np.array([check_tau(t) for t in taus]))
+        return zip(value.tolist(), slope.tolist())
 
-    return np.array(solve_lockstep([_transition(*pair) for pair in zip(atoms, tau_c)], kernel))
+    return solve_lockstep([_transition(model, a) for a in atoms], kernel)
 
 
 def _fugacity_start(model: ModelKind, atoms: float, tau: float, capacity: float) -> float:

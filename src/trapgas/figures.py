@@ -41,8 +41,8 @@ from . import exact, observables
 from .core import ReducedUnits, _solve_fugacity_many, _transition_many
 from .core import solve_fugacity, transition_temperature
 from .errors import ConvergenceError, DomainError, TruncationError
-from .models import MAX_POINTS, ModelKind, as_number, check_atoms, check_choice, check_count
-from .models import check_positive
+from .models import MAX_POINTS, ModelKind, as_number, check_atom_grid, check_atoms, check_choice
+from .models import check_count, check_positive
 from .tables import SweepTable, meta
 
 PROFILE_TEMPERATURE = 93.37
@@ -82,8 +82,7 @@ def figure1(atoms: float = 1e3, points: int = 200) -> SweepTable:
 
 
 def figure2(n_grid=None) -> SweepTable:
-    if n_grid is None:
-        n_grid = np.logspace(2, 7, 26)
+    n_grid = check_atom_grid(np.logspace(2, 7, 26) if n_grid is None else n_grid)
     table = SweepTable(["N", "rel_shift_Tc", "rel_shift_Tsc"], meta(figure=2))
     t_ex, t_sc, t_c = (
         1.0 / _transition_many(model, n_grid)
@@ -100,8 +99,7 @@ def _threshold_states(model: ModelKind, n_grid):
 
 
 def figure3(n_grid=None) -> SweepTable:
-    if n_grid is None:
-        n_grid = np.logspace(2, 8, 25)
+    n_grid = check_atom_grid(np.logspace(2, 8, 25) if n_grid is None else n_grid)
     table = SweepTable(["N", "deg_param_sc", "deg_param_ex"], meta(figure=3))
     sc, ex = (
         observables._at_origin(_threshold_states(model, n_grid))[0]
@@ -175,8 +173,7 @@ def figure6(
 
 
 def figure7(n_grid=None) -> SweepTable:
-    if n_grid is None:
-        n_grid = np.logspace(2, 8, 25)
+    n_grid = check_atom_grid(np.logspace(2, 8, 25) if n_grid is None else n_grid)
     table = SweepTable(
         ["N", "peak_frac_1d_image", "peak_frac_2d_image", "peak_frac_3d"],
         meta(figure=7),

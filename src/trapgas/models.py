@@ -118,6 +118,16 @@ def check_atoms(atoms, minimum: float = 2.0, maximum: float = math.inf) -> float
     return atoms
 
 
+def check_atom_grid(values) -> np.ndarray:
+    """``values`` as a float array; DomainError unless it lists 1 to MAX_POINTS atom numbers."""
+    atoms = as_number("every atom number", values, array=True)
+    if atoms.ndim != 1 or not 1 <= atoms.size <= MAX_POINTS:
+        raise DomainError(f"need a list of 1 to {MAX_POINTS} atom numbers; shape {atoms.shape}")
+    for a in atoms.tolist():
+        check_atoms(a)
+    return atoms
+
+
 def check_x(x, positive: bool = False) -> float:
     """``x`` = -ln z as a float; DomainError unless x >= 0, or x > 0 if ``positive``.
 

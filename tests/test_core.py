@@ -323,17 +323,40 @@ def test_condensed_cloud_at_huge_atom_number_solves(model, atoms):
         assert abs(pop - atoms) <= 1e-10 * atoms
 
 
+def _newton_step(x, atoms, ground, value, slope):
+    """The second point of ``roots._newton`` from x, sent (value, slope) at x."""
+    newton = tg.roots._newton(x, atoms, ground)
+    assert next(newton) == x
+    return newton.send((value, slope))
+
+
 def test_overflowing_ground_slope_is_the_ground_terms_alone():
     # Below the overflow the plain product is kept, so every state that
-    # solved before keeps its floats.
+    # solved before keeps its floats.  Each step is -f / slope in ln x.
     x = 1e-200
     n0 = 1.0 / math.expm1(x)
-    assert core._log_residual(2e200, -math.inf, x, 1e200, True) == (
-        math.log(2.0), -(x * n0) * ((n0 + 1.0) / 2e200)
+    slope = -(x * n0) * ((n0 + 1.0) / 1.5e200)
+    assert _newton_step(x, 1e200, True, 1.5e200, -math.inf) == x * math.exp(
+        -math.log(1.5) / slope
     )
-    assert core._log_residual(2e3, -4e6, 1e-3, 1e3, True) == (math.log(2.0), 1e-3 * -4e6 / 2e3)
+    slope = 1e-3 * -4e6 / 2e3
+    assert _newton_step(1e-3, 1e3, True, 2e3, -4e6) == 1e-3 * math.exp(-math.log(2.0) / slope)
     with pytest.raises(ConvergenceError):
-        tg.roots.solve(core._log_root(0.5, 1.0), lambda x: (1.0, -math.inf))
+        _newton_step(0.5, 1.0, False, 1.0, -math.inf)
+    with pytest.raises(ConvergenceError):
+        _newton_step(1e-200, 1e200, False, 1.5e200, -math.inf)
+
+
+def test_underflowed_value_lies_past_the_root():
+    # A value of 0 reads as f = -inf: with a point of f > 0 evaluated, the
+    # next point bisects in ln x towards it; with none, ConvergenceError.
+    newton = tg.roots._newton(1.0, 1.0)
+    assert next(newton) == 1.0
+    x = newton.send((2.0, -2.0))  # f = ln 2, slope -1 in ln x: a step to 2
+    assert x == math.exp(math.log(2.0))
+    assert newton.send((0.0, -1.0)) == 1.0 * math.sqrt(x / 1.0)
+    with pytest.raises(ConvergenceError, match="value -inf or slope -1.0 not usable"):
+        _newton_step(1.0, 1.0, True, 0.0, -1.0)
 
 
 @pytest.mark.parametrize(
@@ -403,7 +426,7 @@ def evaluations(monkeypatch):
     for module, name in [
         (exact, "population_slope_ex_x"),
         (exact, "saturated_slope_ex"),
-        (semiclassical, "population_slope_sc_x"),
+        (semiclassical, "_population_slope_x"),
         (semiclassical, "saturated_slope_sc"),
     ]:
         kernel = getattr(module, name)
@@ -525,28 +548,18 @@ def test_batched_solves_at_the_edges_match_scalar(model):
         assert batched == _outcome(lambda: tg.transition_temperature(model, atoms).tau)
 
 
-def _spy_drivers(monkeypatch):
-    """Record the points each solve hands its kernel through ``core``'s drivers.
+def _spy_driver(monkeypatch):
+    """Record the points each solve hands its kernel through ``core``'s driver.
 
-    Returns two lists that fill as solves run: one list of points per
-    single solve (:func:`trapgas.roots.solve`), and one per problem of each
-    lockstep solve (:func:`trapgas.roots.solve_lockstep`), in order.
+    Returns a list that fills as solves run: one list of points per problem
+    of each call of :func:`trapgas.roots.solve_lockstep`, in order; a single
+    solve is a call with one problem.
     """
-    single, batched = [], []
-
-    def one(problem, f):
-        points = []
-        single.append(points)
-
-        def evaluate(point):
-            points.append(point)
-            return f(point)
-
-        return tg.roots.solve(problem, evaluate)
+    solves = []
 
     def lockstep(problems, f):
         points = [[] for _ in problems]
-        batched.extend(points)
+        solves.extend(points)
 
         def evaluate(active, xs):
             for i, x in zip(active, xs):
@@ -555,9 +568,8 @@ def _spy_drivers(monkeypatch):
 
         return tg.roots.solve_lockstep(problems, evaluate)
 
-    monkeypatch.setattr(core, "solve", one)
     monkeypatch.setattr(core, "solve_lockstep", lockstep)
-    return single, batched
+    return solves
 
 
 #: A mixed batch: N from 3 to 1e10 and T/T* on both sides of T*.  At N = 3
@@ -570,19 +582,48 @@ _MIXED = [(a, r) for a in (3.0, 5.0, 1e3, 1e6, 1e10) for r in (0.5, 0.99, 1.01, 
 def test_lockstep_solves_evaluate_the_single_solves_points(model, monkeypatch):
     atoms = [a for a, _ in _MIXED]
     taus = [tg.transition_temperature(model, a).tau / r for a, r in _MIXED]
-    single, batched = _spy_drivers(monkeypatch)
+    solves = _spy_driver(monkeypatch)
     states = core._solve_fugacity_many(model, atoms, taus)
+    batched = solves[:]
+    solves.clear()
     assert states == [tg.solve_fugacity(model, a, t) for a, t in zip(atoms, taus)]
+    single = solves[:]
     assert batched == single and len(single) == len(_MIXED)
     assert all(points for points, state in zip(single, states) if not state.condensed)
-    single.clear()
-    batched.clear()
+    solves.clear()
     tau_star = core._transition_many(model, atoms).tolist()
+    batched = solves[:]
+    solves.clear()
     assert tau_star == [tg.transition_temperature(model, a).tau for a in atoms]
+    single = solves[:]
     assert batched == single
     if model != M.SCINF:
         assert len(single) == len(_MIXED)
         assert any(p[-1] == math.nextafter(p[-2], 0.0) for p in single)
+
+
+def test_one_ex_problem_takes_the_scalar_kernels(monkeypatch):
+    # A lone problem costs the batched body on one state more than the
+    # scalar body; a batch of several calls the batched one.
+    calls = []
+    for name in ("_population_slopes", "_saturated_slopes"):
+        kernel = getattr(exact, name)
+
+        def counted(*args, name=name, kernel=kernel):
+            calls.append(name)
+            return kernel(*args)
+
+        monkeypatch.setattr(exact, name, counted)
+    tau = 1.0 / 1.01 * tg.transition_temperature(M.EX, 1e6).tau
+    tg.solve_fugacity(M.EX, 1e6, tau)
+    core._solve_fugacity_many(M.EX, [1e6], [tau])
+    core._transition_many(M.EX, [1e6])
+    assert calls == []
+    core._solve_fugacity_many(M.EX, [1e3, 1e6], [0.1, tau])
+    assert calls and set(calls) == {"_population_slopes"}
+    calls.clear()
+    core._transition_many(M.EX, [1e3, 1e6])
+    assert calls and set(calls) == {"_saturated_slopes"}
 
 
 @pytest.mark.parametrize("model", [M.SC0, M.SCINF])
@@ -592,10 +633,12 @@ def test_condensed_state_returns_before_its_first_point(model, monkeypatch):
     atoms = [1e3, 1e4, 1e6]
     scales = (1.0 / 1.5, 2.0, 1.0 / 1.5)  # hot, cold (condensed), hot
     taus = [tg.transition_temperature(model, a).tau * k for a, k in zip(atoms, scales)]
-    single, batched = _spy_drivers(monkeypatch)
+    solves = _spy_driver(monkeypatch)
     state = tg.solve_fugacity(model, atoms[1], taus[1])
-    assert state.condensed and single == [[]]
+    assert state.condensed and solves == [[]]
+    solves.clear()
     states = core._solve_fugacity_many(model, atoms, taus)
+    batched = solves
     assert states[1] == state
     assert not states[0].condensed and not states[2].condensed
     assert batched[1] == [] and batched[0] and batched[2]

@@ -166,6 +166,21 @@ def test_bad_recipe_sizes_are_refused_before_any_solve(recipe, kwargs, monkeypat
         recipe(**kwargs)
 
 
+@pytest.mark.parametrize("recipe", [figures.figure2, figures.figure3, figures.figure7])
+@pytest.mark.parametrize(
+    "n_grid",
+    [5.0, [], [[1e3, 1e4]], ["a"], [1e3, 1.5], np.full(MAX_POINTS + 1, 1e3)],
+    ids=["scalar", "empty", "2-d", "text", "too-few-atoms", "too-many"],
+)
+def test_bad_atom_grid_is_refused_before_any_solve(recipe, n_grid, monkeypatch):
+    # A scalar used to raise TypeError from the solver, and [] to give a
+    # table with no rows.
+    for name in ("_transition_many", "_solve_fugacity_many"):
+        monkeypatch.setattr(figures, name, lambda *a, **k: pytest.fail("state solved"))
+    with pytest.raises(DomainError):
+        recipe(n_grid=n_grid)
+
+
 class TestFigure1:
     def test_two_lockstep_solves_and_no_scalar_solve(self, monkeypatch):
         scalar = [counted(monkeypatch, module, "solve_fugacity") for module in (figures, core)]

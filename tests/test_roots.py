@@ -1,5 +1,5 @@
 """The solvers' roots against 40-digit mpmath roots, and the Newton
-iteration in ``roots`` on test functions, with its typed errors."""
+coroutine in ``roots`` on test values, run by its driver, with its typed errors."""
 
 import math
 
@@ -76,20 +76,27 @@ def test_matches_mpmath_on_transition_residual(model, atoms):
     assert abs(tau / _mp_root(residual, tau) - 1) <= 2e-15
 
 
+def _solve(problem, f):
+    """Run one problem with ``roots.solve_lockstep`` on the scalar kernel ``f``."""
+    return roots.solve_lockstep([problem], lambda active, points: [f(points[0])])[0]
+
+
 def _log_newton_cases():
-    """Decreasing functions of x, with their slopes in ln x, and their roots."""
+    """Decreasing values of x, with their x-slopes, the atom number they meet and its root."""
     r = 3.7
-    yield (lambda x: (math.log(r / x), -1.0)), r
-    yield (lambda x: ((r / x) ** 3 - 1.0, -3.0 * (r / x) ** 3)), r
+    yield (lambda x: (r / x, -r / x**2)), 1.0, r
+    yield (lambda x: (1.0 + (r / x) ** 3, -3.0 * (r / x) ** 3 / x)), 2.0, r
     # Flat far from the root, where Newton steps overshoot.
-    yield (lambda x: (math.atan(r - x), -x / (1.0 + (r - x) ** 2))), r
+    value = lambda x: math.exp(math.atan(r - x))
+    yield (lambda x: (value(x), -value(x) / (1.0 + (r - x) ** 2))), 1.0, r
 
 
 @pytest.mark.parametrize("start", [1e-6, 0.5, 1.0, 2.0, 1e6])
 def test_log_newton_finds_the_root(start):
-    for f, root in _log_newton_cases():
-        x = roots.solve(roots._newton(start * root), f)
+    for f, atoms, root in _log_newton_cases():
+        x, value = _solve(roots._newton(start * root, atoms), f)
         assert x == pytest.approx(root, rel=4e-16)
+        assert value == f(x)[0]
 
 
 def test_log_newton_stops_where_f_is_rounding_noise():
@@ -99,67 +106,72 @@ def test_log_newton_stops_where_f_is_rounding_noise():
 
     def f(x):
         calls.append(x)
-        return 3e-16, -1e-20
+        return 1.0 + 3e-16, -1e-20 / x
 
-    assert roots.solve(roots._newton(2.0), f) == 2.0
+    assert _solve(roots._newton(2.0, 1.0), f) == (2.0, 1.0 + 3e-16)
     assert calls == [2.0]
 
 
 def test_log_newton_non_finite_value_raises_convergence_error():
     def f(x):
-        return (math.nan if x > 2.0 else math.log(3.0 / x)), -1.0
+        return (math.nan if x > 2.0 else 3.0 / x), -3.0 / x**2
 
     with pytest.raises(ConvergenceError, match="not usable"):
-        roots.solve(roots._newton(1.0), f)
+        _solve(roots._newton(1.0, 1.0), f)
 
 
 def test_log_newton_bisects_back_from_an_underflowed_point():
     # The slope is so flat that Newton steps to 4x and then to 16x the
-    # start, past the root 3.7, where f reads -inf; bisection from there
-    # lands on the root.
+    # start, past the root 3.7, where the value underflows to 0; bisection
+    # from there lands on the root.
     calls = []
 
     def f(x):
         calls.append(x)
-        return (math.log(3.7 / x) if x < 5.0 else -math.inf), -0.1
+        return (3.7 / x if x < 5.0 else 0.0), -0.1 * 3.7 / x**2
 
-    assert roots.solve(roots._newton(3.7 / 8.0), f) == pytest.approx(3.7, rel=1e-15)
+    x, _ = _solve(roots._newton(3.7 / 8.0, 1.0), f)
+    assert x == pytest.approx(3.7, rel=1e-15)
     assert max(calls) > 5.0
 
 
 def test_log_newton_underflow_without_a_positive_point_raises():
     with pytest.raises(ConvergenceError, match="not usable"):
-        roots.solve(roots._newton(1.0), lambda x: (-math.inf, -1.0))
+        _solve(roots._newton(1.0, 1.0), lambda x: (0.0, -1.0))
 
 
 def test_log_newton_iteration_cap_raises_convergence_error(monkeypatch):
     monkeypatch.setattr(roots, "_MAX_ITER", 3)
     with pytest.raises(ConvergenceError, match="did not converge"):
-        roots.solve(roots._newton(1e-3), lambda x: ((2.0 / x) ** 3 - 1.0, -3.0 * (2.0 / x) ** 3))
+        _solve(roots._newton(1e-3, 1.0), lambda x: ((2.0 / x) ** 3, -3.0 * (2.0 / x) ** 3 / x))
 
 
 def test_lockstep_newton_finds_each_single_root():
     # Every problem starts from its own point and steps by the single
     # solve's rule, so the roots are the single solves' floats; problems
     # finish after different numbers of steps.
-    problems = [(f, start * root) for f, root in _log_newton_cases() for start in (1e-6, 1.0, 1e6)]
+    problems = [
+        (f, atoms, start * root)
+        for f, atoms, root in _log_newton_cases()
+        for start in (1e-6, 1.0, 1e6)
+    ]
     seen = []
 
     def evaluate(active, points):
         seen.append(len(active))
         return [problems[i][0](x) for i, x in zip(active, points)]
 
-    found = roots.solve_lockstep([roots._newton(start) for _, start in problems], evaluate)
-    assert found == [roots.solve(roots._newton(start), f) for f, start in problems]
+    found = roots.solve_lockstep([roots._newton(x, atoms) for _, atoms, x in problems], evaluate)
+    assert found == [_solve(roots._newton(x, atoms), f) for f, atoms, x in problems]
     assert seen[0] == len(problems) and seen[-1] < len(problems)
 
 
 def test_lockstep_newton_raises_a_problem_error():
-    good = lambda x: (math.log(3.7 / x), -1.0)
+    good = lambda x: (3.7 / x, -3.7 / x**2)
     bad = lambda x: (math.nan, -1.0)
     with pytest.raises(ConvergenceError, match="not usable"):
         roots.solve_lockstep(
-            [roots._newton(1.0), roots._newton(1.0)],
+            [roots._newton(1.0, 1.0), roots._newton(1.0, 1.0)],
             lambda active, points: [(good, bad)[i](x) for i, x in zip(active, points)],
         )
 
@@ -179,12 +191,14 @@ def test_problem_that_returns_before_its_first_yield():
         calls.append(list(active))
         return [f(x) for x in points]
 
-    f = lambda x: (math.log(3.7 / x), -1.0)
-    assert roots.solve(_finished("done"), calls.append) == "done"
+    f = lambda x: (3.7 / x, -3.7 / x**2)
+    assert roots.solve_lockstep([_finished("done")], evaluate) == ["done"]
     assert calls == []
-    problems = [roots._newton(1.0), _finished("done"), roots._newton(10.0), _finished(None)]
+    problems = [
+        roots._newton(1.0, 1.0), _finished("done"), roots._newton(10.0, 1.0), _finished(None)
+    ]
     found = roots.solve_lockstep(problems, evaluate)
-    single = [roots.solve(roots._newton(x), f) for x in (1.0, 10.0)]
+    single = [_solve(roots._newton(x, 1.0), f) for x in (1.0, 10.0)]
     assert found == [single[0], "done", single[1], None]
     assert calls[0] == [0, 2] and all(set(active) <= {0, 2} for active in calls)
     assert roots.solve_lockstep([_finished(1), _finished(2)], evaluate) == [1, 2]
@@ -196,4 +210,4 @@ def test_lockstep_passes_a_kernel_error_through():
         raise ZeroDivisionError("kernel")
 
     with pytest.raises(ZeroDivisionError, match="kernel"):
-        roots.solve_lockstep([roots._newton(1.0)], evaluate)
+        roots.solve_lockstep([roots._newton(1.0, 1.0)], evaluate)
