@@ -50,7 +50,11 @@ compares:
 - the figure recipes, each side building its own tables: every cell of
   the rows of all seven at their defaults, and of figures 1, 4 and 5 at
   N = 2, 1e3, 1e6 and 1e9 with a few temperatures (or the name of the
-  error class a recipe raises).
+  error class a recipe raises);
+- ``trapgas sweep`` (``cli.main``), each side writing its own CSV: the exit
+  code, every line of the CSV and every warning line on stderr, for
+  sweeps where states fail (every model at T = 1e-300, the condensed SC0
+  and SCINF states) and a clean EX and SC sweep.
 
 The other copy's side uses only functions whose signatures are stable,
 and takes its states as its own ``GasState`` records.
@@ -61,10 +65,14 @@ check on the last bits.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import importlib.util
+import io
+import itertools
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +80,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import trapgas as tg  # noqa: E402
-from trapgas import core, exact, figures, observables, semiclassical  # noqa: E402
+from trapgas import cli, core, exact, figures, observables, semiclassical  # noqa: E402
 from trapgas.models import ModelKind  # noqa: E402
 
 LOG_N_STRATA = [(0.5, 2.0), (2.0, 4.0), (4.0, 6.0), (6.0, 8.0), (8.0, 10.0), (10.0, 11.0)]
@@ -84,12 +92,20 @@ PEAK_FIELDS = ("rho0_peak", "rho_total_peak", "degeneracy_parameter", "n0_fracti
 #: Atom numbers and temperature points of the extra tables of figures 1, 4 and 5.
 FIGURE_ATOMS = (2.0, 1e3, 1e6, 1e9)
 FIGURE_POINTS = 9
+#: Arguments of the compared ``trapgas sweep`` commands.
+SWEEPS = (
+    ["--model", "scinf,ex,sc", "--atoms", "1e3", "--tmin", "1e-300", "--tmax", "5",
+     "--steps", "3"],
+    ["--model", "ex,sc0,scinf,sc", "--atoms", "1e3", "--tmin", "2", "--tmax", "30",
+     "--steps", "40"],
+    ["--model", "ex,sc", "--atoms", "1e6", "--tmin", "40", "--tmax", "140", "--steps", "50"],
+)
 #: Anisotropy ratios of the traps (1, 1, 2) and (1, 2, 3).
 TRAP_RATIOS = tuple(tg.TrapSpec(f).aniso_ratio for f in ((1.0, 1.0, 2.0), (1.0, 2.0, 3.0)))
 
 
 def load_parent(src: Path):
-    """The exact, observables, core, semiclassical and figures modules of ``src``/trapgas.
+    """The exact, observables, core, semiclassical, figures and cli modules of ``src``/trapgas.
 
     The package is imported as ``trapgas_parent``.
     """
@@ -102,7 +118,7 @@ def load_parent(src: Path):
     spec.loader.exec_module(module)
     return tuple(
         importlib.import_module(f"trapgas_parent.{m}")
-        for m in ("exact", "observables", "core", "semiclassical", "figures")
+        for m in ("exact", "observables", "core", "semiclassical", "figures", "cli")
     )
 
 
@@ -244,6 +260,18 @@ def figure_cells(module) -> list:
     return values
 
 
+def sweep_lines(module, argv) -> tuple[list, list]:
+    """One copy's ``trapgas sweep`` run from its ``cli`` module.
+
+    Returns the exit code and the CSV's lines, and the lines on stderr.
+    """
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+        out = Path(tmp) / "sweep.csv"
+        code = module.main(["sweep", *argv, "--out", str(out)])
+        csv = out.read_bytes().decode("ascii") if out.exists() else ""
+    return [str(code), *csv.split("\n")], err.getvalue().split("\n")
+
+
 def ulps(a, b) -> np.ndarray:
     """Distance in representable floats between a and b, elementwise."""
     ordered = []
@@ -258,7 +286,7 @@ class Tally:
         self.values, self.mismatches, self.worst = 0, 0, 0
 
     def add(self, got, ref):
-        if isinstance(got, str) or isinstance(ref, str):  # an error class's name
+        if isinstance(got, str) or isinstance(ref, str):  # an error class's name, or a line
             self.values += 1
             self.mismatches += not (isinstance(got, str) and got == ref)
             return
@@ -274,7 +302,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src", type=Path, help="src directory of the other copy")
     args = parser.parse_args(argv)
-    parent, parent_observables, parent_core, parent_sc, parent_figures = load_parent(
+    parent, parent_observables, parent_core, parent_sc, parent_figures, parent_cli = load_parent(
         args.parent_src
     )
     rng = np.random.default_rng(SEED)
@@ -282,7 +310,7 @@ def main(argv=None) -> int:
     states = strata_states(draws)
     tallies = {name: Tally() for name in ("scalar grids", "origins", "families", "observables",
                                         "far grids", "semiclassical", "solves", "populations",
-                                        "figures")}
+                                        "figures", "sweep")}
 
     for state in states:
         x, tau = state.x, state.tau
@@ -372,6 +400,11 @@ def main(argv=None) -> int:
 
     for a, b in zip(figure_cells(figures), figure_cells(parent_figures)):
         tallies["figures"].add(a, b)
+
+    for argv in SWEEPS:
+        for got, ref in zip(sweep_lines(cli, argv), sweep_lines(parent_cli, argv)):
+            for a, b in itertools.zip_longest(got, ref, fillvalue=None):
+                tallies["sweep"].add(a, b)
 
     print(f"{len(states)} states (seed {SEED}), against {args.parent_src}")
     for name, tally in tallies.items():

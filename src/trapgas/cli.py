@@ -24,7 +24,12 @@ from .tables import SweepTable, meta
 
 
 def _parse_models(text: str) -> tuple[ModelKind, ...]:
-    return tuple(ModelKind(tag.strip()) for tag in text.split(","))
+    """The models of a comma list of tags; DomainError for a tag given twice."""
+    models = tuple(ModelKind(tag.strip()) for tag in text.split(","))
+    for i, model in enumerate(models):
+        if model in models[:i]:
+            raise DomainError(f"model tag {model.value!r} is repeated in {text!r}")
+    return models
 
 
 def _parse_aniso(text: str | None) -> TrapSpec:

@@ -13,7 +13,8 @@ Each solve is written once, as a generator coroutine (``_fugacity``,
 kernel pass.  The one driver, :func:`trapgas.roots.solve_lockstep`, runs
 them on one kernel per solve kind (``_fugacities``, ``_transitions``): the
 public solves hand it one problem, ``_solve_fugacity_many`` and
-``_transition_many`` a list.  Per step the kernel calls the scalar body
+``_transition_many`` a list, which it runs in blocks of at most
+``roots._BLOCK`` problems.  Per step the kernel calls the scalar body
 while one problem is active, and for several the batched EX body or the
 SC body per problem, with the scalar floats: a batched solve evaluates
 each single solve's points and returns its floats.  The fugacity solve
@@ -269,7 +270,7 @@ def _fugacities(model: ModelKind, atoms: list, taus: list, ratio: float) -> list
         pop, slope = exact._population_slopes(np.array(xs), np.array([taus[i] for i in active]))
         return zip(pop.tolist(), slope.tolist())
 
-    return solve_lockstep([_fugacity(model, a, t, variant) for a, t in zip(atoms, taus)], kernel)
+    return solve_lockstep((_fugacity(model, a, t, variant) for a, t in zip(atoms, taus)), kernel)
 
 
 def _fugacity(model: ModelKind, atoms: float, tau: float, variant: semiclassical.ScVariant):
@@ -361,7 +362,7 @@ def _transitions(model: ModelKind, atoms: list, ratio: float) -> list[float]:
         value, slope = exact._saturated_slopes(np.array([check_tau(t) for t in taus]))
         return zip(value.tolist(), slope.tolist())
 
-    return solve_lockstep([_transition(model, a) for a in atoms], kernel)
+    return solve_lockstep((_transition(model, a) for a in atoms), kernel)
 
 
 def _fugacity_start(model: ModelKind, atoms: float, tau: float, capacity: float) -> float:

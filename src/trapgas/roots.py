@@ -6,12 +6,14 @@ temperature at fixed N) seeks where a strictly decreasing value on
 iteration in u = ln x on ln(value / atoms) (the ``rtsafe`` scheme of Press
 et al., *Numerical Recipes*, section 9.4).  :func:`solve_lockstep` runs
 solve coroutines built around it (:mod:`trapgas.core`), one kernel call
-per step for all unfinished ones; a single solve is a list of one.
+per step for all unfinished ones of a block of at most ``_BLOCK``; a
+single solve is a list of one.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 from .errors import ConvergenceError
 from .models import occupation
@@ -24,6 +26,10 @@ _STEP_TOL = 1e-9
 _F_FLOOR = 1e-15
 #: Longest Newton step in ln x: a factor of 4 in x.
 _MAX_STEP = math.log(4.0)
+#: Problems per lockstep run.  It bounds a batch's memory at any size (an EX
+#: step holds a (problems x 43) table) and keeps every figure's batch, at
+#: most 200 states, in one run.
+_BLOCK = 2048
 
 
 def solve_lockstep(problems, f) -> list:
@@ -32,26 +38,33 @@ def solve_lockstep(problems, f) -> list:
     Each problem is a generator that yields each point it needs evaluated,
     is sent the kernel's value there, and returns its result (it may
     return before its first yield).  ``f(active, points)`` evaluates the
-    unfinished problems (their indices, ascending, and their current
-    points) at once and returns their values in that order.  A problem's
-    points and result do not depend on the others in the list.  The first
-    error raised by ``f`` or any problem passes through.
+    unfinished problems (their indices in ``problems``, ascending, and
+    their current points) at once and returns their values in that order.
+    ``problems`` is any iterable: it is run in blocks of ``_BLOCK``, each
+    block's problems made only when the one before has finished, so no
+    kernel call sees more than ``_BLOCK`` problems.  A problem's points and
+    result do not depend on the others.  The first error raised by ``f`` or
+    a problem of the first block that has one passes through.
     """
-    results = [None] * len(problems)
-    active, values = range(len(problems)), iter([None] * len(problems))  # send(None) starts each
-    while active:
-        unfinished, points = [], []
-        for i in active:  # next() on an iterator costs less than a zip per step
-            value = next(values)
-            try:
-                points.append(problems[i].send(value))
-            except StopIteration as done:
-                results[i] = done.value
-            else:
-                unfinished.append(i)
-        active = unfinished
-        if active:
-            values = iter(f(active, points))
+    results, problems = [], iter(problems)
+    while block := list(islice(problems, _BLOCK)):
+        offset = len(results)
+        results += [None] * len(block)
+        active = range(offset, len(results))
+        values = iter([None] * len(block))  # send(None) starts each
+        while active:
+            unfinished, points = [], []
+            for i in active:  # next() on an iterator costs less than a zip per step
+                value = next(values)
+                try:
+                    points.append(block[i - offset].send(value))
+                except StopIteration as done:
+                    results[i] = done.value
+                else:
+                    unfinished.append(i)
+            active = unfinished
+            if active:
+                values = iter(f(active, points))
     return results
 
 

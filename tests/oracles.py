@@ -4,7 +4,8 @@ The live oracles below use mpmath at elevated precision and deliberately
 avoid the package's own evaluation strategies (no singular expansions, no
 ground-state splitting): plain term-by-term summation of the defining
 series.  The one exception is ``brute_gauss_sum``, the package's earlier
-blocked l-sum, which checks the faster kernel that replaced it.  Values
+blocked l-sum, which checks the faster kernel that replaced it, and
+``per_state_sweep``, the fraction sweep as one solve per state.  Values
 that are too slow to recompute on every test run were frozen from the same
 routines at dps >= 40; ``scripts/reference_values.py`` regenerates them.
 """
@@ -17,8 +18,10 @@ import mpmath as mp
 import numpy as np
 from scipy import integrate
 
-from trapgas.errors import DomainError, TruncationError
+from trapgas import core, observables
+from trapgas.errors import ConvergenceError, DomainError, TruncationError
 from trapgas.models import PI_32, check_positive
+from trapgas.tables import SweepTable
 
 
 def mp_bose_series(nu, z, dps: int = 40) -> float:
@@ -329,3 +332,28 @@ CAP_EX_AT_9337 = 1000383.63823489463
 
 #: x = -ln z solving N = 1e6 at tau = 1/93.37 (extended-precision bisection).
 X_STAR_1E6_AT_9337 = 0.00098257783328220974901
+
+
+def per_state_sweep(models, atoms, temperatures, metadata, warn=None) -> SweepTable:
+    """``figures._fraction_sweep`` as it was before it solved EX in lockstep.
+
+    Each model's state at each temperature is one ``solve_fugacity`` call;
+    a typed error goes to ``warn(model, t, exc)`` and leaves two empty
+    cells, or without ``warn`` propagates.
+    """
+    columns = [f"{kind}_frac_{model.value}" for model in models for kind in ("N0", "peak")]
+    table = SweepTable(["T", *columns], metadata)
+    for t in temperatures:
+        cells = [t]
+        for model in models:
+            try:
+                units = core.ReducedUnits.from_temperature(t)
+                report = observables.peak_report(core.solve_fugacity(model, atoms, units))
+                cells += [report.n0_fraction, report.peak_fraction]
+            except (DomainError, ConvergenceError, TruncationError) as exc:
+                if warn is None:
+                    raise
+                warn(model, t, exc)
+                cells += [None, None]
+        table.add_row(*cells)
+    return table

@@ -15,6 +15,8 @@ from trapgas.errors import ConvergenceError
 from trapgas.models import MAX_POINTS
 from trapgas.models import ModelKind as M
 
+import oracles
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -249,6 +251,43 @@ class TestSweepCommand:
         assert code == 2
         assert str(MAX_POINTS) in capsys.readouterr().err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("tags,repeated", [("ex,ex", "ex"), ("sc, scinf,sc", "sc")])
+    def test_repeated_model_tag_exits_2_naming_it(self, tags, repeated, tmp_path, capsys):
+        # It used to exit 2 with "column names must be unique", naming no model.
+        out = tmp_path / "s.csv"
+        code = main(
+            [
+                "sweep", "--model", tags, "--atoms", "1e3", "--tmin", "6", "--tmax", "11",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert f"model tag '{repeated}' is repeated" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv,failed",
+        [
+            # T = 1e-300 fails for every model, EX's lockstep with it
+            (["--model", "scinf,ex,sc", "--atoms", "1e3", "--tmin", "1e-300", "--tmax", "5",
+              "--steps", "3"], 5),
+            # the condensed SC0 and SCINF states fail, EX's lockstep does not
+            (["--model", "ex,sc0,scinf,sc", "--atoms", "1e3", "--tmin", "2", "--tmax", "30",
+              "--steps", "40"], 21),
+        ],
+    )
+    def test_failing_states_give_the_per_state_bytes(self, argv, failed, monkeypatch, tmp_path,
+                                                     capsys):
+        outputs = []
+        for sweep in (figures._fraction_sweep, oracles.per_state_sweep):
+            monkeypatch.setattr(figures, "_fraction_sweep", sweep)
+            out = tmp_path / f"{len(outputs)}.csv"
+            assert main(["sweep", *argv, "--out", str(out)]) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr().err))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][1].splitlines()) == failed
 
 
 class TestFigureCommand:

@@ -558,6 +558,7 @@ def _spy_driver(monkeypatch):
     solves = []
 
     def lockstep(problems, f):
+        problems = list(problems)
         points = [[] for _ in problems]
         solves.extend(points)
 
@@ -600,6 +601,36 @@ def test_lockstep_solves_evaluate_the_single_solves_points(model, monkeypatch):
     if model != M.SCINF:
         assert len(single) == len(_MIXED)
         assert any(p[-1] == math.nextafter(p[-2], 0.0) for p in single)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+@pytest.mark.parametrize("model", [M.EX, M.SC])
+def test_blocked_solves_keep_every_state(model, block, monkeypatch):
+    # The driver runs at most roots._BLOCK problems at a time, one block
+    # after the other, so that a batch's memory is bounded at any size.
+    atoms = np.logspace(1.0, 10.0, 20).tolist()
+    scales = (1.0 / 1.5, 1.0 / 0.99, 1.0 / 1.01, 2.0)  # T/T* = 1.5, 0.99, 1.01, 0.5
+    taus = [tg.transition_temperature(model, a).tau * scales[i % 4] for i, a in enumerate(atoms)]
+
+    def solve():
+        states = core._solve_fugacity_many(model, atoms, taus)
+        return states, core._transition_many(model, atoms).tolist()
+
+    unblocked = solve()
+    calls = []
+
+    def lockstep(problems, f):
+        def evaluate(active, points):
+            calls.append(list(active))
+            return f(active, points)
+
+        return tg.roots.solve_lockstep(problems, evaluate)
+
+    monkeypatch.setattr(core, "solve_lockstep", lockstep)
+    monkeypatch.setattr(tg.roots, "_BLOCK", block)
+    assert repr(solve()) == repr(unblocked)  # the same floats, bit for bit
+    assert all(len({i // block for i in active}) == 1 for active in calls)
+    assert max(map(len, calls)) == block
 
 
 def test_one_ex_problem_takes_the_scalar_kernels(monkeypatch):

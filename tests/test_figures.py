@@ -9,9 +9,11 @@ import pytest
 
 import trapgas as tg
 from trapgas import core, exact, figures, semiclassical
-from trapgas.errors import DomainError
+from trapgas.errors import ConvergenceError, DomainError
 from trapgas.models import MAX_POINTS
 from trapgas.models import ModelKind as M
+
+import oracles
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 ROOT = Path(__file__).resolve().parent.parent
@@ -206,6 +208,56 @@ class TestFigure1:
         table = figures.figure1(atoms="1e3", points=3)
         assert table.rows == figures.figure1(atoms=1e3, points=3).rows
         assert table.metadata["atoms"] == "1000.0"
+
+
+class TestFractionSweep:
+    @pytest.mark.parametrize("recipe", [figures.figure4, figures.figure5])
+    def test_one_ex_lockstep_solve_and_no_scalar_ex_solve(self, recipe, monkeypatch):
+        scalar = [counted(monkeypatch, module, "solve_fugacity") for module in (figures, core)]
+        batched = counted(monkeypatch, figures, "_solve_fugacity_many")
+        recipe(points=7)
+        assert [(model, len(atoms), len(taus)) for model, atoms, taus in batched] == [
+            (M.EX, 7, 7)
+        ]
+        assert all(args[0] == M.SC for calls in scalar for args in calls)
+        assert len(scalar[0]) == 7  # SC, one state at a time
+
+    @pytest.mark.parametrize(
+        "models,atoms,temperatures",
+        [
+            ((M.EX, M.SC), 1e6, np.linspace(40.0, 140.0, 9)),
+            ((M.SCINF, M.EX, M.SC), 1e3, [1e-300, 2.5, 5.0]),  # tau^3 overflows at 1e-300
+            ((M.EX, M.SC0, M.SCINF, M.SC), 1e3, np.linspace(2.0, 30.0, 12)),
+        ],
+    )
+    @pytest.mark.parametrize("lockstep_fails", [False, True])
+    def test_rows_and_warnings_are_the_per_state_loops(
+        self, models, atoms, temperatures, lockstep_fails, monkeypatch
+    ):
+        def sweep(run):
+            warnings = []
+            table = run(models, atoms, temperatures, {}, lambda *w: warnings.append(w))
+            return table.rows, [(m, t, type(e), str(e)) for m, t, e in warnings]
+
+        expected = sweep(oracles.per_state_sweep)
+        if lockstep_fails:
+            def fail(*args):
+                raise ConvergenceError("lockstep failed")
+            monkeypatch.setattr(figures, "_solve_fugacity_many", fail)
+        assert sweep(figures._fraction_sweep) == expected
+
+    @pytest.mark.parametrize("lockstep_fails", [False, True])
+    def test_without_warn_the_first_error_is_raised(self, lockstep_fails, monkeypatch):
+        models, temperatures = (M.SC0, M.EX), [2.0, 1e-300]
+        with pytest.raises(DomainError) as expected:
+            oracles.per_state_sweep(models, 1e3, temperatures, {})
+        if lockstep_fails:
+            def fail(*args):
+                raise ConvergenceError("lockstep failed")
+            monkeypatch.setattr(figures, "_solve_fugacity_many", fail)
+        with pytest.raises(DomainError) as raised:
+            figures._fraction_sweep(models, 1e3, temperatures, {})
+        assert str(raised.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("recipe", [figures.figure4, figures.figure5])
